@@ -34,7 +34,6 @@ from .matcher import (
     evaluate,
     jump,
     match_multiway,
-    match_pair,
     match_proc,
 )
 from .metrics import Metrics
@@ -89,7 +88,6 @@ __all__ = [
     "NodeList",
     "as_node_list",
     "jump",
-    "match_pair",
     "match_multiway",
     "match_proc",
     "MatchTuple",

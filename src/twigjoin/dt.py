@@ -1,17 +1,20 @@
 """DataTables: the search plan compiled from guide-level evaluation.
 
-A DataTable belongs to one JP.  Each record names one guide node per
-slot (branch end or nested child JP) plus the guide node and depth of
-the JP occurrence that dominates them all; at evaluation time the
-record means "merge these extent lists on equality of their
-jp_level-prefixes".  A DTSchema chains the tables deepest-JP-first.
+A DataTable belongs to one JP and holds one record per JP guide node g
+that can witness it.  Per slot (branch end or nested child JP), the
+record lists every guide node that fits under g; at evaluation time
+any choice of one end per slot means "merge these extent lists on
+equality of their jp_level-prefixes".  A DTSchema chains the tables
+deepest-JP-first.
 
-A record (ends, level, g) is emitted only when all three hold:
+An end e sits in slot i of the record for g only when all three hold:
 
 (a) g's root path matches the twig's root-to-JP pattern;
-(b) g is a guide-ancestor-or-self of every end;
-(c) for each end, the part of its root path below depth(g) matches
-    that slot's steps below the JP.
+(b) g is a guide-ancestor-or-self of e;
+(c) the part of e's root path below depth(g) matches slot i's steps
+    below the JP.
+
+A record exists only when every slot has at least one end.
 
 Without (c) a branch end reachable through some other embedding of the
 JP step could pair with a witness it does not actually sit under,
@@ -22,7 +25,6 @@ level never re-checks tags, so the plan must be exact here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Sequence
 
 from .path_guide import PathGuide
@@ -38,7 +40,7 @@ from .twig import (
 
 @dataclass(frozen=True)
 class DTRecord:
-    ends: tuple[int, ...]  # one GuideId per slot
+    ends: tuple[tuple[int, ...], ...]  # per slot, the GuideIds fitting jp_guide
     jp_level: int  # document depth of the JP occurrence
     jp_guide: int  # GuideId of the matched JP guide node
 
@@ -74,15 +76,6 @@ class DTSchema:
     def is_empty(self) -> bool:
         return any(not t.records for t in self.tables)
 
-    def linkage(self) -> dict[tuple[int, int], int]:
-        """(table index, slot index) -> index of the consumed table."""
-        out: dict[tuple[int, int], int] = {}
-        for ti, table in enumerate(self.tables):
-            for si, slot in enumerate(table.slots):
-                if slot.kind == "nested":
-                    out[(ti, si)] = slot.child_table
-        return out
-
 
 def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> set[int]:
     """JP depths d such that gid's path below d matches the tail steps."""
@@ -95,11 +88,11 @@ def build_dt(
     branch_results: Sequence[Sequence[int]],
     jp: JPDescriptor,
 ) -> DataTable:
-    """Cross branch end candidates under every matching JP guide node.
+    """Group branch end candidates under every matching JP guide node.
 
     branch_results[i] holds the candidate GuideIds for slot i, in the
-    order of jp.groups.  Candidates are filtered per JP guide node
-    before the cross product, so disjoint subtrees never multiply.
+    order of jp.groups.  One record per JP guide node under which every
+    slot keeps at least one candidate.
     """
     if len(branch_results) != len(jp.groups):
         raise ValueError("one candidate list per JP child group required")
@@ -126,13 +119,11 @@ def build_dt(
                 g = anc[d]
                 if g in jp_set:
                     fits.setdefault(g, [[] for _ in range(m)])[i].append(e)
-    records: list[DTRecord] = []
-    for g in sorted(fits):
-        lists = fits[g]
-        if all(lists):
-            level = pg.nodes[g].depth
-            for combo in product(*lists):
-                records.append(DTRecord(tuple(combo), level, g))
+    records = [
+        DTRecord(tuple(map(tuple, lists)), pg.nodes[g].depth, g)
+        for g, lists in sorted(fits.items())
+        if all(lists)
+    ]
     return DataTable(jp, slots, records)
 
 
@@ -168,7 +159,7 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
 
 
 def explain(schema: DTSchema, pg: PathGuide, max_records: int = 50) -> str:
-    """Human-readable plan: tables, slots, records, linkage."""
+    """Human-readable plan: tables, slots, one record per JP guide node."""
 
     def path_str(gid: int) -> str:
         return "/".join(pg.path_tags(gid))
@@ -188,7 +179,7 @@ def explain(schema: DTSchema, pg: PathGuide, max_records: int = 50) -> str:
             lines.append(f"  slot {si}: {slot.kind} -> {target}, tail {steps_to_str(slot.steps)}")
         lines.append(f"  records: {len(table.records)}")
         for rec in table.records[:max_records]:
-            ends = ", ".join(path_str(e) for e in rec.ends)
+            ends = ", ".join(" | ".join(map(path_str, slot)) for slot in rec.ends)
             lines.append(f"    ({ends}) level={rec.jp_level} jp={path_str(rec.jp_guide)}")
         hidden = len(table.records) - max_records
         if hidden > 0:

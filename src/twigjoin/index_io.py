@@ -145,7 +145,11 @@ def from_bytes(data: bytes) -> Index:
             raise IndexFormatError(
                 f"guide node {gid}: stored depth {depth} disagrees with parent chain"
             )
-    return Index(pg, node_count, max_depth)
+    index = Index.from_guide(pg)
+    if (node_count, max_depth) != (index.node_count, index.max_depth):
+        stats = f"node_count={node_count}, max_depth={max_depth}"
+        raise IndexFormatError(f"header stats {stats} disagree with the guide")
+    return index
 
 
 def save(index: Index, path: Union[str, Path]) -> None:

@@ -1,16 +1,19 @@
 """Execution of the DTSchema: prefix merge joins over extent lists.
 
-Tables run deepest-JP-first.  Each DTRecord turns into one multiway
-merge: leaf slots contribute their guide node's extent, nested slots
-contribute the distinct JP-prefixes the child table produced under the
-recorded child guide node.  Matched rows fan out into (leaf label,
-JP witness) entries, grouped by (jp_guide, prefix) so the next table
-up can consume them as sorted prefix streams.
+Tables run deepest-JP-first, with one multiway merge per JP level of a
+table: a leaf slot contributes the sorted union of the extents its
+records at that level name, a nested slot the witnesses of the child
+table whose JP guide node those records name.  This is exact: rows
+with equal level-prefixes share a data ancestor, hence one JP guide
+node, so no tuple can mix the ends of two records.  Matched rows fan
+out into (leaf label, JP witness) entries, grouped by witness prefix;
+each table hands the next one up a single sorted witness stream,
+tagged with JP guide nodes.
 
-Deduplication is per (jp_guide, prefix) group, keyed by the leaf-label
-assignment.  Deduplicating across groups would be wrong: the same leaf
-assignment under two different witnesses must stay visible to a parent
-record that references only one of them.
+Deduplication is per witness, keyed by the leaf-label assignment.
+Deduplicating across witnesses would be wrong: the same leaf assignment
+under two different witnesses must stay visible to a parent record that
+references only one of them.
 """
 
 from __future__ import annotations
@@ -152,16 +155,11 @@ def _run_merge(
     """
     k = len(arrays)
     width = max([plen] + [a.shape[1] for a in arrays])
-    total = sum(len(a) for a in arrays)
+    offsets = np.concatenate([[0], np.cumsum([len(a) for a in arrays])]).astype(np.int64)
+    total = int(offsets[k])
     stacked = np.zeros((total, width), dtype=np.int64)
-    offsets = np.empty(k + 1, dtype=np.int64)
-    pos = 0
-    for j, a in enumerate(arrays):
-        offsets[j] = pos
-        if len(a):
-            stacked[pos : pos + len(a), : a.shape[1]] = a
-        pos += len(a)
-    offsets[k] = pos
+    for a, start in zip(arrays, offsets):
+        stacked[start : start + len(a), : a.shape[1]] = a
     touched = np.zeros(max(total, 1), dtype=np.uint8)
     reads = np.zeros(k, dtype=np.int64)
     out, count, comps, jumps = backend.multiway_merge(
@@ -222,21 +220,6 @@ def match_multiway(
     return out
 
 
-def match_pair(
-    a: _ListLike,
-    b: _ListLike,
-    level: int,
-    metrics: Metrics | None = None,
-    use_jump: bool = True,
-    backend: Backend | str | None = None,
-) -> list[tuple[DeweyLabel, DeweyLabel]]:
-    """Two-list case of match_multiway."""
-    return [
-        (t[0], t[1])
-        for t in match_multiway([a, b], level, metrics, use_jump, backend)
-    ]
-
-
 @dataclass
 class _Entry:
     leaves: dict[int, tuple[int, ...]]  # leaf_id -> label components
@@ -244,9 +227,52 @@ class _Entry:
 
 
 @dataclass
-class _Stream:
-    prefixes: np.ndarray  # (n, level) distinct witness prefixes, sorted
-    entries: list[list[_Entry]]  # per prefix, the entries beneath it
+class _Input:
+    """One slot's sorted, zero-padded rows for a merge.
+
+    gids holds each row's extent (leaf slots) or its witness's JP guide
+    node (nested slots).  Leaf inputs keep their extents and each row's
+    position in the extents' concatenation; nested inputs keep the
+    entries beneath each witness.
+    """
+
+    rows: np.ndarray
+    gids: np.ndarray
+    exts: list[ExtentList] | None = None
+    order: np.ndarray | None = None
+    entries: list[list[_Entry]] | None = None
+
+
+def _leaf_input(pg: PathGuide, gids: list[int]) -> _Input:
+    """The union of the extents of gids; no label sits in two extents."""
+    exts = [pg.read_extent(g) for g in gids]
+    rows = np.zeros((sum(map(len, exts)), max(e.rows.shape[1] for e in exts)), dtype=np.int64)
+    pos = 0
+    for e in exts:
+        rows[pos : pos + len(e), : e.rows.shape[1]] = e.rows
+        pos += len(e)
+    order = np.lexsort(rows.T[::-1])
+    owner = np.repeat(np.arange(len(exts)), list(map(len, exts)))[order]
+    return _Input(rows[order], np.array(gids)[owner], exts, order)
+
+
+def _witness_input(groups: dict, gids: list[int]) -> _Input:
+    """A table's witnesses under the JP guide nodes gids, sorted."""
+    wanted = set(gids)
+    items = sorted((p, g) for p, (g, _) in groups.items() if g in wanted)
+    rows = np.zeros((len(items), max((len(p) for p, _ in items), default=0)), dtype=np.int64)
+    for i, (prefix, _) in enumerate(items):
+        rows[i, : len(prefix)] = prefix
+    entries = [list(groups[p][1].values()) for p, _ in items]
+    return _Input(rows, np.array([g for _, g in items], dtype=np.int64), entries=entries)
+
+
+def _column(inp: _Input, idx: np.ndarray) -> list:
+    """Per output row: the leaf label's components, or the witness's entries."""
+    if inp.entries is not None:
+        return [inp.entries[i] for i in idx.tolist()]
+    rows = inp.rows[idx]  # components are >= 1, so every zero is padding
+    return [tuple(r[:d]) for r, d in zip(rows.tolist(), (rows > 0).sum(axis=1).tolist())]
 
 
 def match_proc(
@@ -265,57 +291,43 @@ def match_proc(
     be = _resolve_backend(backend)
     if schema.is_empty:
         return [], []
-    outs: list[dict[int, _Stream]] = []
-    groups: dict[tuple[int, tuple[int, ...]], dict] = {}
+    done: list[dict] = []  # per finished table, its groups
     for ti, table in enumerate(schema.tables):
-        groups = {}
-        for rec in table.records:
-            arrays: list[np.ndarray] = []
-            metas: list[ExtentList | None] = []
-            payloads: list[list[list[_Entry]] | None] = []
-            skip = False
+        groups: dict[tuple[int, ...], tuple[int, dict]] = {}  # prefix -> (JP gid, {key: entry})
+        leaf_ids = [(si, s.leaf_id) for si, s in enumerate(table.slots) if s.kind == "leaf"]
+        nested = [si for si, s in enumerate(table.slots) if s.kind == "nested"]
+        for level in sorted({rec.jp_level for rec in table.records}):
+            recs = [rec for rec in table.records if rec.jp_level == level]
+            inputs = []
             for si, slot in enumerate(table.slots):
+                named = sorted({e for rec in recs for e in rec.ends[si]})
                 if slot.kind == "leaf":
-                    ext = pg.read_extent(rec.ends[si])
-                    arrays.append(ext.rows)
-                    metas.append(ext)
-                    payloads.append(None)
+                    inputs.append(_leaf_input(pg, named))
                 else:
-                    stream = outs[slot.child_table].get(rec.ends[si])
-                    if stream is None:
-                        skip = True
-                        break
-                    arrays.append(stream.prefixes)
-                    metas.append(None)
-                    payloads.append(stream.entries)
-            if skip:
-                continue
+                    inputs.append(_witness_input(done[slot.child_table], named))
             local, touched, reads, offsets, comps, jumps = _run_merge(
-                arrays, rec.jp_level, use_jump, be
+                [inp.rows for inp in inputs], level, use_jump, be
             )
             if metrics is not None:
                 metrics.prefix_comparisons += comps
                 metrics.jumps += jumps
-                for j, ext in enumerate(metas):
-                    if ext is None:
-                        continue
-                    metrics.count_reads(int(reads[j]))
-                    mask = touched[offsets[j] : offsets[j + 1]].astype(bool)
-                    metrics.touch_mask(ext.gid, mask, ext.byte_lens)
-            plen = rec.jp_level
-            for row in local:
-                prefix = tuple(int(c) for c in arrays[0][row[0], :plen])
-                leaf_part: list[tuple[int, tuple[int, ...]]] = []
-                nested: list[list[_Entry]] = []
-                for si, slot in enumerate(table.slots):
-                    pay = payloads[si]
-                    if pay is None:
-                        label = tuple(int(c) for c in arrays[si][row[si]])
-                        leaf_part.append((slot.leaf_id, label))
-                    else:
-                        nested.append(pay[row[si]])
-                bucket = groups.setdefault((rec.jp_guide, prefix), {})
-                for combo in product(*nested):
+                for j, inp in enumerate(inputs):
+                    if inp.exts is not None:
+                        metrics.count_reads(int(reads[j]))
+                        flat = np.zeros(len(inp.rows), dtype=bool)
+                        flat[inp.order[touched[offsets[j] : offsets[j + 1]] > 0]] = True
+                        cuts = np.cumsum([len(e) for e in inp.exts])[:-1]
+                        for ext, mask in zip(inp.exts, np.split(flat, cuts)):
+                            metrics.touch_mask(ext.gid, mask, ext.byte_lens)
+            cols = [_column(inp, local[:, j]) for j, inp in enumerate(inputs)]
+            prefixes = inputs[0].rows[local[:, 0], :level].tolist()
+            owners = inputs[0].gids[local[:, 0]].tolist()
+            for r, (prefix, owner) in enumerate(zip(map(tuple, prefixes), owners)):
+                if prefix not in groups:
+                    groups[prefix] = (pg.nodes[owner].ancestors[level], {})
+                bucket = groups[prefix][1]
+                leaf_part = [(leaf_id, cols[si][r]) for si, leaf_id in leaf_ids]
+                for combo in product(*(cols[si][r] for si in nested)):
                     leaves = dict(leaf_part)
                     jps = {ti: prefix}
                     for entry in combo:
@@ -324,24 +336,11 @@ def match_proc(
                     key = tuple(sorted(leaves.items()))
                     if key not in bucket:
                         bucket[key] = _Entry(leaves, jps)
-        by_guide: dict[int, list[tuple[tuple[int, ...], list[_Entry]]]] = {}
-        for (g, prefix), bucket in groups.items():
-            by_guide.setdefault(g, []).append((prefix, list(bucket.values())))
-        streams: dict[int, _Stream] = {}
-        for g, items in by_guide.items():
-            items.sort(key=lambda it: it[0])
-            level = pg.nodes[g].depth
-            prefixes = np.array([p for p, _ in items], dtype=np.int64).reshape(
-                len(items), level
-            )
-            streams[g] = _Stream(prefixes, [ents for _, ents in items])
-        outs.append(streams)
+        done.append(groups)
 
     n_tables = len(schema.tables)
     final: dict[tuple, MatchTuple] = {}
-    witnesses: set[tuple[int, ...]] = set()
-    for (g, prefix), bucket in groups.items():
-        witnesses.add(prefix)
+    for _, bucket in groups.values():
         for key, entry in bucket.items():
             if key in final:
                 continue
@@ -353,7 +352,7 @@ def match_proc(
             )
             final[key] = MatchTuple(leaf_labels, jp_labels)
     matches = sorted(final.values(), key=lambda mt: mt.leaf_labels)
-    top = sorted(DeweyLabel(w) for w in witnesses)
+    top = sorted(DeweyLabel(w) for w in groups)
     return matches, top
 
 
@@ -382,10 +381,7 @@ def evaluate(
             for g in matched:
                 ext = pg.read_extent(g)
                 metrics.read_full_extent(g, ext.byte_lens)
-                for row in ext.rows:
-                    matches.append(
-                        MatchTuple((DeweyLabel(tuple(int(c) for c in row)),), ())
-                    )
+                matches.extend(MatchTuple((DeweyLabel(r),)) for r in ext.rows.tolist())
             matches.sort(key=lambda mt: mt.leaf_labels)
             return ResultSet(matches, []), metrics
         schema = build_dt_schema(pg, d)

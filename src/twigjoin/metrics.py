@@ -54,14 +54,6 @@ class Metrics:
             self.bytes_scanned += int(byte_lens[fresh].sum())
             flags[fresh] = True
 
-    def touch_row(self, gid: int, row: int, byte_lens: np.ndarray) -> None:
-        """Count one read of a single row and credit its bytes if new."""
-        self.nodes_read += 1
-        flags = self._flags(gid, len(byte_lens))
-        if not flags[row]:
-            flags[row] = True
-            self.bytes_scanned += int(byte_lens[row])
-
     def read_full_extent(self, gid: int, byte_lens: np.ndarray) -> None:
         """Account for a sequential scan of a whole extent list."""
         self.nodes_read += len(byte_lens)

@@ -5,8 +5,8 @@ is the document element at depth 0.  Extents hold the Dewey labels of
 all document nodes sharing a path, as a 2-D int64 array with one row
 per label (row width = guide depth), strictly sorted.
 
-Extent access goes through read_extent, which records every access so
-tests can assert that guide-only phases touch no extents.
+Extent access goes through read_extent, so tests can spy on it to
+assert that guide-only phases touch no extents.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ class PathGuide:
         self.nodes: list[GuideNode] = []
         self.extents: list[ExtentList] = []
         self.by_tag: dict[str, list[int]] = {}
-        self.extent_reads: list[int] = []
 
     # ------------------------------------------------------ construction
 
     @classmethod
-    def build(cls, events: Iterable[NodeEvent], validate: bool = True) -> "PathGuide":
+    def build(cls, events: Iterable[NodeEvent]) -> "PathGuide":
         pg = cls()
         buffers: list[list[tuple[int, ...]]] = []
         stack: list[tuple[DeweyLabel, int]] = []  # (label, gid) per open level
@@ -104,16 +103,13 @@ class PathGuide:
         for gid, buf in enumerate(buffers):
             depth = pg.nodes[gid].depth
             rows = np.array(buf, dtype=np.int64).reshape(len(buf), depth)
-            if validate and len(rows) > 1 and depth > 0:
-                order = np.lexsort(rows.T[::-1])
-                if not np.array_equal(order, np.arange(len(rows))):
-                    raise GuideError(f"extent of guide node {gid} is not sorted")
             pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
+        pg._check_sorted()
         return pg
 
     @classmethod
-    def build_from_xml(cls, data: bytes, validate: bool = True) -> "PathGuide":
-        return cls.build(ingest(data), validate=validate)
+    def build_from_xml(cls, data: bytes) -> "PathGuide":
+        return cls.build(ingest(data))
 
     @classmethod
     def from_tables(
@@ -122,7 +118,7 @@ class PathGuide:
         parents: Sequence[int],
         extent_rows: Sequence[np.ndarray],
     ) -> "PathGuide":
-        """Rebuild from flat tables (index deserialization), trusting them."""
+        """Rebuild from flat tables (index deserialization), checking them."""
         pg = cls()
         for tag, parent in zip(tags, parents):
             pg._add_node(tag, parent)
@@ -131,7 +127,29 @@ class PathGuide:
             if rows.shape[1] != pg.nodes[gid].depth:
                 raise GuideError(f"extent width mismatch for guide node {gid}")
             pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
+        pg._check_sorted()
         return pg
+
+    def _check_sorted(self) -> None:
+        """Raise GuideError unless every extent is strictly sorted.
+
+        Vectorized per depth, one column at a time: each row must exceed
+        the row before it in its extent.
+        """
+        by_depth: dict[int, list[ExtentList]] = {}
+        for ext in self.extents:
+            by_depth.setdefault(ext.rows.shape[1], []).append(ext)
+        for exts in by_depth.values():
+            rows = np.concatenate([e.rows for e in exts])
+            gids = np.repeat([e.gid for e in exts], [len(e) for e in exts])
+            ahead = np.zeros(max(len(rows) - 1, 0), dtype=bool)  # decided: greater
+            tied = ~ahead  # equal so far
+            for col in rows.T:
+                ahead |= tied & (col[1:] > col[:-1])
+                tied &= col[1:] == col[:-1]
+            bad = np.flatnonzero(~ahead & (gids[1:] == gids[:-1]))
+            if len(bad):
+                raise GuideError(f"extent of guide node {gids[bad[0]]} is not sorted")
 
     def _add_node(self, tag: str, parent: int) -> int:
         gid = len(self.nodes)
@@ -166,8 +184,7 @@ class PathGuide:
         return len(self.nodes)
 
     def read_extent(self, gid: int) -> ExtentList:
-        """The only sanctioned way to reach extent data; logged."""
-        self.extent_reads.append(gid)
+        """The only sanctioned way for query evaluation to reach extent data."""
         return self.extents[gid]
 
     def extent_size(self, gid: int) -> int:

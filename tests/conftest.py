@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from contextlib import contextmanager
 
 import pytest
 
@@ -30,6 +31,23 @@ def gen_doc(seed: int, target: int = 120, max_depth: int = 8, max_fanout: int = 
         target_node_count=target,
     )
     return generate(cfg).xml
+
+
+@contextmanager
+def spy_reads(pg: PathGuide):
+    """Yield a list that collects the gid of every pg.read_extent call."""
+    reads: list[int] = []
+    read = pg.read_extent
+
+    def spy(gid: int):
+        reads.append(gid)
+        return read(gid)
+
+    pg.read_extent = spy
+    try:
+        yield reads
+    finally:
+        del pg.read_extent
 
 
 def build_all(xml: bytes):

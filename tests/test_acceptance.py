@@ -38,7 +38,7 @@ from twigjoin.oracle import naive_match
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
-from conftest import build_all, gen_doc, mixed_query
+from conftest import build_all, gen_doc, mixed_query, spy_reads
 
 L = parse_label
 
@@ -80,26 +80,27 @@ def sweep():
                 if len(dec.branches) <= 5 and len(dec.jps) <= 3:
                     break
             pairs += 1
-            pg.extent_reads.clear()
-            rs, _ = evaluate(pg, parse(text))
+            with spy_reads(pg) as read_log:
+                rs, _ = evaluate(pg, parse(text))
             got = {mt.leaf_labels for mt in rs.matches}
             want = {mt.leaf_labels for mt in naive_match(doc, parse(text))}
             if got != want:
                 mismatches += 1
             if dec.jps:
                 jp_pairs += 1
-                reads = set(pg.extent_reads)
+                reads = set(read_log)
                 schema = build_dt_schema(pg, dec)
                 if schema.is_empty:
                     if reads:
                         read_violations += 1
                 else:
                     allowed = {
-                        rec.ends[i]
+                        e
                         for t in schema.tables
                         for rec in t.records
                         for i, s in enumerate(t.slots)
                         if s.kind == "leaf"
+                        for e in rec.ends[i]
                     }
                     if not reads <= allowed:
                         read_violations += 1

@@ -7,7 +7,7 @@ from twigjoin.dt import DTRecord, build_dt, build_dt_schema, explain
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import jp_order, parse, split
 
-from conftest import gen_doc, mixed_query, steps_to_regex
+from conftest import gen_doc, mixed_query, spy_reads, steps_to_regex
 
 
 def schema_for(pg: PathGuide, q: str):
@@ -15,7 +15,12 @@ def schema_for(pg: PathGuide, q: str):
 
 
 def recs(table) -> set[tuple]:
-    return {(r.ends, r.jp_level, r.jp_guide) for r in table.records}
+    """Every (one end per slot, level, JP guide node) a table allows."""
+    return {
+        (combo, r.jp_level, r.jp_guide)
+        for r in table.records
+        for combo in product(*r.ends)
+    }
 
 
 # ----------------------------------------------------------- pinned examples
@@ -30,6 +35,14 @@ def test_single_jp_one_record():
     assert table.slot_kinds == ("leaf", "leaf")
     assert recs(table) == {((1, 3), 0, 0)}
     assert not schema.is_empty
+
+
+def test_two_ends_in_one_slot_share_one_record():
+    pg = PathGuide.build_from_xml(b"<A><B/><X><B/></X><C/></A>")
+    # gids: A=0, A/B=1, A/X=2, A/X/B=3, A/C=4
+    schema = schema_for(pg, "//A[.//B]/C")
+    assert schema.tables[0].records == [DTRecord(((1, 3), (4,)), 0, 0)]
+    assert "(A/B | A/X/B, A/C) level=0 jp=A" in explain(schema, pg)
 
 
 def test_missing_branch_empties_table():
@@ -72,9 +85,9 @@ def test_three_branch_two_table_plan():
     assert top.jp.node.test == "A"
     assert deep.slot_kinds == ("leaf", "leaf")
     assert top.slot_kinds == ("nested", "leaf")
-    assert schema.linkage() == {(1, 0): 0}
+    assert [slot.child_table for slot in top.slots] == [0, None]
     # nested slot candidates are the deep table's distinct jp_guide gids
-    nested_ends = {r.ends[0] for r in top.records}
+    nested_ends = {e for r in top.records for e in r.ends[0]}
     assert nested_ends <= {r.jp_guide for r in deep.records}
 
 
@@ -93,10 +106,10 @@ def test_build_dt_arity_check():
 
 def test_build_reads_no_extents():
     pg = PathGuide.build_from_xml(b"<A><B><C/><D/></B><E/></A>")
-    pg.extent_reads.clear()
-    schema_for(pg, "//A[.//B/C][.//B/D]//E")
-    schema_for(pg, "//A[./B]//E")
-    assert pg.extent_reads == []
+    with spy_reads(pg) as reads:
+        schema_for(pg, "//A[.//B/C][.//B/D]//E")
+        schema_for(pg, "//A[./B]//E")
+    assert reads == []
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -167,7 +180,7 @@ def test_schema_matches_brute_force_oracle():
             want = oracle_schema_records(pg, d)
             assert len(schema.tables) == len(want)
             for table, expect in zip(schema.tables, want):
-                assert len(table.records) == len(set(table.records))
+                assert len(table.records) == len({r.jp_guide for r in table.records})
                 assert recs(table) == expect
             checked += 1
             if not schema.is_empty:
@@ -196,10 +209,13 @@ def test_schema_structural_invariants():
                 for r in table.records:
                     assert len(r.ends) == table.arity
                     assert pg.nodes[r.jp_guide].depth == r.jp_level
-                    for e in r.ends:
-                        assert pg.is_ancestor_or_self(r.jp_guide, e)
-            for (ti, _si), child in schema.linkage().items():
-                assert child < ti  # consumed table built earlier
+                    for ends in r.ends:
+                        assert ends and list(ends) == sorted(set(ends))
+                        for e in ends:
+                            assert pg.is_ancestor_or_self(r.jp_guide, e)
+                for slot in table.slots:
+                    if slot.kind == "nested":
+                        assert slot.child_table < ti  # consumed table built earlier
 
 
 # ------------------------------------------------------------------ explain
@@ -218,8 +234,11 @@ def test_explain_lists_plan():
 
 
 def test_explain_truncates():
-    pg = PathGuide.build_from_xml(b"<A><B/><B/><C><B/></C><D><B/></D></A>")
-    schema = schema_for(pg, "//A[.//B]//*")
+    # one record per A guide node: A, A/C/A and A/D/A
+    pg = PathGuide.build_from_xml(
+        b"<A><B/><E/><C><A><B/><E/></A></C><D><A><B/><E/></A></D></A>"
+    )
+    schema = schema_for(pg, "//A[.//B]//E")
     total = len(schema.tables[0].records)
     assert total > 1
     text = explain(schema, pg, max_records=1)

@@ -16,8 +16,9 @@ from twigjoin.index_io import (
     save,
     to_bytes,
 )
+from twigjoin.cli import main
 from twigjoin.matcher import evaluate
-from twigjoin.path_guide import PathGuide
+from twigjoin.path_guide import ExtentList, PathGuide, _component_byte_lens
 
 from conftest import gen_doc, mixed_query
 
@@ -152,3 +153,60 @@ def test_bad_extent_encoding_detected():
     p += struct.pack("<IQ", 1, 1) + b"\xf8"  # invalid lead byte
     with pytest.raises(IndexFormatError, match="bad extent encoding"):
         from_bytes(reseal(bytes(p)))
+
+
+def _resealed_with_rows(pg: PathGuide, gid: int, rows: np.ndarray) -> bytes:
+    """A CRC-valid index of pg whose extent gid holds rows instead."""
+    bad = PathGuide.from_tables(
+        [n.tag for n in pg.nodes], [n.parent for n in pg.nodes], [e.rows for e in pg.extents]
+    )
+    bad.extents[gid] = ExtentList(gid, rows, _component_byte_lens(rows))
+    return to_bytes(Index.from_guide(bad))
+
+
+def test_unsorted_extent_is_rejected(tmp_path):
+    # reversing R/A/C makes //A[./B]/C find 1 of its 3 matches if loaded
+    xml = b"<R>" + b"<A><B/><C/></A>" * 3 + b"</R>"
+    pg = PathGuide.build_from_xml(xml)
+    gid = pg.nodes[pg.nodes[1].children["C"]].gid
+    data = _resealed_with_rows(pg, gid, pg.extents[gid].rows[::-1].copy())
+    with pytest.raises(IndexFormatError, match=f"guide node {gid} is not sorted"):
+        from_bytes(data)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    assert main(["query", str(path), "//A[./B]/C"]) == 2
+
+
+def test_permuted_or_duplicated_rows_are_rejected(tmp_path):
+    pg = PathGuide.build_from_xml(gen_doc(seed=43, target=600))
+    rng = random.Random(31)
+    multi = [e.gid for e in pg.extents if len(e) > 1]
+    assert len(multi) >= 20
+    path = tmp_path / "bad.idx"
+    for trial in range(40):
+        gid = rng.choice(multi)
+        rows = pg.extents[gid].rows
+        if trial % 2:
+            perm = list(range(len(rows)))
+            while perm == sorted(perm):
+                rng.shuffle(perm)
+            rows = rows[perm]
+        else:
+            at = rng.randrange(len(rows))
+            rows = np.insert(rows, at, rows[at], axis=0)
+        bad = _resealed_with_rows(pg, gid, rows)
+        with pytest.raises(IndexFormatError, match="not sorted"):
+            from_bytes(bad)
+        if trial < 4:
+            path.write_bytes(bad)
+            assert main(["query", str(path), "//*[./*]/*", "--count"]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("node_count", 999), ("max_depth", 99)])
+def test_wrong_header_stats_are_rejected(sample, field, value):
+    xml, pg, idx, data = sample
+    stats = {"node_count": idx.node_count, "max_depth": idx.max_depth, field: value}
+    payload = bytearray(data[:-4])
+    struct.pack_into("<QI", payload, len(MAGIC) + 4, stats["node_count"], stats["max_depth"])
+    with pytest.raises(IndexFormatError, match="header stats"):
+        from_bytes(reseal(bytes(payload)))

@@ -6,7 +6,7 @@ import pytest
 
 from twigjoin.dewey import DeweyLabel, parse_label
 from twigjoin.dt import build_dt_schema
-from twigjoin.kernels import BACKEND_NAMES
+from twigjoin.kernels import BACKEND_NAMES, Backend, get_backend
 from twigjoin.matcher import (
     Cursor,
     MatchTuple,
@@ -16,7 +16,6 @@ from twigjoin.matcher import (
     evaluate,
     jump,
     match_multiway,
-    match_pair,
     match_proc,
 )
 from twigjoin.metrics import Metrics
@@ -24,7 +23,7 @@ from twigjoin.oracle import naive_match
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
-from conftest import build_all, gen_doc, mixed_query
+from conftest import build_all, gen_doc, mixed_query, spy_reads
 
 L = parse_label
 
@@ -41,7 +40,7 @@ FIX_B = labs("1.1.2", "1.2.9", "1.3.3.1")
 
 
 def test_pair_merge_fixture_level2():
-    got = match_pair(FIX_A, FIX_B, 2)
+    got = match_multiway([FIX_A, FIX_B], 2)
     assert got == [
         (L("1.1.1"), L("1.1.2")),
         (L("1.2.2.1"), L("1.2.9")),
@@ -51,7 +50,7 @@ def test_pair_merge_fixture_level2():
 
 @pytest.mark.parametrize("level,count", [(0, 9), (1, 9), (2, 3), (3, 0)])
 def test_pair_merge_fixture_other_levels(level, count):
-    assert len(match_pair(FIX_A, FIX_B, level)) == count
+    assert len(match_multiway([FIX_A, FIX_B], level)) == count
 
 
 def test_jump_fixture():
@@ -88,8 +87,8 @@ def test_node_list_from_extent_keeps_rows():
 
 def test_short_labels_do_not_fake_prefixes():
     # ⟨1⟩ has no level-2 prefix; zero padding must not match it
-    assert match_pair(labs("1"), labs("1"), 2) == []
-    got = match_pair(labs("1", "1.1.1"), labs("1.1.2"), 2)
+    assert match_multiway([labs("1"), labs("1")], 2) == []
+    got = match_multiway([labs("1", "1.1.1"), labs("1.1.2")], 2)
     assert got == [(L("1.1.1"), L("1.1.2"))]
 
 
@@ -258,26 +257,26 @@ def test_bytes_scanned_bounded_by_index(small_corpus):
 
 def test_zero_jp_reads_extents_directly(small_corpus):
     xml, pg, doc = small_corpus[4]
-    pg.extent_reads.clear()
-    rs, met = evaluate(pg, "//B")
+    with spy_reads(pg) as reads:
+        rs, met = evaluate(pg, "//B")
     want = naive_match(doc, parse("//B"))
     assert [mt.leaf_labels for mt in rs.matches] == [mt.leaf_labels for mt in want]
     assert met.prefix_comparisons == 0
     assert met.jumps == 0
     assert rs.top_jp_labels == []
     matched = set(pg.eval_single_branch(split(parse("//B")).branches[0]))
-    assert set(pg.extent_reads) == matched
+    assert set(reads) == matched
     assert met.nodes_read == sum(pg.extent_size(g) for g in matched)
 
 
 def test_empty_plan_reads_nothing(small_corpus):
     xml, pg, doc = small_corpus[2]
-    pg.extent_reads.clear()
     # Z never occurs in generated documents
-    rs, met = evaluate(pg, "//Z[./A]/B")
+    with spy_reads(pg) as reads:
+        rs, met = evaluate(pg, "//Z[./A]/B")
     assert rs.matches == []
     assert (met.nodes_read, met.bytes_scanned) == (0, 0)
-    assert pg.extent_reads == []
+    assert reads == []
 
 
 def test_jp_query_reads_only_planned_extents(small_corpus):
@@ -292,15 +291,16 @@ def test_jp_query_reads_only_planned_extents(small_corpus):
             if schema.is_empty:
                 continue
             allowed = {
-                rec.ends[si]
+                e
                 for table in schema.tables
                 for rec in table.records
                 for si, slot in enumerate(table.slots)
                 if slot.kind == "leaf"
+                for e in rec.ends[si]
             }
-            pg.extent_reads.clear()
-            evaluate(pg, q)
-            assert set(pg.extent_reads) <= allowed, q
+            with spy_reads(pg) as reads:
+                evaluate(pg, q)
+            assert set(reads) <= allowed, q
 
 
 def test_witnesses_and_jp_labels(small_corpus):
@@ -347,3 +347,59 @@ def test_match_proc_empty_schema(small_corpus):
     schema = build_dt_schema(pg, split(parse("//Z[./B]/C")))
     assert schema.is_empty
     assert match_proc(schema, pg) == ([], [])
+
+
+def counting_backend(calls: list[int]) -> Backend:
+    base = get_backend()
+
+    def multiway_merge(*args):
+        calls.append(1)
+        return base.multiway_merge(*args)
+
+    def jump_scan(*args):
+        calls.append(1)
+        return base.jump_scan(*args)
+
+    return Backend(base.name, jump_scan, multiway_merge)
+
+
+def test_one_kernel_call_per_table_level(small_corpus):
+    rng = random.Random(23)
+    multi_level = 0
+    for xml, pg, doc in small_corpus:
+        for _ in range(15):
+            q = mixed_query(rng, pg)
+            d = split(parse(q))
+            calls: list[int] = []
+            rs, _ = evaluate(pg, q, backend=counting_backend(calls))
+            if not d.jps:
+                assert calls == []
+                continue
+            schema = build_dt_schema(pg, d)
+            if schema.is_empty:
+                assert calls == []
+                continue
+            pairs = {
+                (ti, rec.jp_level)
+                for ti, table in enumerate(schema.tables)
+                for rec in table.records
+            }
+            assert len(calls) == len(pairs), q
+            multi_level += len(pairs) > len(schema.tables)
+            want = naive_match(doc, parse(q))
+            assert [mt.leaf_labels for mt in rs.matches] == [
+                mt.leaf_labels for mt in want
+            ], q
+    assert multi_level >= 5
+
+
+def test_many_queries_leave_the_guide_unchanged(small_corpus):
+    xml, pg, doc = small_corpus[3]
+
+    def sizes() -> dict[str, int]:
+        return {k: len(v) for k, v in vars(pg).items()}
+
+    before = sizes()
+    for i in range(1000):
+        evaluate(pg, ("//A[./B]//C", "//B", "//*[./A][.//C]")[i % 3])
+    assert sizes() == before

@@ -8,7 +8,7 @@ from twigjoin.document import NodeEvent, ingest
 from twigjoin.path_guide import GuideError, PathGuide, _component_byte_lens
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split
 
-from conftest import gen_doc, random_steps, steps_to_regex
+from conftest import gen_doc, random_steps, spy_reads, steps_to_regex
 
 
 def ev(label: str, tag: str) -> NodeEvent:
@@ -118,21 +118,11 @@ def test_eval_single_branch_queries():
 
 def test_eval_reads_no_extents(guides):
     for _, pg in guides:
-        pg.extent_reads.clear()
         rng = random.Random(3)
-        for _ in range(40):
-            pg.eval_single_branch(random_steps(rng, rng.randint(1, 4)))
-        assert pg.extent_reads == []
-
-
-def test_read_extent_is_logged(guides):
-    _, pg = guides[0]
-    pg.extent_reads.clear()
-    pg.read_extent(0)
-    pg.read_extent(1)
-    pg.read_extent(0)
-    assert pg.extent_reads == [0, 1, 0]
-    pg.extent_reads.clear()
+        with spy_reads(pg) as reads:
+            for _ in range(40):
+                pg.eval_single_branch(random_steps(rng, rng.randint(1, 4)))
+        assert reads == []
 
 
 def test_byte_lens_agree_with_label_codec():
@@ -184,8 +174,6 @@ def test_build_rejects_unsorted_extent():
     bad = [ev("", "A"), ev("2", "B"), ev("1", "B")]
     with pytest.raises(GuideError, match="not sorted"):
         PathGuide.build(bad)
-    pg = PathGuide.build(bad, validate=False)  # trusted path skips the check
-    assert len(pg.extents[1]) == 2
 
 
 def test_from_tables_round_trip(guides):
@@ -211,3 +199,36 @@ def test_from_tables_rejects_width_mismatch():
     rows = [np.zeros((1, 0)), np.ones((2, 3))]
     with pytest.raises(GuideError, match="width"):
         PathGuide.from_tables(["A", "B"], [-1, 0], rows)
+
+
+@pytest.mark.parametrize("rows", [[[2], [1]], [[1], [1]], [[1], [3], [2]]])
+def test_from_tables_rejects_unsorted_or_duplicate_rows(rows):
+    tables = [np.zeros((1, 0)), np.array(rows)]
+    with pytest.raises(GuideError, match="guide node 1 is not sorted"):
+        PathGuide.from_tables(["A", "B"], [-1, 0], tables)
+
+
+def test_sorted_check_agrees_with_tuple_order():
+    # reference: Python tuple comparison, one extent at a time; extents
+    # of one depth sit next to each other in the vectorized check
+    rng = random.Random(5)
+
+    def extent(depth: int) -> list[tuple[int, ...]]:
+        rows = [tuple(rng.randint(1, 3) for _ in range(depth)) for _ in range(rng.randint(1, 5))]
+        return sorted(set(rows)) if rng.random() < 0.7 else rows
+
+    rejected = 0
+    for _ in range(300):
+        n_b, n_c = rng.randint(1, 4), rng.randint(0, 3)
+        tags = ["A"] + [f"B{i}" for i in range(n_b)] + [f"C{i}" for i in range(n_c)]
+        parents = [-1] + [0] * n_b + [1] * n_c
+        exts = [[()] * (1 if rng.random() < 0.9 else 2)]
+        exts += [extent(1) for _ in range(n_b)] + [extent(2) for _ in range(n_c)]
+        tables = [np.array(e, dtype=np.int64).reshape(len(e), len(e[0])) for e in exts]
+        if all(a < b for e in exts for a, b in zip(e, e[1:])):
+            PathGuide.from_tables(tags, parents, tables)
+        else:
+            rejected += 1
+            with pytest.raises(GuideError, match="not sorted"):
+                PathGuide.from_tables(tags, parents, tables)
+    assert 50 <= rejected <= 250
