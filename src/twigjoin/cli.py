@@ -14,13 +14,13 @@ from pathlib import Path
 
 from . import index_io
 from .document import GeneratorConfig, IngestError, generate
-from .dt import build_dt_schema, explain
+from .dt import explain
 from .kernels import BACKEND_NAMES
 from .matcher import MatchTuple, evaluate
 from .metrics import Metrics
 from .oracle import MaterializedDoc, leaf_scan_match, naive_match
 from .path_guide import GuideError, PathGuide
-from .twig import QuerySyntaxError, parse, split
+from .twig import QuerySyntaxError, parse
 
 ENGINES = ("dt", "leafscan", "naive")
 
@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     p_query.add_argument("query", help="twig query text")
     p_query.add_argument("--engine", choices=ENGINES, default="dt")
     p_query.add_argument("--explain", action="store_true",
-                         help="print the DT plan before running (dt engine)")
+                         help="print the DT plan the query ran on (dt engine)")
     p_query.add_argument("--count", action="store_true",
                          help="print only the match count")
     p_query.add_argument("--format", choices=("dotted", "count"), default="dotted")
@@ -114,15 +114,11 @@ def _cmd_query(args) -> int:
     twig = parse(args.query)
 
     if args.engine == "dt":
-        if args.explain:
-            d = split(twig)
-            if not d.jps:
-                print("no DT required")
-            else:
-                print(explain(build_dt_schema(pg, d), pg))
         rs, met = evaluate(
             pg, twig, use_jump=not args.no_jump, backend=args.kernels
         )
+        if args.explain:
+            print("no DT required" if rs.plan is None else explain(rs.plan, pg))
         _print_results(args, rs.matches, rs.top_jp_labels)
     elif args.engine == "leafscan":
         results, met = leaf_scan_match(pg, twig)

@@ -136,7 +136,8 @@ def generate(config: GeneratorConfig) -> GeneratedDoc:
 
     Top-down expansion; generation stops opening new subtrees once
     target_node_count is reached, so the final count may overshoot by at
-    most the depth of the open path.
+    most the depth of the open path, and undershoots when the random tree
+    ends first: a root that draws no children is the whole document.
     """
     config.validate()
     rng = random.Random(config.seed)

@@ -47,8 +47,10 @@ def default_backend_name() -> str:
     return name if name in BACKEND_NAMES else "numba"
 
 
-def get_backend(name: str | None = None) -> Backend:
-    """Return the named backend, or the environment-selected default."""
+def get_backend(name: Backend | str | None = None) -> Backend:
+    """Return the given or named backend, or the environment-selected default."""
+    if isinstance(name, Backend):
+        return name
     if name is None:
         name = default_backend_name()
     if name == "numpy":

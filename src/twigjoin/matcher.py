@@ -5,27 +5,33 @@ table: a leaf slot contributes the sorted union of the extents its
 records at that level name, a nested slot the witnesses of the child
 table whose JP guide node those records name.  This is exact: rows
 with equal level-prefixes share a data ancestor, hence one JP guide
-node, so no tuple can mix the ends of two records.  Matched rows fan
-out into (leaf label, JP witness) entries, grouped by witness prefix;
-each table hands the next one up a single sorted witness stream,
-tagged with JP guide nodes.
+node, so no tuple can mix the ends of two records.
+
+A partial match is one row of an int64 entry matrix shared by the whole
+query: per twig leaf its zero-padded label, per table its witness, and
+zeros outside the subtree of the slot that made it.  Every merge input
+row owns a run of entries (an extent row one, itself; a witness those
+beneath it), so a merged tuple fans out into the cross product of its
+runs by index arithmetic; slots fill disjoint columns, so an output
+entry is the sum of one entry per slot plus the witness.  A finished
+table, sorted by witness, is the next table's nested input.
 
 Deduplication is per witness, keyed by the leaf-label assignment.
 Deduplicating across witnesses would be wrong: the same leaf assignment
 under two different witnesses must stay visible to a parent record that
-references only one of them.
+references only one of them.  The answer keeps each assignment once,
+under its shallowest top witness; only then are labels built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .dewey import DeweyLabel
-from .dt import DTSchema, build_dt_schema
+from .dt import DataTable, DTSchema, build_dt_schema
 from .kernels import Backend, get_backend
 from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
@@ -49,6 +55,7 @@ class MatchTuple:
 class ResultSet:
     matches: list[MatchTuple]  # sorted by leaf_labels, duplicate-free
     top_jp_labels: list[DeweyLabel]  # distinct top-JP witnesses, sorted
+    plan: DTSchema | None = None  # the plan evaluated; None for zero-JP queries
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -70,23 +77,20 @@ class NodeList:
     """
 
     rows: np.ndarray
-    labels: list[DeweyLabel] | None = None
     extent: ExtentList | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def label_at(self, i: int) -> DeweyLabel:
-        if self.labels is not None:
-            return self.labels[i]
-        return DeweyLabel(tuple(int(c) for c in self.rows[i]))
+        return _labels(self.rows[i : i + 1])[0]
 
 
 def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
     if isinstance(src, NodeList):
         return src
     if isinstance(src, ExtentList):
-        return NodeList(src.rows, None, src)
+        return NodeList(src.rows, src)
     labels = list(src)
     for prev, cur in zip(labels, labels[1:]):
         if not prev < cur:
@@ -95,19 +99,13 @@ def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
     rows = np.zeros((len(labels), width), dtype=np.int64)
     for i, lab in enumerate(labels):
         rows[i, : lab.level] = lab.components
-    return NodeList(rows, labels, None)
+    return NodeList(rows)
 
 
 @dataclass
 class Cursor:
     list: NodeList
     position: int = 0
-
-
-def _resolve_backend(backend: Backend | str | None) -> Backend:
-    if isinstance(backend, Backend):
-        return backend
-    return get_backend(backend)
 
 
 def jump(
@@ -128,7 +126,7 @@ def jump(
     rows = cursor.list.rows
     if level > rows.shape[1]:
         raise ValueError("level exceeds the list's label level")
-    be = _resolve_backend(backend)
+    be = get_backend(backend)
     touched = np.zeros(len(rows), dtype=np.uint8)
     bound_arr = np.asarray(comps, dtype=np.int64)
     pos, reads = be.jump_scan(rows, cursor.position, len(rows), bound_arr, level, touched)
@@ -139,6 +137,15 @@ def jump(
         if ext is not None:
             metrics.touch_mask(ext.gid, touched.astype(bool), ext.byte_lens)
     return Cursor(cursor.list, int(pos))
+
+
+def _stack(arrays: list[np.ndarray], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays back to back, zero-padded to a common width, and their offsets."""
+    offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
+    stacked = np.zeros((offsets[-1], max([width] + [a.shape[1] for a in arrays])), dtype=np.int64)
+    for a, start in zip(arrays, offsets):
+        stacked[start : start + len(a), : a.shape[1]] = a
+    return stacked, offsets
 
 
 def _run_merge(
@@ -153,23 +160,14 @@ def _run_merge(
     local_indices has one row per output tuple, one column per list,
     holding positions local to that list.
     """
-    k = len(arrays)
-    width = max([plen] + [a.shape[1] for a in arrays])
-    offsets = np.concatenate([[0], np.cumsum([len(a) for a in arrays])]).astype(np.int64)
-    total = int(offsets[k])
-    stacked = np.zeros((total, width), dtype=np.int64)
-    for a, start in zip(arrays, offsets):
-        stacked[start : start + len(a), : a.shape[1]] = a
-    touched = np.zeros(max(total, 1), dtype=np.uint8)
-    reads = np.zeros(k, dtype=np.int64)
+    stacked, offsets = _stack(arrays, plen)
+    touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
+    reads = np.zeros(len(arrays), dtype=np.int64)
     out, count, comps, jumps = backend.multiway_merge(
         stacked, offsets, plen, use_jump, touched, reads
     )
-    local = out[:count] - offsets[:k][None, :]
+    local = out[:count] - offsets[:-1][None, :]
     return local, touched, reads, offsets, int(comps), int(jumps)
-
-
-_ListLike = Union[ExtentList, NodeList, Sequence[DeweyLabel]]
 
 
 def _eligible(rows: np.ndarray, level: int) -> np.ndarray:
@@ -178,15 +176,13 @@ def _eligible(rows: np.ndarray, level: int) -> np.ndarray:
     A shorter label has no prefix at that level, and its zero padding
     must not be allowed to pose as one.
     """
-    if level == 0:
-        return np.arange(len(rows), dtype=np.int64)
     if rows.shape[1] < level:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero((rows[:, :level] > 0).all(axis=1))
 
 
 def match_multiway(
-    lists: Sequence[_ListLike],
+    lists: Sequence[ExtentList | NodeList | Sequence[DeweyLabel]],
     level: int,
     metrics: Metrics | None = None,
     use_jump: bool = True,
@@ -197,7 +193,7 @@ def match_multiway(
     Sorted by first component (in fact lexicographically), no
     duplicates.
     """
-    be = _resolve_backend(backend)
+    be = get_backend(backend)
     nls = [as_node_list(src) for src in lists]
     keeps = [_eligible(nl.rows, level) for nl in nls]
     arrays = [nl.rows[keep] for nl, keep in zip(nls, keeps)]
@@ -212,67 +208,63 @@ def match_multiway(
                 kept_touched = touched[offsets[j] : offsets[j + 1]].astype(bool)
                 mask[keeps[j][kept_touched]] = True
                 metrics.touch_mask(nl.extent.gid, mask, nl.extent.byte_lens)
-    out: list[tuple[DeweyLabel, ...]] = []
-    for row in local:
-        out.append(
-            tuple(nls[j].label_at(int(keeps[j][row[j]])) for j in range(len(nls)))
-        )
-    return out
-
-
-@dataclass
-class _Entry:
-    leaves: dict[int, tuple[int, ...]]  # leaf_id -> label components
-    jps: dict[int, tuple[int, ...]]  # table index -> witness components
+    cols = [_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
+    return list(zip(*cols))
 
 
 @dataclass
 class _Input:
-    """One slot's sorted, zero-padded rows for a merge.
+    """A merge input: sorted, zero-padded rows, row i owning the entries
+    block[starts[i] : starts[i] + counts[i]], which land at column col.
 
-    gids holds each row's extent (leaf slots) or its witness's JP guide
-    node (nested slots).  Leaf inputs keep their extents and each row's
-    position in the extents' concatenation; nested inputs keep the
-    entries beneath each witness.
+    gids holds each row's extent (an extent union, which is its own
+    block and keeps its extents and sort order for metering) or its
+    witness's JP guide node (a finished table).
     """
 
     rows: np.ndarray
     gids: np.ndarray
+    block: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    col: int = 0
     exts: list[ExtentList] | None = None
     order: np.ndarray | None = None
-    entries: list[list[_Entry]] | None = None
 
 
-def _leaf_input(pg: PathGuide, gids: list[int]) -> _Input:
-    """The union of the extents of gids; no label sits in two extents."""
+def _union(pg: PathGuide, gids: Sequence[int], col: int = 0) -> _Input:
+    """The sorted union of the extents of gids; no label sits in two extents."""
     exts = [pg.read_extent(g) for g in gids]
-    rows = np.zeros((sum(map(len, exts)), max(e.rows.shape[1] for e in exts)), dtype=np.int64)
-    pos = 0
-    for e in exts:
-        rows[pos : pos + len(e), : e.rows.shape[1]] = e.rows
-        pos += len(e)
-    order = np.lexsort(rows.T[::-1])
-    owner = np.repeat(np.arange(len(exts)), list(map(len, exts)))[order]
-    return _Input(rows[order], np.array(gids)[owner], exts, order)
+    rows, _ = _stack([e.rows for e in exts])
+    order = _lexsort(rows)
+    owner = np.repeat(np.asarray(gids, dtype=np.int64), [len(e) for e in exts])[order]
+    rows, ones = rows[order], np.ones(len(rows), dtype=np.int64)
+    return _Input(rows, owner, rows, np.arange(len(rows)), ones, col, exts, order)
 
 
-def _witness_input(groups: dict, gids: list[int]) -> _Input:
-    """A table's witnesses under the JP guide nodes gids, sorted."""
-    wanted = set(gids)
-    items = sorted((p, g) for p, (g, _) in groups.items() if g in wanted)
-    rows = np.zeros((len(items), max((len(p) for p, _ in items), default=0)), dtype=np.int64)
-    for i, (prefix, _) in enumerate(items):
-        rows[i, : len(prefix)] = prefix
-    entries = [list(groups[p][1].values()) for p, _ in items]
-    return _Input(rows, np.array([g for _, g in items], dtype=np.int64), entries=entries)
+def _lexsort(keys: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows."""
+    return np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
 
 
-def _column(inp: _Input, idx: np.ndarray) -> list:
-    """Per output row: the leaf label's components, or the witness's entries."""
-    if inp.entries is not None:
-        return [inp.entries[i] for i in idx.tolist()]
-    rows = inp.rows[idx]  # components are >= 1, so every zero is padding
-    return [tuple(r[:d]) for r, d in zip(rows.tolist(), (rows > 0).sum(axis=1).tolist())]
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows."""
+    edges = np.ones(len(keys) + 1, dtype=bool)
+    edges[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
+    edges = np.flatnonzero(edges)  # run starts, then len(keys)
+    return edges[:-1], np.diff(edges)
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """The first of every set of equal rows, in sorted order."""
+    keys = keys[:, (keys != keys[:1]).any(axis=0)]  # constant columns order nothing
+    order = _lexsort(keys)
+    return order[_runs(keys[order])[0]]
+
+
+def _labels(block: np.ndarray) -> list[DeweyLabel]:
+    """One label per row; components are >= 1, so every zero is padding."""
+    return [DeweyLabel(r[:d]) for r, d in zip(block.tolist(), (block > 0).sum(axis=1).tolist())]
 
 
 def match_proc(
@@ -288,23 +280,32 @@ def match_proc(
     are the distinct JP prefixes of the top table that joined at least
     one tuple.
     """
-    be = _resolve_backend(backend)
+    be = get_backend(backend)
     if schema.is_empty:
         return [], []
-    done: list[dict] = []  # per finished table, its groups
-    for ti, table in enumerate(schema.tables):
-        groups: dict[tuple[int, ...], tuple[int, dict]] = {}  # prefix -> (JP gid, {key: entry})
-        leaf_ids = [(si, s.leaf_id) for si, s in enumerate(table.slots) if s.kind == "leaf"]
-        nested = [si for si, s in enumerate(table.slots) if s.kind == "nested"]
-        for level in sorted({rec.jp_level for rec in table.records}):
+    # leaf i owns entry columns [i * width, (i + 1) * width), table t
+    # the n_leaves + t-th such block
+    n_leaves = sum(s.kind == "leaf" for t in schema.tables for s in t.slots)
+    width = max(pg.nodes[e].depth for t in schema.tables for rec in t.records
+                for s, ends in zip(t.slots, rec.ends) if s.kind == "leaf" for e in ends)
+    n_cols = (n_leaves + len(schema.tables)) * width
+
+    def run_table(ti: int, table: DataTable) -> _Input:
+        """Merge the table level by level; its entries, grouped by witness."""
+        wcol = (n_leaves + ti) * width
+        levels = sorted({rec.jp_level for rec in table.records})
+        blocks, jps = [], []
+        for level in levels:
             recs = [rec for rec in table.records if rec.jp_level == level]
             inputs = []
             for si, slot in enumerate(table.slots):
                 named = sorted({e for rec in recs for e in rec.ends[si]})
                 if slot.kind == "leaf":
-                    inputs.append(_leaf_input(pg, named))
-                else:
-                    inputs.append(_witness_input(done[slot.child_table], named))
+                    inputs.append(_union(pg, named, slot.leaf_id * width))
+                else:  # the child table's witnesses under the named JP guide nodes
+                    c = done[slot.child_table]
+                    k = np.isin(c.gids, named)
+                    inputs.append(_Input(c.rows[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
             local, touched, reads, offsets, comps, jumps = _run_merge(
                 [inp.rows for inp in inputs], level, use_jump, be
             )
@@ -319,41 +320,45 @@ def match_proc(
                         cuts = np.cumsum([len(e) for e in inp.exts])[:-1]
                         for ext, mask in zip(inp.exts, np.split(flat, cuts)):
                             metrics.touch_mask(ext.gid, mask, ext.byte_lens)
-            cols = [_column(inp, local[:, j]) for j, inp in enumerate(inputs)]
-            prefixes = inputs[0].rows[local[:, 0], :level].tolist()
-            owners = inputs[0].gids[local[:, 0]].tolist()
-            for r, (prefix, owner) in enumerate(zip(map(tuple, prefixes), owners)):
-                if prefix not in groups:
-                    groups[prefix] = (pg.nodes[owner].ancestors[level], {})
-                bucket = groups[prefix][1]
-                leaf_part = [(leaf_id, cols[si][r]) for si, leaf_id in leaf_ids]
-                for combo in product(*(cols[si][r] for si in nested)):
-                    leaves = dict(leaf_part)
-                    jps = {ti: prefix}
-                    for entry in combo:
-                        leaves.update(entry.leaves)
-                        jps.update(entry.jps)
-                    key = tuple(sorted(leaves.items()))
-                    if key not in bucket:
-                        bucket[key] = _Entry(leaves, jps)
-        done.append(groups)
+            # tuple r yields the cross product of its slots' runs, last slot
+            # fastest; entry e is tuple tup[e]'s rest[e]-th, in mixed radix
+            sizes = np.prod([inp.counts[local[:, j]] for j, inp in enumerate(inputs)], axis=0)
+            tup = np.repeat(np.arange(len(local)), sizes)
+            rest = np.arange(len(tup)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            out = np.zeros((len(tup), n_cols), dtype=np.int64)
+            for j in reversed(range(len(inputs))):
+                inp, row = inputs[j], local[tup, j]
+                part = inp.block[inp.starts[row] + rest % inp.counts[row]]
+                out[:, inp.col : inp.col + part.shape[1]] += part
+                rest //= inp.counts[row]
+            out[:, wcol : wcol + level] = inputs[0].rows[local[tup, 0], :level]
+            owners, inv = np.unique(inputs[0].gids[local[:, 0]], return_inverse=True)
+            anc = np.array([pg.nodes[g].ancestors[level] for g in owners.tolist()], dtype=np.int64)
+            blocks.append(out)
+            jps.append(anc[inv][tup])
+        block, jp = np.concatenate(blocks), np.concatenate(jps)
+        witness = slice(wcol, wcol + levels[-1])
+        keep = _first_of_runs(np.hstack([block[:, witness], block[:, : n_leaves * width]]))
+        block, jp = block[keep], jp[keep]
+        first, counts = _runs(block[:, witness])
+        return _Input(block[first, witness], jp[first], block, first, counts)
 
-    n_tables = len(schema.tables)
-    final: dict[tuple, MatchTuple] = {}
-    for _, bucket in groups.values():
-        for key, entry in bucket.items():
-            if key in final:
-                continue
-            leaf_labels = tuple(
-                DeweyLabel(entry.leaves[i]) for i in sorted(entry.leaves)
-            )
-            jp_labels = tuple(
-                DeweyLabel(entry.jps[t]) for t in range(n_tables)
-            )
-            final[key] = MatchTuple(leaf_labels, jp_labels)
-    matches = sorted(final.values(), key=lambda mt: mt.leaf_labels)
-    top = sorted(DeweyLabel(w) for w in groups)
-    return matches, top
+    done: list[_Input] = []
+    for ti, table in enumerate(schema.tables):
+        done.append(run_table(ti, table))
+    top = done.pop()
+    # top is sorted by witness, so each assignment keeps its shallowest
+    final, witnesses = top.block[_first_of_runs(top.block[:, : n_leaves * width])], top.rows
+    del done, top  # release the entry matrices before labels are built
+    cols = []
+    for c in range(0, n_cols, width):  # one label object per run of equal rows
+        starts, counts = _runs(final[:, c : c + width])
+        labels = _labels(final[starts, c : c + width])
+        which = np.repeat(np.arange(len(labels)), counts).tolist()
+        cols.append(list(map(labels.__getitem__, which)))
+    del final
+    matches = map(MatchTuple, zip(*cols[:n_leaves]), zip(*cols[n_leaves:]))
+    return list(matches), _labels(witnesses)
 
 
 def evaluate(
@@ -366,8 +371,8 @@ def evaluate(
 ) -> tuple[ResultSet, Metrics]:
     """Full pipeline: parse, split, plan on the guide, merge extents.
 
-    Zero-JP queries skip planning entirely and stream the matched
-    extents; an empty plan short-circuits before any extent is
+    Zero-JP queries skip planning entirely and sort the union of the
+    matched extents; an empty plan short-circuits before any extent is
     touched.
     """
     if metrics is None:
@@ -376,18 +381,14 @@ def evaluate(
     d = split(twig)
     with metrics.timed():
         if not d.jps:
-            matched = pg.eval_single_branch(d.branches[0])
-            matches: list[MatchTuple] = []
-            for g in matched:
-                ext = pg.read_extent(g)
-                metrics.read_full_extent(g, ext.byte_lens)
-                matches.extend(MatchTuple((DeweyLabel(r),)) for r in ext.rows.tolist())
-            matches.sort(key=lambda mt: mt.leaf_labels)
-            return ResultSet(matches, []), metrics
+            union = _union(pg, pg.eval_single_branch(d.branches[0]))
+            for ext in union.exts:
+                metrics.read_full_extent(ext.gid, ext.byte_lens)
+            return ResultSet(list(map(MatchTuple, zip(_labels(union.rows)))), []), metrics
         schema = build_dt_schema(pg, d)
         if schema.is_empty:
-            return ResultSet([], []), metrics
+            return ResultSet([], [], schema), metrics
         matches, top = match_proc(
             schema, pg, metrics=metrics, use_jump=use_jump, backend=backend
         )
-        return ResultSet(matches, top), metrics
+        return ResultSet(matches, top, schema), metrics

@@ -21,16 +21,27 @@ from twigjoin.path_guide import PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split
 
 TAGS = "ABCDEF"
+# Seeds 0-11 with 12, 13 and 14 in place of 2, 6 and 10, whose roots
+# draw no children under gen_doc's defaults.
+DOC_SEEDS = (0, 1, 12, 3, 4, 5, 13, 7, 8, 9, 14, 11)
 
 
 def gen_doc(seed: int, target: int = 120, max_depth: int = 8, max_fanout: int = 5):
+    """A generated document of at least half the target size.
+
+    The generator stops wherever the random tree ends, which for some
+    seeds is a lone root; a test on such a document checks nothing.
+    """
     cfg = GeneratorConfig(
         max_depth=max_depth,
         max_fanout=max_fanout,
         seed=seed,
         target_node_count=target,
     )
-    return generate(cfg).xml
+    doc = generate(cfg)
+    if doc.node_count < target / 2:
+        raise ValueError(f"seed {seed} gives {doc.node_count} of {target} elements")
+    return doc.xml
 
 
 @contextmanager
@@ -170,8 +181,8 @@ def random_steps(rng: random.Random, n: int) -> tuple[Step, ...]:
 def small_corpus():
     """A pile of (xml, pg, doc) triples reused across test modules."""
     out = []
-    for seed in range(12):
-        xml = gen_doc(seed=seed, target=40 + seed * 25)
+    for i, seed in enumerate(DOC_SEEDS):
+        xml = gen_doc(seed=seed, target=40 + i * 25)
         pg, doc = build_all(xml)
         out.append((xml, pg, doc))
     return out

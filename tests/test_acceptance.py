@@ -66,8 +66,9 @@ def sweep():
     jp_pairs = 0
     rng = random.Random(20260816)
     for seed in range(26):
+        # 1004, 1006, 1009, 1014, 1020 and 1025 give one-element documents
         xml = gen_doc(
-            seed=1000 + seed,
+            seed=1000 + seed + 26 * (seed in (4, 6, 9, 14, 20, 25)),
             target=40 + (seed % 8) * 20,
             max_depth=8 + (seed % 3) * 2,
             max_fanout=5 + (seed % 2) * 5,

@@ -208,6 +208,28 @@ def test_explain_prints_plan_before_results(idx_path, capsys):
     assert out[-1].isdigit()
 
 
+def test_explain_plans_once(idx_path, monkeypatch, capsys):
+    import twigjoin.cli as cli
+    import twigjoin.matcher as matcher
+
+    calls = []
+
+    def counted(fn):
+        def plan(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return plan
+
+    for mod in (cli, matcher):
+        if hasattr(mod, "build_dt_schema"):
+            monkeypatch.setattr(mod, "build_dt_schema", counted(mod.build_dt_schema))
+    assert main(["query", idx_path, "//A[./B][.//C]/D", "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("DT 1 @")
+    assert len(calls) == 1
+
+
 def test_explain_zero_jp_query(idx_path, capsys):
     assert main(["query", idx_path, "//A/B", "--count", "--explain"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -9,6 +9,8 @@ from twigjoin.document import (
     ingest,
 )
 
+from conftest import DOC_SEEDS, gen_doc
+
 
 def events(xml: bytes, **kw):
     return [(str(ev.label), ev.tag) for ev in ingest(xml, **kw)]
@@ -92,8 +94,9 @@ def test_generate_single_node():
 
 
 def test_generate_bounds():
-    cfg = GeneratorConfig(max_depth=5, max_fanout=4, seed=7, target_node_count=400)
+    cfg = GeneratorConfig(max_depth=5, max_fanout=4, seed=14, target_node_count=400)
     doc = generate(cfg)
+    assert doc.node_count >= 100  # a few elements would bound nothing
     evs = list(ingest(doc.xml))
     assert len(evs) == doc.node_count
     children: dict[tuple, int] = {}
@@ -127,3 +130,15 @@ def test_generated_labels_parse_back():
     doc = generate(GeneratorConfig(seed=9, target_node_count=200))
     for ev in ingest(doc.xml):
         assert parse_label(str(ev.label)) == ev.label
+
+
+def test_generate_can_undershoot():
+    # the root draws no children
+    cfg = GeneratorConfig(max_depth=8, max_fanout=5, seed=2, target_node_count=100)
+    assert generate(cfg).node_count == 1
+
+
+def test_gen_doc_rejects_degenerate_documents():
+    with pytest.raises(ValueError, match="seed 2 gives 1 of 100 elements"):
+        gen_doc(2, target=100)
+    assert all(gen_doc(s, target=100) for s in DOC_SEEDS)

@@ -25,7 +25,7 @@ from conftest import gen_doc, mixed_query
 
 @pytest.fixture(scope="module")
 def sample():
-    xml = gen_doc(seed=42, target=600)
+    xml = gen_doc(seed=41, target=600)
     pg = PathGuide.build_from_xml(xml)
     idx = Index.from_guide(pg)
     return xml, pg, idx, to_bytes(idx)

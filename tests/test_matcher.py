@@ -349,6 +349,47 @@ def test_match_proc_empty_schema(small_corpus):
     assert match_proc(schema, pg) == ([], [])
 
 
+def mt(leaves: tuple[str, ...], jps: tuple[str, ...] = ()) -> MatchTuple:
+    return MatchTuple(tuple(labs(*leaves)), tuple(labs(*jps)))
+
+
+def check_against_naive(xml: bytes, q: str) -> ResultSet:
+    pg, doc = build_all(xml)
+    rs, _ = evaluate(pg, q)
+    want = naive_match(doc, parse(q))
+    assert [m.leaf_labels for m in rs.matches] == [m.leaf_labels for m in want]
+    return rs
+
+
+def test_nested_slots_fan_out_to_the_cross_product():
+    # one R witness; its B slot holds two entries (C 1.1 or 1.2), its
+    # E slot two (G 2.2 or 2.3): four tuples, the E slot varying fastest
+    rs = check_against_naive(
+        b"<R><B><C/><C/><D/></B><E><F/><G/><G/></E></R>",
+        "//R[./B[./C][./D]]/E[./F][./G]",
+    )
+    assert rs.matches == [
+        mt((c, "1.3", "2.1", g), ("1", "2", "")) for c in ("1.1", "1.2") for g in ("2.2", "2.3")
+    ]
+    assert rs.top_jp_labels == [L("")]
+
+
+def test_assignment_under_two_witnesses_keeps_the_shallowest():
+    rs = check_against_naive(b"<A><A><B/><C/></A></A>", "//A[.//B][.//C]")
+    assert rs.matches == [mt(("1.1", "1.2"), ("",))]
+    assert rs.top_jp_labels == labs("", "1")
+
+
+def test_root_label_queries():
+    xml = b"<R><A/><A/><B/></R>"
+    rs = check_against_naive(xml, "/R")  # a zero-width extent
+    assert rs.matches == [mt(("",))]
+    assert rs.lines() == [str(L(""))]
+    rs = check_against_naive(xml, "/R[./A][./B]")  # a JP at level 0
+    assert rs.matches == [mt(("1", "3"), ("",)), mt(("2", "3"), ("",))]
+    assert rs.top_jp_labels == labs("")
+
+
 def counting_backend(calls: list[int]) -> Backend:
     base = get_backend()
 

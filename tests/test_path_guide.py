@@ -8,7 +8,7 @@ from twigjoin.document import NodeEvent, ingest
 from twigjoin.path_guide import GuideError, PathGuide, _component_byte_lens
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split
 
-from conftest import gen_doc, random_steps, spy_reads, steps_to_regex
+from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
 
 
 def ev(label: str, tag: str) -> NodeEvent:
@@ -19,8 +19,8 @@ def ev(label: str, tag: str) -> NodeEvent:
 @pytest.fixture(scope="module")
 def guides():
     out = []
-    for seed in range(6):
-        xml = gen_doc(seed, target=90 + 40 * seed)
+    for i, seed in enumerate(DOC_SEEDS[:6]):
+        xml = gen_doc(seed, target=90 + 40 * i)
         out.append((xml, PathGuide.build_from_xml(xml)))
     return out
 
