@@ -20,6 +20,11 @@ Without (c) a branch end reachable through some other embedding of the
 JP step could pair with a witness it does not actually sit under,
 producing tuples the twig never matches; prefix merging at the data
 level never re-checks tags, so the plan must be exact here.
+
+(b) and (c) are read off one step-matcher call per slot: column e of
+pg.match_steps(slot steps, ends) has row d + 1 set exactly when the
+steps consume e's path below depth d, and g is then anc[e, d]; (a) is
+a mask over the guide nodes the JP's trunk matches.
 """
 
 from __future__ import annotations
@@ -27,15 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .path_guide import PathGuide
-from .twig import (
-    Decomposition,
-    JPDescriptor,
-    Step,
-    jp_order,
-    steps_match,
-    steps_to_str,
-)
+from .twig import Decomposition, JPDescriptor, Step, jp_order, steps_to_str
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ class DTSchema:
         return any(not t.records for t in self.tables)
 
 
-def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> set[int]:
-    """JP depths d such that gid's path below d matches the tail steps."""
-    path = pg.path_tags(gid)
-    return {d for d in range(len(path)) if steps_match(tail, path[d + 1 :])}
-
-
 def build_dt(
     pg: PathGuide,
     branch_results: Sequence[Sequence[int]],
@@ -106,23 +100,34 @@ def build_dt(
         )
         for g in jp.groups
     )
-    jp_set = set(pg.eval_single_branch(jp.trunk_steps))
-    # Group ends by the JP guide node they fit under instead of testing
-    # every (candidate, end) pair; an end fits g at exactly one depth,
-    # so no duplicates can arise.
     m = len(jp.groups)
-    fits: dict[int, list[list[int]]] = {}
+    jp_mask = np.zeros(len(pg), dtype=bool)
+    jp_mask[pg.eval_single_branch(jp.trunk_steps)] = True
+    # one (g, slot, end) triple per end fitting JP guide node g; an end
+    # fits g at exactly one depth, so no triple repeats
+    g, slot, end = [], [], []
     for i, (group, ends) in enumerate(zip(jp.groups, branch_results)):
-        for e in ends:
-            anc = pg.nodes[e].ancestors
-            for d in _admissible_depths(pg, e, group.steps):
-                g = anc[d]
-                if g in jp_set:
-                    fits.setdefault(g, [[] for _ in range(m)])[i].append(e)
+        ends = np.asarray(ends, dtype=np.int64)
+        d, col = np.nonzero(pg.match_steps(group.steps, ends)[1:])
+        at = pg.anc[ends[col], d]
+        fit = jp_mask[at]
+        g.append(at[fit])
+        slot.append(np.full(fit.sum(), i))
+        end.append(ends[col[fit]])
+    g, slot, end = (np.concatenate(a) for a in (g, slot, end))
+    order = np.lexsort((end, slot, g))
+    g, slot, end = g[order], slot[order], end[order]
+    # one run per (g, slot); g has a record when it has a run per slot
+    new_run = np.ones(len(g), dtype=bool)
+    new_run[1:] = (g[1:] != g[:-1]) | (slot[1:] != slot[:-1])
+    starts = np.flatnonzero(new_run)
+    jps, first, n_slots = np.unique(g[starts], return_index=True, return_counts=True)
+    jps, first = jps[n_slots == m], first[n_slots == m]
+    end, bounds = end.tolist(), starts.tolist() + [len(end)]
+    runs = [tuple(end[a:b]) for a, b in zip(bounds, bounds[1:])]
     records = [
-        DTRecord(tuple(map(tuple, lists)), pg.nodes[g].depth, g)
-        for g, lists in sorted(fits.items())
-        if all(lists)
+        DTRecord(tuple(runs[r : r + m]), level, jp_guide)
+        for r, level, jp_guide in zip(first.tolist(), pg.depths[jps].tolist(), jps.tolist())
     ]
     return DataTable(jp, slots, records)
 

@@ -232,13 +232,22 @@ class _Input:
     order: np.ndarray | None = None
 
 
+def _sorted_rows(exts: list[ExtentList]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the extents in label order, and the order that sorts
+    their stack; a lone extent is strictly sorted already."""
+    if len(exts) == 1:
+        return exts[0].rows, np.arange(len(exts[0]))
+    rows, _ = _stack([e.rows for e in exts])
+    order = _lexsort(rows)
+    return rows[order], order
+
+
 def _union(pg: PathGuide, gids: Sequence[int], col: int = 0) -> _Input:
     """The sorted union of the extents of gids; no label sits in two extents."""
     exts = [pg.read_extent(g) for g in gids]
-    rows, _ = _stack([e.rows for e in exts])
-    order = _lexsort(rows)
+    rows, order = _sorted_rows(exts)
     owner = np.repeat(np.asarray(gids, dtype=np.int64), [len(e) for e in exts])[order]
-    rows, ones = rows[order], np.ones(len(rows), dtype=np.int64)
+    ones = np.ones(len(rows), dtype=np.int64)
     return _Input(rows, owner, rows, np.arange(len(rows)), ones, col, exts, order)
 
 
@@ -332,10 +341,8 @@ def match_proc(
                 out[:, inp.col : inp.col + part.shape[1]] += part
                 rest //= inp.counts[row]
             out[:, wcol : wcol + level] = inputs[0].rows[local[tup, 0], :level]
-            owners, inv = np.unique(inputs[0].gids[local[:, 0]], return_inverse=True)
-            anc = np.array([pg.nodes[g].ancestors[level] for g in owners.tolist()], dtype=np.int64)
             blocks.append(out)
-            jps.append(anc[inv][tup])
+            jps.append(pg.anc[inputs[0].gids[local[:, 0]], level][tup])
         block, jp = np.concatenate(blocks), np.concatenate(jps)
         witness = slice(wcol, wcol + levels[-1])
         keep = _first_of_runs(np.hstack([block[:, witness], block[:, : n_leaves * width]]))
@@ -381,10 +388,11 @@ def evaluate(
     d = split(twig)
     with metrics.timed():
         if not d.jps:
-            union = _union(pg, pg.eval_single_branch(d.branches[0]))
-            for ext in union.exts:
+            exts = [pg.read_extent(g) for g in pg.eval_single_branch(d.branches[0])]
+            for ext in exts:
                 metrics.read_full_extent(ext.gid, ext.byte_lens)
-            return ResultSet(list(map(MatchTuple, zip(_labels(union.rows)))), []), metrics
+            rows, _ = _sorted_rows(exts)
+            return ResultSet(list(map(MatchTuple, zip(_labels(rows)))), []), metrics
         schema = build_dt_schema(pg, d)
         if schema.is_empty:
             return ResultSet([], [], schema), metrics

@@ -2,14 +2,18 @@
 baseline.
 
 naive_match enumerates twig embeddings over a materialized document
-tree.  It is the ground truth the merge engine is compared against;
-nothing here shares code with the DataTable path.
+tree.  It is the ground truth the merge engine is compared against.
 
 leaf_scan_match is the baseline the DataTable approach is meant to
 beat: per branch it reads every extent whose leaf tag merely has the
 right name, filters by path afterwards, then joins branch candidates
 at every admissible split level.  Its read counts cover the name
 scans; the joins run on labels already in memory.
+
+Both share no planning or matching code with the DataTable engine:
+paths are tested one tag tuple at a time with twig.steps_match, not
+with the guide's array step matcher, so a fault in either shows up as
+a disagreement.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from typing import Iterable, Iterator
 
 from .dewey import DeweyLabel
 from .document import NodeEvent
-from .dt import _admissible_depths
 from .matcher import MatchTuple
 from .metrics import Metrics
 from .path_guide import PathGuide
 from .twig import (
     WILDCARD,
+    Step,
     TwigPattern,
     jp_order,
     split,
@@ -153,6 +157,12 @@ def naive_match(doc: MaterializedDoc, twig: TwigPattern) -> list[MatchTuple]:
         MatchTuple(tuple(DeweyLabel(c) for c in key)) for key in sorted(seen)
     ]
     return out
+
+
+def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> set[int]:
+    """JP depths d such that gid's path below d matches the tail steps."""
+    path = pg.path_tags(gid)
+    return {d for d in range(len(path)) if steps_match(tail, path[d + 1 :])}
 
 
 # A candidate item carried through the leaf-scan joins: the label it

@@ -7,6 +7,14 @@ per label (row width = guide depth), strictly sorted.
 
 Extent access goes through read_extent, so tests can spy on it to
 assert that guide-only phases touch no extents.
+
+A finished guide also holds int32 arrays derived from the node table
+(never serialized): per node its depth and tag id, the ancestor matrix
+anc[g, d] (the ancestor of g at depth d, -1 below g) and the tag-path
+matrix tag_paths[d, g] (the tag id of anc[g, d], -1 below g).
+match_steps runs a step sequence over many guide nodes' tag paths at
+once; branch evaluation and DataTable fitting both use it, so no query
+phase walks guide nodes in Python.
 """
 
 from __future__ import annotations
@@ -18,9 +26,10 @@ import numpy as np
 
 from .dewey import _CLASS_BASE, _CLASS_CAP, DeweyLabel
 from .document import NodeEvent, ingest
-from .twig import CHILD, WILDCARD, SingleBranchQuery, Step, test_matches
+from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
+_NO_TAG = -2  # a test for a tag the guide lacks: equals no tag id and no padding
 # first value needing 2, 3, 4, 5 encoded bytes; the code is biased, so
 # each class starts where the previous one ends, not at a power of two
 _LEN_BINS = np.array(
@@ -67,6 +76,11 @@ class PathGuide:
         self.nodes: list[GuideNode] = []
         self.extents: list[ExtentList] = []
         self.by_tag: dict[str, list[int]] = {}
+        # derived by _derive_arrays once the node table is complete
+        self.tag_id: dict[str, int] = {}
+        self.tags = self.depths = np.empty(0, dtype=np.int32)
+        self.anc = np.empty((0, 1), dtype=np.int32)
+        self.tag_paths = np.empty((1, 0), dtype=np.int32)
 
     # ------------------------------------------------------ construction
 
@@ -105,6 +119,7 @@ class PathGuide:
             rows = np.array(buf, dtype=np.int64).reshape(len(buf), depth)
             pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
         pg._check_sorted()
+        pg._derive_arrays()
         return pg
 
     @classmethod
@@ -120,7 +135,9 @@ class PathGuide:
     ) -> "PathGuide":
         """Rebuild from flat tables (index deserialization), checking them."""
         pg = cls()
-        for tag, parent in zip(tags, parents):
+        for gid, (tag, parent) in enumerate(zip(tags, parents)):
+            if not _VIRTUAL <= parent < gid:
+                raise GuideError(f"guide node {gid}: parent {parent} is not an earlier node")
             pg._add_node(tag, parent)
         for gid, rows in enumerate(extent_rows):
             rows = np.asarray(rows, dtype=np.int64)
@@ -128,7 +145,26 @@ class PathGuide:
                 raise GuideError(f"extent width mismatch for guide node {gid}")
             pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
         pg._check_sorted()
+        pg._derive_arrays()
         return pg
+
+    def _derive_arrays(self) -> None:
+        """Fill tag_id, tags, depths, anc and tag_paths from the nodes.
+
+        Parents precede children, so one pass per depth copies each
+        parent's ancestor row into its children's rows.  tag_paths is
+        stored depth-major, so match_steps works on long contiguous rows.
+        """
+        self.tag_id = {tag: i for i, tag in enumerate(self.by_tag)}
+        self.tags = np.array([self.tag_id[n.tag] for n in self.nodes], dtype=np.int32)
+        self.depths = np.array([n.depth for n in self.nodes], dtype=np.int32)
+        parents = np.array([n.parent for n in self.nodes], dtype=np.int32)
+        self.anc = np.full((len(self.nodes), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
+        for d in range(self.anc.shape[1]):
+            at = np.flatnonzero(self.depths == d)
+            self.anc[at, :d] = self.anc[parents[at], :d]
+            self.anc[at, d] = at
+        self.tag_paths = np.where(self.anc >= 0, self.tags[self.anc], -1).T.copy()
 
     def _check_sorted(self) -> None:
         """Raise GuideError unless every extent is strictly sorted.
@@ -209,45 +245,44 @@ class PathGuide:
 
     # -------------------------------------------------------- evaluation
 
+    def match_steps(self, steps: Sequence[Step], ends: np.ndarray) -> np.ndarray:
+        """M[x, i]: the steps (one or more) consume exactly the tags from
+        depth x down to ends[i] itself; shape (max depth + 2, len(ends)).
+
+        Backward dynamic program over the ends' tag-path columns, one
+        row per depth: a child step is a shift-and, a descendant step
+        adds a reverse cumulative OR (it may skip tags above its own).
+        The -1 padding below each end matches no test, not even a
+        wildcard.  No extent is read.
+        """
+        paths = np.take(self.tag_paths, ends, axis=1)
+        reach = np.zeros((len(paths) + 1, len(ends)), dtype=bool)
+        after = np.arange(len(paths))[:, None] == self.depths[ends]  # no steps left
+        for step in reversed(steps):
+            if step.test == WILDCARD:
+                hit = paths >= 0
+            else:
+                hit = paths == self.tag_id.get(step.test, _NO_TAG)
+            hit &= after
+            if step.axis == DESCENDANT:
+                for x in range(len(hit) - 2, -1, -1):
+                    hit[x] |= hit[x + 1]
+            reach[:-1] = hit
+            after = reach[1:]
+        return reach
+
     def eval_single_branch(self, q: SingleBranchQuery | Sequence[Step]) -> list[int]:
         """Guide nodes whose root path matches the branch; no extent use.
 
-        Frontier sweep, one step at a time: the frontier is the set of
-        guide nodes reachable after the steps consumed so far (-1 is
-        the virtual start above the root).
+        Candidates pass the last step's test and are deep enough for
+        every step to consume a tag; match_steps keeps those whose
+        whole path, from depth 0, the steps consume.
         """
         steps = q.steps if isinstance(q, SingleBranchQuery) else tuple(q)
-        frontier: set[int] = {_VIRTUAL}
-        for step in steps:
-            nxt: set[int] = set()
-            if step.axis == CHILD:
-                for p in frontier:
-                    if p == _VIRTUAL:
-                        if self.nodes and test_matches(step.test, self.nodes[0].tag):
-                            nxt.add(0)
-                    else:
-                        node = self.nodes[p]
-                        if step.test == WILDCARD:
-                            nxt.update(node.children.values())
-                        else:
-                            child = node.children.get(step.test)
-                            if child is not None:
-                                nxt.add(child)
-            else:
-                if step.test == WILDCARD:
-                    candidates: Iterable[int] = range(len(self.nodes))
-                else:
-                    candidates = self.by_tag.get(step.test, [])
-                if _VIRTUAL in frontier:
-                    nxt.update(candidates)
-                else:
-                    for g in candidates:
-                        anc = self.nodes[g].ancestors
-                        for a in anc[:-1]:  # proper ancestors only
-                            if a in frontier:
-                                nxt.add(g)
-                                break
-            if not nxt:
-                return []
-            frontier = nxt
-        return sorted(frontier)
+        if not steps:
+            return []
+        keep = self.depths >= len(steps) - 1
+        if steps[-1].test != WILDCARD:
+            keep &= self.tags == self.tag_id.get(steps[-1].test, _NO_TAG)
+        ends = np.flatnonzero(keep)
+        return ends[self.match_steps(steps, ends)[0]].tolist()

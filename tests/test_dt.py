@@ -65,6 +65,33 @@ def test_one_tuple_joins_at_two_depths():
     }
 
 
+def test_one_end_fits_two_jp_depths():
+    # //A//A: the end A/X/A/A fits under the JP guide nodes A and A/X/A
+    pg = PathGuide.build_from_xml(b"<A><B/><X><A><B/><A/></A></X></A>")
+    # gids: A=0, A/B=1, A/X=2, A/X/A=3, A/X/A/B=4, A/X/A/A=5
+    d = split(parse("//A[.//A]//B"))
+    schema = build_dt_schema(pg, d)
+    assert schema.tables[0].records == [
+        DTRecord(((3, 5), (1, 4)), 0, 0),
+        DTRecord(((5,), (4,)), 2, 3),
+    ]
+    assert [recs(t) for t in schema.tables] == oracle_schema_records(pg, d)
+
+
+@pytest.mark.parametrize(
+    "q", ["//*[./B][.//C]", "/*[./B]//C", "//*[./*][.//*]", "/*/*[./C][./D]",
+          "//*[.//*[./C][./D]]//B", "/*[./*/C]//*/D"],
+)
+def test_wildcard_trunks_match_oracle(q):
+    pg = PathGuide.build_from_xml(
+        b"<A><B><C/><D/></B><C><B/></C><X><B><C/><D/></B><D/></X></A>"
+    )
+    d = split(parse(q))
+    schema = build_dt_schema(pg, d)
+    assert [recs(t) for t in schema.tables] == oracle_schema_records(pg, d)
+    assert not schema.is_empty
+
+
 def test_tail_alignment_blocks_false_join():
     # g=A/A matches //A/* and is an ancestor of both ends, but the B end
     # hangs two levels below it while the slot's tail is the child step

@@ -17,8 +17,11 @@ from twigjoin.index_io import (
     to_bytes,
 )
 from twigjoin.cli import main
+from twigjoin.dt import build_dt_schema
 from twigjoin.matcher import evaluate
 from twigjoin.path_guide import ExtentList, PathGuide, _component_byte_lens
+
+from twigjoin.twig import parse, split
 
 from conftest import gen_doc, mixed_query
 
@@ -85,6 +88,27 @@ def test_reloaded_guide_evaluates_identically(sample):
         )
 
 
+def test_reloaded_guide_plans_identically(sample):
+    xml, pg, idx, data = sample
+    clone = from_bytes(data).guide
+    assert clone.tag_id == pg.tag_id
+    for name in ("tags", "depths", "anc", "tag_paths"):
+        assert np.array_equal(getattr(clone, name), getattr(pg, name)), name
+    rng = random.Random(4)
+    planned = 0
+    for _ in range(40):
+        d = split(parse(mixed_query(rng, pg)))
+        for branch in d.branches:
+            assert clone.eval_single_branch(branch) == pg.eval_single_branch(branch)
+        if d.jps:
+            built, loaded = build_dt_schema(pg, d), build_dt_schema(clone, d)
+            assert [(t.slots, t.records) for t in loaded.tables] == [
+                (t.slots, t.records) for t in built.tables
+            ]
+            planned += not built.is_empty
+    assert planned >= 10
+
+
 def test_flipped_byte_fails_checksum(sample):
     xml, pg, idx, data = sample
     rng = random.Random(9)
@@ -139,6 +163,28 @@ def test_inconsistent_tables_detected():
         payload += struct.pack("<IQ", 1, 0)  # one depth-0 label, empty blob
     with pytest.raises(IndexFormatError, match="inconsistent guide tables"):
         from_bytes(reseal(bytes(payload)))
+
+
+def _with_parent(data: bytes, gid: int, parent: int) -> bytes:
+    """The index with guide node gid's parent field set, CRC resealed."""
+    payload = bytearray(data[:-4])
+    pos = len(MAGIC) + struct.calcsize("<IQI") + struct.calcsize("<I")
+    for _ in range(gid):
+        pos += struct.calcsize("<IHH") + struct.unpack_from("<IHH", payload, pos)[2]
+    struct.pack_into("<I", payload, pos, parent)
+    return reseal(bytes(payload))
+
+
+@pytest.mark.parametrize("parent", [3, 1], ids=["forward", "self"])
+def test_parent_that_is_not_earlier_is_rejected(tmp_path, parent):
+    pg = PathGuide.build_from_xml(b"<R><A><C/></A><B/></R>")
+    assert [n.path[-1] for n in pg.nodes] == ["R", "A", "C", "B"]
+    data = _with_parent(to_bytes(Index.from_guide(pg)), 1, parent)
+    with pytest.raises(IndexFormatError, match=f"parent {parent} is not an earlier node"):
+        from_bytes(data)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    assert main(["query", str(path), "//A"]) == 2
 
 
 def test_bad_extent_encoding_detected():

@@ -6,7 +6,7 @@ import pytest
 from twigjoin.dewey import DeweyLabel, encoded_len
 from twigjoin.document import NodeEvent, ingest
 from twigjoin.path_guide import GuideError, PathGuide, _component_byte_lens
-from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split
+from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
 from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
 
@@ -116,6 +116,98 @@ def test_eval_single_branch_queries():
     assert run("//B//C") == [2]
 
 
+# ------------------------------------------------------------ step matcher
+
+
+def steps_of(q: str) -> tuple[Step, ...]:
+    (branch,) = split(parse(q)).branches
+    return branch.steps
+
+
+def matrix_oracle(pg: PathGuide, steps, ends) -> np.ndarray:
+    """match_steps cell by cell: steps_match on every suffix of each path."""
+    out = np.zeros((pg.anc.shape[1] + 1, len(ends)), dtype=bool)
+    for i, e in enumerate(ends):
+        path = pg.nodes[e].path
+        for x in range(len(path) + 1):
+            out[x, i] = steps_match(steps, path[x:])
+    return out
+
+
+def test_derived_arrays_agree_with_nodes(guides):
+    for _, pg in guides:
+        width = max(n.depth for n in pg.nodes) + 1
+        assert pg.anc.shape == pg.tag_paths.T.shape == (len(pg), width)
+        for arr in (pg.tags, pg.depths, pg.anc, pg.tag_paths):
+            assert arr.dtype == np.int32
+        names = list(pg.tag_id)
+        for n in pg.nodes:
+            pad = [-1] * (width - n.depth - 1)
+            assert pg.depths[n.gid] == n.depth
+            assert names[pg.tags[n.gid]] == n.tag
+            assert pg.anc[n.gid].tolist() == list(n.ancestors) + pad
+            tag_path = pg.tag_paths[:, n.gid].tolist()
+            assert [names[t] for t in tag_path[: n.depth + 1]] == list(n.path)
+            assert tag_path[n.depth + 1 :] == pad
+
+
+def test_match_steps_agrees_with_steps_match(guides):
+    rng = random.Random(21)
+    for _, pg in guides:
+        ends = np.arange(len(pg))
+        for _ in range(20):
+            steps = random_steps(rng, rng.randint(1, 5))
+            assert np.array_equal(pg.match_steps(steps, ends), matrix_oracle(pg, steps, ends))
+
+
+@pytest.mark.parametrize(
+    "xml,expect",
+    [
+        # root-only guide
+        (b"<R/>", {"/R": [0], "//R": [0], "/*": [0], "//*": [0], "/R/R": [],
+                   "//R//R": [], "/R/*": [], "/X": []}),
+        # a tag the guide lacks, first, in the middle and last
+        (b"<A><B><C/></B></A>", {"//Z": [], "/Z//C": [], "//A//Z//C": [], "/A/Z": [],
+                                 "/A//C": [2], "//*": [0, 1, 2]}),
+        # more steps than the guide is deep
+        (b"<A><B><C/></B></A>", {"/*/*/*": [2], "/*/*/*/*": [], "//*//*//*": [2],
+                                 "//*//*//*//*": [], "//A//B//C//C": []}),
+    ],
+)
+def test_step_matcher_edge_cases(xml, expect):
+    pg = PathGuide.build_from_xml(xml)
+    strings = {n.gid: "".join(n.path) for n in pg.nodes}
+    ends = np.arange(len(pg))
+    for q, want in expect.items():
+        steps = steps_of(q)
+        assert pg.eval_single_branch(steps) == want, q
+        assert want == [g for g, s in strings.items() if steps_to_regex(steps).match(s)]
+        assert np.array_equal(pg.match_steps(steps, ends), matrix_oracle(pg, steps, ends)), q
+
+
+def test_match_steps_sees_every_split_depth():
+    # row x: the steps consume A/X/A/A from depth x down
+    pg = PathGuide.build_from_xml(b"<A><X><A><A/></A></X></A>")
+    for q, cols in {"//A": [0, 1, 2, 3], "/A": [3], "//X//A": [0, 1], "/A//A": [0, 2]}.items():
+        m = pg.match_steps(steps_of(q), np.array([3]))
+        assert np.flatnonzero(m[:, 0]).tolist() == cols, q
+
+
+def test_eval_single_branch_on_a_large_guide():
+    # linear reference: steps_match once per guide node and sequence
+    pg = PathGuide.build_from_xml(gen_doc(seed=0, target=4000, max_depth=12))
+    assert len(pg) >= 2500
+    paths = [n.path for n in pg.nodes]
+    rng = random.Random(13)
+    hits = 0
+    for _ in range(100):
+        steps = random_steps(rng, rng.randint(1, 6))
+        want = [g for g, p in enumerate(paths) if steps_match(steps, p)]
+        assert pg.eval_single_branch(steps) == want, steps
+        hits += bool(want)
+    assert hits >= 30
+
+
 def test_eval_reads_no_extents(guides):
     for _, pg in guides:
         rng = random.Random(3)
@@ -193,6 +285,13 @@ def test_from_tables_rejects_duplicate_child_tag():
     rows = [np.zeros((1, 0)), np.ones((1, 1)), np.ones((1, 1))]
     with pytest.raises(GuideError, match="duplicate child tag"):
         PathGuide.from_tables(["A", "B", "B"], [-1, 0, 0], rows)
+
+
+@pytest.mark.parametrize("parents", [[-1, 2, 0], [-1, 1, 0], [-1, 0, -3]])
+def test_from_tables_rejects_parent_that_is_not_earlier(parents):
+    rows = [np.zeros((1, 0)), np.ones((1, 1)), np.ones((1, 1))]
+    with pytest.raises(GuideError, match="is not an earlier node"):
+        PathGuide.from_tables(["A", "B", "C"], parents, rows)
 
 
 def test_from_tables_rejects_width_mismatch():
