@@ -29,6 +29,7 @@ from .matcher import (
     Cursor,
     MatchTuple,
     NodeList,
+    ResultLimitError,
     ResultSet,
     as_node_list,
     evaluate,
@@ -92,6 +93,7 @@ __all__ = [
     "match_proc",
     "MatchTuple",
     "ResultSet",
+    "ResultLimitError",
     "evaluate",
     "Metrics",
     "MaterializedDoc",

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import index_io
 from .document import GeneratorConfig, IngestError, generate
 from .dt import explain
 from .kernels import BACKEND_NAMES
-from .matcher import MatchTuple, evaluate
+from .matcher import MatchTuple, ResultLimitError, evaluate
 from .metrics import Metrics
 from .oracle import MaterializedDoc, leaf_scan_match, naive_match
 from .path_guide import GuideError, PathGuide
@@ -32,6 +33,13 @@ class _CliUsage(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); we use 1
         raise _CliUsage(message)
+
+
+def _row_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _build_parser() -> _Parser:
@@ -57,6 +65,9 @@ def _build_parser() -> _Parser:
                          help="disable jump skipping in the merge")
     p_query.add_argument("--kernels", choices=BACKEND_NAMES,
                          help="merge kernel backend override")
+    p_query.add_argument("--max-results", type=_row_count, metavar="N",
+                         help="fail (exit 2) before holding more than N result "
+                              "or partial-match rows (dt engine)")
 
     p_gen = sub.add_parser("gen", help="generate a random XML document")
     p_gen.add_argument("-o", "--output", required=True)
@@ -93,15 +104,15 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _print_results(args, results: list[MatchTuple], jp_labels: list) -> None:
+def _print_results(args, count: int, lines: Callable[[], list[str]]) -> None:
     if args.count or args.format == "count":
-        print(len(results))
-    elif args.project == "jp":
-        for lab in jp_labels:
-            print(str(lab))
+        print(count)
     else:
-        for mt in results:
-            print("\t".join(str(lab) for lab in mt.leaf_labels))
+        sys.stdout.writelines(line + "\n" for line in lines())
+
+
+def _leaf_lines(results: list[MatchTuple]) -> list[str]:
+    return ["\t".join(str(lab) for lab in mt.leaf_labels) for mt in results]
 
 
 def _cmd_query(args) -> int:
@@ -109,26 +120,32 @@ def _cmd_query(args) -> int:
         raise _CliUsage("--explain requires --engine dt")
     if args.project and args.engine != "dt":
         raise _CliUsage("--project jp requires --engine dt")
+    if args.max_results is not None and args.engine != "dt":
+        raise _CliUsage("--max-results requires --engine dt")
     idx = index_io.load(args.index)
     pg = idx.guide
     twig = parse(args.query)
 
     if args.engine == "dt":
         rs, met = evaluate(
-            pg, twig, use_jump=not args.no_jump, backend=args.kernels
+            pg, twig, use_jump=not args.no_jump, backend=args.kernels,
+            max_results=args.max_results,
         )
         if args.explain:
             print("no DT required" if rs.plan is None else explain(rs.plan, pg))
-        _print_results(args, rs.matches, rs.top_jp_labels)
+        if args.project == "jp":
+            _print_results(args, len(rs), lambda: [str(lab) for lab in rs.top_jp_labels])
+        else:
+            _print_results(args, len(rs), rs.lines)
     elif args.engine == "leafscan":
         results, met = leaf_scan_match(pg, twig)
-        _print_results(args, results, [])
+        _print_results(args, len(results), lambda: _leaf_lines(results))
     else:
         met = Metrics()
         with met.timed():
             doc = MaterializedDoc.from_guide(pg, met)
             results = naive_match(doc, twig)
-        _print_results(args, results, [])
+        _print_results(args, len(results), lambda: _leaf_lines(results))
     print(met.format_line(), file=sys.stderr)
     return 0
 
@@ -268,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuerySyntaxError as exc:
         print(f"query syntax error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, GuideError, index_io.IndexFormatError) as exc:
+    except (IngestError, GuideError, index_io.IndexFormatError, ResultLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

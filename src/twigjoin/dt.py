@@ -101,8 +101,7 @@ def build_dt(
         for g in jp.groups
     )
     m = len(jp.groups)
-    jp_mask = np.zeros(len(pg), dtype=bool)
-    jp_mask[pg.eval_single_branch(jp.trunk_steps)] = True
+    jp_mask = pg.branch_mask(jp.trunk_steps)
     # one (g, slot, end) triple per end fitting JP guide node g; an end
     # fits g at exactly one depth, so no triple repeats
     g, slot, end = [], [], []

@@ -5,6 +5,10 @@ Two builds of the same kernel source: ``numba`` wraps the functions in
 uncompiled.  Both stay importable side by side so they can be compared
 on identical inputs; the ``TWIGJOIN_KERNELS`` environment variable
 picks which one evaluators use by default.
+
+A backend's ``multiway_merge`` takes stacked label rows and a prefix
+length, like ``jump_scan``: it ranks the prefixes once in numpy
+(:func:`prefix_ranks`) and runs the compiled merge on the ranks.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from . import _impl
 
@@ -27,9 +33,42 @@ class Backend:
     multiway_merge: Callable
 
 
+def lexsort(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows."""
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
+def runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows."""
+    edges = np.ones(len(rows) + 1, dtype=bool)
+    edges[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
+    edges = np.flatnonzero(edges)  # run starts, then len(rows)
+    return edges[:-1], np.diff(edges)
+
+
+def prefix_ranks(stacked: np.ndarray, plen: int) -> np.ndarray:
+    """Dense rank of each row's plen-prefix among all rows: ranks are
+    equal, or ordered, exactly as the prefixes are."""
+    prefix = stacked[:, :plen]
+    order = lexsort(prefix)
+    _, counts = runs(prefix[order])
+    keys = np.empty(len(prefix), dtype=np.int64)
+    keys[order] = np.repeat(np.arange(len(counts)), counts)
+    return keys
+
+
+def _on_ranks(merge: Callable) -> Callable:
+    """The merge kernel `merge` taking label rows: it merges their prefix ranks."""
+
+    def multiway_merge(stacked, offsets, plen, use_jump, touched, reads_out):
+        return merge(prefix_ranks(stacked, plen), offsets, use_jump, touched, reads_out)
+
+    return multiway_merge
+
+
 @lru_cache(maxsize=None)
 def _numpy_backend() -> Backend:
-    return Backend("numpy", _impl.jump_scan, _impl.multiway_merge)
+    return Backend("numpy", _impl.jump_scan, _on_ranks(_impl.multiway_merge))
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +78,7 @@ def _numba_backend() -> Backend:
     except ImportError:
         return _numpy_backend()
     jit = numba.njit(cache=True)
-    return Backend("numba", jit(_impl.jump_scan), jit(_impl.multiway_merge))
+    return Backend("numba", jit(_impl.jump_scan), _on_ranks(jit(_impl.multiway_merge)))
 
 
 def default_backend_name() -> str:

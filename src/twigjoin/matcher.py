@@ -20,19 +20,27 @@ Deduplication is per witness, keyed by the leaf-label assignment.
 Deduplicating across witnesses would be wrong: the same leaf assignment
 under two different witnesses must stay visible to a parent record that
 references only one of them.  The answer keeps each assignment once,
-under its shallowest top witness; only then are labels built.
+under its shallowest top witness.
+
+The answer stays an int64 matrix (late materialization): a ResultSet
+formats its lines straight from the rows, one string per run of equal
+labels, and builds DeweyLabel/MatchTuple objects only when asked for
+them.  A fan-out that would exceed ``max_results`` rows raises
+ResultLimitError before it is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .dewey import DeweyLabel
 from .dt import DataTable, DTSchema, build_dt_schema
-from .kernels import Backend, get_backend
+from .kernels import Backend, get_backend, lexsort, runs
 from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
@@ -51,19 +59,50 @@ class MatchTuple:
     jp_labels: tuple[DeweyLabel, ...] = ()
 
 
-@dataclass
+class ResultLimitError(Exception):
+    """Evaluation would hold more rows than the caller's max_results."""
+
+    def __init__(self, rows: int, limit: int):
+        super().__init__(f"query needs {rows} result rows, over the limit of {limit}")
+        self.rows = rows
+        self.limit = limit
+
+
+@dataclass(eq=False)
 class ResultSet:
-    matches: list[MatchTuple]  # sorted by leaf_labels, duplicate-free
-    top_jp_labels: list[DeweyLabel]  # distinct top-JP witnesses, sorted
+    """Query answers as int64 label rows; label objects only on demand.
+
+    leaves[i, j] is answer i's label for twig leaf j and jps[i, t] its
+    witness for schema table t (deepest JP first), each zero-padded to
+    the last axis (components are >= 1, so every zero is padding).
+    Answers are sorted by leaf labels and distinct; tops holds the
+    distinct top-JP witnesses, sorted.  Zero-JP queries have no tables.
+    """
+
+    leaves: np.ndarray  # (answers, leaves, width)
+    jps: np.ndarray  # (answers, tables, width)
+    tops: np.ndarray  # (witnesses, width)
     plan: DTSchema | None = None  # the plan evaluated; None for zero-JP queries
 
     def __len__(self) -> int:
-        return len(self.matches)
+        return len(self.leaves)
+
+    @cached_property
+    def matches(self) -> list[MatchTuple]:
+        leaves = [_labels(self.leaves[:, j]) for j in range(self.leaves.shape[1])]
+        jps = [_labels(self.jps[:, t]) for t in range(self.jps.shape[1])]
+        return list(map(MatchTuple, zip(*leaves), zip(*jps) if jps else repeat(())))
+
+    @cached_property
+    def top_jp_labels(self) -> list[DeweyLabel]:
+        return _labels(self.tops)
 
     def lines(self) -> list[str]:
-        return [
-            "\t".join(str(lab) for lab in mt.leaf_labels) for mt in self.matches
-        ]
+        """One tab-separated line of dotted leaf labels per answer."""
+        line = _dotted(self.leaves[:, 0])
+        for j in range(1, self.leaves.shape[1]):
+            line = line + "\t" + _dotted(self.leaves[:, j])
+        return line.tolist()
 
 
 @dataclass
@@ -154,13 +193,13 @@ def _run_merge(
     use_jump: bool,
     backend: Backend,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Stack the input lists and run the merge kernel.
+    """Stack the input lists' plen-prefixes and run the merge kernel.
 
     Returns (local_indices, touched, reads, offsets, comps, jumps);
     local_indices has one row per output tuple, one column per list,
     holding positions local to that list.
     """
-    stacked, offsets = _stack(arrays, plen)
+    stacked, offsets = _stack([a[:, :plen] for a in arrays], plen)
     touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
     reads = np.zeros(len(arrays), dtype=np.int64)
     out, count, comps, jumps = backend.multiway_merge(
@@ -238,7 +277,7 @@ def _sorted_rows(exts: list[ExtentList]) -> tuple[np.ndarray, np.ndarray]:
     if len(exts) == 1:
         return exts[0].rows, np.arange(len(exts[0]))
     rows, _ = _stack([e.rows for e in exts])
-    order = _lexsort(rows)
+    order = lexsort(rows)
     return rows[order], order
 
 
@@ -251,29 +290,36 @@ def _union(pg: PathGuide, gids: Sequence[int], col: int = 0) -> _Input:
     return _Input(rows, owner, rows, np.arange(len(rows)), ones, col, exts, order)
 
 
-def _lexsort(keys: np.ndarray) -> np.ndarray:
-    """Stable lexicographic order of the rows."""
-    return np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal rows."""
-    edges = np.ones(len(keys) + 1, dtype=bool)
-    edges[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
-    edges = np.flatnonzero(edges)  # run starts, then len(keys)
-    return edges[:-1], np.diff(edges)
-
-
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     """The first of every set of equal rows, in sorted order."""
     keys = keys[:, (keys != keys[:1]).any(axis=0)]  # constant columns order nothing
-    order = _lexsort(keys)
-    return order[_runs(keys[order])[0]]
+    order = lexsort(keys)
+    return order[runs(keys[order])[0]]
+
+
+def _dotted(block: np.ndarray) -> np.ndarray:
+    """Each row's label as text, ε for the root's empty label, in an
+    object array; each distinct component value and each run of equal
+    rows is formatted once."""
+    starts, counts = runs(block)
+    firsts = block[starts]
+    depth = (firsts > 0).sum(axis=1)  # components are >= 1: zeros are padding
+    values, at = np.unique(firsts, return_inverse=True)
+    words = np.array(list(map(str, values.tolist())), dtype=object)[at.reshape(firsts.shape)]
+    text = np.full(len(firsts), "ε", dtype=object)
+    if firsts.shape[1]:
+        text[depth > 0] = words[depth > 0, 0]
+    for c in range(1, firsts.shape[1]):
+        text = np.where(depth > c, text + "." + words[:, c], text)
+    return np.repeat(text, counts)
 
 
 def _labels(block: np.ndarray) -> list[DeweyLabel]:
-    """One label per row; components are >= 1, so every zero is padding."""
-    return [DeweyLabel(r[:d]) for r, d in zip(block.tolist(), (block > 0).sum(axis=1).tolist())]
+    """One label per row, one label object per run of equal rows."""
+    starts, counts = runs(block)
+    firsts = block[starts]
+    made = [DeweyLabel(r[:d]) for r, d in zip(firsts.tolist(), (firsts > 0).sum(axis=1).tolist())]
+    return list(map(made.__getitem__, np.repeat(np.arange(len(made)), counts).tolist()))
 
 
 def match_proc(
@@ -282,28 +328,33 @@ def match_proc(
     metrics: Metrics | None = None,
     use_jump: bool = True,
     backend: Backend | str | None = None,
-) -> tuple[list[MatchTuple], list[DeweyLabel]]:
-    """Evaluate the schema; returns (match tuples, top-JP witnesses).
+    max_results: int | None = None,
+) -> ResultSet:
+    """Evaluate the schema into a ResultSet planned by it.
 
-    Tuples are deduplicated by leaf assignment and sorted; witnesses
+    Answers are deduplicated by leaf assignment and sorted; witnesses
     are the distinct JP prefixes of the top table that joined at least
-    one tuple.
+    one answer.  Raises ResultLimitError before a table's entries would
+    exceed max_results rows; the answers are at most the top table's.
     """
     be = get_backend(backend)
-    if schema.is_empty:
-        return [], []
     # leaf i owns entry columns [i * width, (i + 1) * width), table t
     # the n_leaves + t-th such block
     n_leaves = sum(s.kind == "leaf" for t in schema.tables for s in t.slots)
+    n_tables = len(schema.tables)
+    if schema.is_empty:
+        return ResultSet(np.zeros((0, n_leaves, 0), np.int64),
+                         np.zeros((0, n_tables, 0), np.int64), np.zeros((0, 0), np.int64), schema)
     width = max(pg.nodes[e].depth for t in schema.tables for rec in t.records
                 for s, ends in zip(t.slots, rec.ends) if s.kind == "leaf" for e in ends)
-    n_cols = (n_leaves + len(schema.tables)) * width
+    n_cols = (n_leaves + n_tables) * width
 
     def run_table(ti: int, table: DataTable) -> _Input:
         """Merge the table level by level; its entries, grouped by witness."""
         wcol = (n_leaves + ti) * width
         levels = sorted({rec.jp_level for rec in table.records})
         blocks, jps = [], []
+        entries = 0
         for level in levels:
             recs = [rec for rec in table.records if rec.jp_level == level]
             inputs = []
@@ -332,6 +383,9 @@ def match_proc(
             # tuple r yields the cross product of its slots' runs, last slot
             # fastest; entry e is tuple tup[e]'s rest[e]-th, in mixed radix
             sizes = np.prod([inp.counts[local[:, j]] for j, inp in enumerate(inputs)], axis=0)
+            entries += int(sizes.sum())
+            if max_results is not None and entries > max_results:
+                raise ResultLimitError(entries, max_results)
             tup = np.repeat(np.arange(len(local)), sizes)
             rest = np.arange(len(tup)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             out = np.zeros((len(tup), n_cols), dtype=np.int64)
@@ -347,25 +401,19 @@ def match_proc(
         witness = slice(wcol, wcol + levels[-1])
         keep = _first_of_runs(np.hstack([block[:, witness], block[:, : n_leaves * width]]))
         block, jp = block[keep], jp[keep]
-        first, counts = _runs(block[:, witness])
+        first, counts = runs(block[:, witness])
         return _Input(block[first, witness], jp[first], block, first, counts)
 
     done: list[_Input] = []
     for ti, table in enumerate(schema.tables):
         done.append(run_table(ti, table))
     top = done.pop()
+    del done  # release the inner tables' entry matrices
     # top is sorted by witness, so each assignment keeps its shallowest
-    final, witnesses = top.block[_first_of_runs(top.block[:, : n_leaves * width])], top.rows
-    del done, top  # release the entry matrices before labels are built
-    cols = []
-    for c in range(0, n_cols, width):  # one label object per run of equal rows
-        starts, counts = _runs(final[:, c : c + width])
-        labels = _labels(final[starts, c : c + width])
-        which = np.repeat(np.arange(len(labels)), counts).tolist()
-        cols.append(list(map(labels.__getitem__, which)))
-    del final
-    matches = map(MatchTuple, zip(*cols[:n_leaves]), zip(*cols[n_leaves:]))
-    return list(matches), _labels(witnesses)
+    final = top.block[_first_of_runs(top.block[:, : n_leaves * width])]
+    tables = final[:, n_leaves * width :].reshape(len(final), n_tables, width)
+    return ResultSet(final[:, : n_leaves * width].reshape(len(final), n_leaves, width),
+                     tables, top.rows, schema)
 
 
 def evaluate(
@@ -375,12 +423,15 @@ def evaluate(
     use_jump: bool = True,
     backend: Backend | str | None = None,
     metrics: Metrics | None = None,
+    max_results: int | None = None,
 ) -> tuple[ResultSet, Metrics]:
     """Full pipeline: parse, split, plan on the guide, merge extents.
 
     Zero-JP queries skip planning entirely and sort the union of the
     matched extents; an empty plan short-circuits before any extent is
-    touched.
+    touched.  With max_results set, a query whose answers or partial
+    matches would exceed that many rows raises ResultLimitError before
+    they are allocated.
     """
     if metrics is None:
         metrics = Metrics()
@@ -389,14 +440,15 @@ def evaluate(
     with metrics.timed():
         if not d.jps:
             exts = [pg.read_extent(g) for g in pg.eval_single_branch(d.branches[0])]
+            n = sum(len(ext) for ext in exts)
+            if max_results is not None and n > max_results:
+                raise ResultLimitError(n, max_results)
             for ext in exts:
                 metrics.read_full_extent(ext.gid, ext.byte_lens)
-            rows, _ = _sorted_rows(exts)
-            return ResultSet(list(map(MatchTuple, zip(_labels(rows)))), []), metrics
-        schema = build_dt_schema(pg, d)
-        if schema.is_empty:
-            return ResultSet([], [], schema), metrics
-        matches, top = match_proc(
-            schema, pg, metrics=metrics, use_jump=use_jump, backend=backend
-        )
-        return ResultSet(matches, top, schema), metrics
+            leaves = _sorted_rows(exts)[0][:, None, :]
+            leaves.flags.writeable = False  # may be a view of the guide's extent
+            no_tables = np.zeros((n, 0, 0), np.int64)
+            return ResultSet(leaves, no_tables, np.zeros((0, 0), np.int64)), metrics
+        rs = match_proc(build_dt_schema(pg, d), pg, metrics=metrics, use_jump=use_jump,
+                        backend=backend, max_results=max_results)
+        return rs, metrics

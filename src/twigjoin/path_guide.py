@@ -271,8 +271,9 @@ class PathGuide:
             after = reach[1:]
         return reach
 
-    def eval_single_branch(self, q: SingleBranchQuery | Sequence[Step]) -> list[int]:
-        """Guide nodes whose root path matches the branch; no extent use.
+    def branch_mask(self, q: SingleBranchQuery | Sequence[Step]) -> np.ndarray:
+        """Per guide node, whether its root path matches the branch; no
+        extent use.
 
         Candidates pass the last step's test and are deep enough for
         every step to consume a tag; match_steps keeps those whose
@@ -280,9 +281,13 @@ class PathGuide:
         """
         steps = q.steps if isinstance(q, SingleBranchQuery) else tuple(q)
         if not steps:
-            return []
+            return np.zeros(len(self.nodes), dtype=bool)
         keep = self.depths >= len(steps) - 1
         if steps[-1].test != WILDCARD:
             keep &= self.tags == self.tag_id.get(steps[-1].test, _NO_TAG)
-        ends = np.flatnonzero(keep)
-        return ends[self.match_steps(steps, ends)[0]].tolist()
+        keep[keep] = self.match_steps(steps, np.flatnonzero(keep))[0]
+        return keep
+
+    def eval_single_branch(self, q: SingleBranchQuery | Sequence[Step]) -> list[int]:
+        """Guide nodes whose root path matches the branch, ascending."""
+        return np.flatnonzero(self.branch_mask(q)).tolist()

@@ -44,6 +44,13 @@ def gen_doc(seed: int, target: int = 120, max_depth: int = 8, max_fanout: int = 
     return doc.xml
 
 
+def fan_out_doc(n: int, depth: int = 4) -> bytes:
+    """One B holding n C and n D leaves, each below its own chain of
+    `depth` E elements: //B[.//C]//D has n * n answers of deep labels."""
+    chain = lambda leaf: "<E>" * depth + f"<{leaf}/>" + "</E>" * depth  # noqa: E731
+    return f"<R><B>{(chain('C') + chain('D')) * n}</B></R>".encode()
+
+
 @contextmanager
 def spy_reads(pg: PathGuide):
     """Yield a list that collects the gid of every pg.read_extent call."""

@@ -20,8 +20,11 @@ import pytest
 
 from twigjoin import index_io
 from twigjoin.cli import main
+from twigjoin.dewey import DeweyLabel
 from twigjoin.matcher import evaluate
 from twigjoin.twig import parse
+
+from conftest import fan_out_doc
 
 METRICS_RE = re.compile(r"^nodes_read=\d+, bytes_scanned=\d+, micros=\d+$")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -169,6 +172,45 @@ def test_project_jp_prints_witnesses(idx_path, guide, capsys):
     rs, _ = evaluate(guide, parse(q))
     assert lines == [str(lab) for lab in rs.top_jp_labels]
     assert lines
+
+
+def test_count_and_lines_build_no_labels(idx_path, monkeypatch, capsys):
+    loaded = index_io.load(idx_path)  # decoding the index builds labels
+    monkeypatch.setattr(index_io, "load", lambda path: loaded)
+    built = []
+    init = DeweyLabel.__init__
+
+    def counting_init(self, components=()):
+        built.append(components)
+        init(self, components)
+
+    monkeypatch.setattr(DeweyLabel, "__init__", counting_init)
+    for q in ("//A[./B]", "//B[./C][./A]", "//A//B"):
+        assert main(["query", idx_path, q, "--count"]) == 0
+        assert int(capsys.readouterr().out) > 0
+        assert main(["query", idx_path, q]) == 0
+        assert capsys.readouterr().out
+    assert built == []
+    rs, _ = evaluate(loaded.guide, parse("//A[./B]"))
+    assert rs.matches and built  # the counter does see labels being built
+
+
+def test_max_results_exits_2_before_the_fan_out(tmp_path, capsys):
+    n = 60
+    xml, idx = tmp_path / "fan.xml", str(tmp_path / "fan.idx")
+    xml.write_bytes(fan_out_doc(n))
+    assert main(["index", str(xml), "-o", idx]) == 0
+    capsys.readouterr()
+    q = "//B[.//C]//D"
+    assert main(["query", idx, q, "--max-results", str(n * n - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "limit" in captured.err
+    assert main(["query", idx, q, "--max-results", str(n * n), "--count"]) == 0
+    assert capsys.readouterr().out.strip() == str(n * n)
+    for bad in (["--max-results", "-1"], ["--max-results", "5", "--engine", "leafscan"]):
+        assert main(["query", idx, q, *bad]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 # --- query: metrics channel ---

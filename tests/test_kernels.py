@@ -13,6 +13,8 @@ from twigjoin.kernels import (
     get_backend,
 )
 
+from frozen_merge import multiway_merge as frozen_merge
+
 both_backends = pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 
 
@@ -151,6 +153,29 @@ def test_backends_agree_exactly():
         assert a_t.tolist() == b_t.tolist()
         assert a_r.tolist() == b_r.tolist()
         assert (a_c, a_j) == (b_c, b_j)
+
+
+@both_backends
+@pytest.mark.parametrize("use_jump", [True, False])
+def test_merge_repeats_the_frozen_column_kernel(backend_name, use_jump):
+    # the rank-based kernel must retrace the column-by-column kernel
+    # exactly: same output, reads, touches, comparisons and jumps
+    be = get_backend(backend_name)
+    rng = random.Random(101 + BACKEND_NAMES.index(backend_name) * 2 + int(use_jump))
+    for trial in range(300):
+        k = rng.randint(1, 4)
+        width = rng.randint(1, 5)
+        plen = 0 if trial % 10 == 0 else rng.randint(0, width)
+        sizes = [0 if rng.random() < 0.1 else rng.randint(1, 25) for _ in range(k)]
+        stacked, offsets = stack([make_list(rng, n, width, plen) for n in sizes])
+        results = []
+        for merge in (be.multiway_merge, frozen_merge):
+            touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
+            reads = np.zeros(k, dtype=np.int64)
+            out, count, comps, jumps = merge(stacked, offsets, plen, use_jump, touched, reads)
+            results.append((out[:count].tolist(), count, comps, jumps,
+                            touched.tolist(), reads.tolist()))
+        assert results[0] == results[1], (trial, sizes, plen)
 
 
 def jump_oracle(rows: np.ndarray, lo: int, hi: int, bound, plen: int) -> int:

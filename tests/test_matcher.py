@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from twigjoin.matcher import (
     Cursor,
     MatchTuple,
     NodeList,
+    ResultLimitError,
     ResultSet,
     as_node_list,
     evaluate,
@@ -23,7 +25,7 @@ from twigjoin.oracle import naive_match
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
-from conftest import build_all, gen_doc, mixed_query, spy_reads
+from conftest import build_all, fan_out_doc, gen_doc, mixed_query, spy_reads
 
 L = parse_label
 
@@ -267,6 +269,10 @@ def test_zero_jp_reads_extents_directly(small_corpus):
     matched = set(pg.eval_single_branch(split(parse("//B")).branches[0]))
     assert set(reads) == matched
     assert met.nodes_read == sum(pg.extent_size(g) for g in matched)
+    # a one-extent answer can be a view of the extent: it must not write back
+    rs, _ = evaluate(pg, "/" + "/".join(pg.nodes[max(matched)].path))
+    with pytest.raises(ValueError, match="read-only"):
+        rs.leaves[0, 0, 0] = 99
 
 
 def test_empty_plan_reads_nothing(small_corpus):
@@ -335,18 +341,59 @@ def test_witnesses_and_jp_labels(small_corpus):
 
 
 def test_result_set_lines():
-    rs = ResultSet(
-        [MatchTuple((L("1.2"), L("1.3.1")), ()), MatchTuple((L("2"),), ())],
-        [],
-    )
-    assert rs.lines() == ["1.2\t1.3.1", "2"]
+    # two answers of two leaves, each label zero-padded to width 3; the
+    # root's empty label prints as an epsilon
+    leaves = np.array([[[1, 2, 0], [1, 3, 1]], [[2, 0, 0], [0, 0, 0]]], dtype=np.int64)
+    rs = ResultSet(leaves, np.zeros((2, 0, 3), np.int64), np.zeros((0, 3), np.int64))
+    assert rs.lines() == ["1.2\t1.3.1", "2\tε"]
+    assert rs.matches == [MatchTuple((L("1.2"), L("1.3.1"))), MatchTuple((L("2"), L("")))]
+
+
+def test_lines_agree_with_labels(small_corpus):
+    # the matrix formatter against str() of the label objects, on deep
+    # multi-digit labels and the root's empty label too
+    rng = random.Random(8)
+    docs = [(xml, pg) for xml, pg, _ in small_corpus[:6]]
+    docs.append((b"<R>" + b"<A/>" * 120 + b"<A><B/><B/></A></R>", None))
+    queries = ["/R", "//A", "/R[./A]", "//A[./B]/B"]
+    for xml, pg in docs:
+        pg = pg or PathGuide.build_from_xml(xml)
+        for q in queries + [mixed_query(rng, pg) for _ in range(15)]:
+            rs, _ = evaluate(pg, q)
+            want = ["\t".join(str(lab) for lab in mt.leaf_labels) for mt in rs.matches]
+            assert rs.lines() == want, q
+
+
+def test_max_results_fails_before_the_fan_out():
+    n = 100  # the kernel runs slowly under tracemalloc
+    pg = PathGuide.build_from_xml(fan_out_doc(n))
+    q = "//B[.//C]//D"
+    rs, _ = evaluate(pg, q)
+    assert len(rs) == n * n
+    needed = rs.leaves.nbytes + rs.jps.nbytes  # the answers alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResultLimitError) as err:
+            evaluate(pg, q, max_results=n * n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.rows, err.value.limit) == (n * n, n * n - 1)
+    assert peak < needed
+    assert evaluate(pg, q, max_results=n * n)[0].lines() == rs.lines()
+    # a zero-JP query is bounded by the extents it would sort
+    with pytest.raises(ResultLimitError):
+        evaluate(pg, "//C", max_results=n - 1)
+    assert len(evaluate(pg, "//C", max_results=n)[0]) == n
 
 
 def test_match_proc_empty_schema(small_corpus):
     xml, pg, doc = small_corpus[0]
     schema = build_dt_schema(pg, split(parse("//Z[./B]/C")))
     assert schema.is_empty
-    assert match_proc(schema, pg) == ([], [])
+    rs = match_proc(schema, pg)
+    assert (len(rs), rs.matches, rs.top_jp_labels, rs.lines()) == (0, [], [], [])
+    assert rs.plan is schema
 
 
 def mt(leaves: tuple[str, ...], jps: tuple[str, ...] = ()) -> MatchTuple:

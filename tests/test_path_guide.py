@@ -178,9 +178,12 @@ def test_step_matcher_edge_cases(xml, expect):
     pg = PathGuide.build_from_xml(xml)
     strings = {n.gid: "".join(n.path) for n in pg.nodes}
     ends = np.arange(len(pg))
+    assert not pg.branch_mask(()).any() and pg.eval_single_branch(()) == []
     for q, want in expect.items():
         steps = steps_of(q)
-        assert pg.eval_single_branch(steps) == want, q
+        mask = pg.branch_mask(steps)
+        assert mask.dtype == bool and mask.shape == (len(pg),)
+        assert np.flatnonzero(mask).tolist() == pg.eval_single_branch(steps) == want, q
         assert want == [g for g, s in strings.items() if steps_to_regex(steps).match(s)]
         assert np.array_equal(pg.match_steps(steps, ends), matrix_oracle(pg, steps, ends)), q
 
