@@ -8,7 +8,8 @@ picks which one evaluators use by default.
 
 A backend's ``multiway_merge`` takes stacked label rows and a prefix
 length, like ``jump_scan``: it ranks the prefixes once in numpy
-(:func:`prefix_ranks`) and runs the compiled merge on the ranks.
+(:func:`prefix_ranks`) and runs the compiled merge on the ranks, which
+returns each run of equal prefixes as row ranges, not the joined tuples.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ node, so no tuple can mix the ends of two records.
 
 A partial match is one row of an int64 entry matrix shared by the whole
 query: per twig leaf its zero-padded label, per table its witness, and
-zeros outside the subtree of the slot that made it.  Every merge input
-row owns a run of entries (an extent row one, itself; a witness those
-beneath it), so a merged tuple fans out into the cross product of its
-runs by index arithmetic; slots fill disjoint columns, so an output
-entry is the sum of one entry per slot plus the witness.  A finished
-table, sorted by witness, is the next table's nested input.
+zeros outside the subtree of the slot that made it.  The kernel merges
+into runs of rows that agree on the level-prefix.  Every input row owns
+a block of entries (an extent row one, itself; a witness those beneath
+it): a run fans out into row tuples, a row tuple into the cross product
+of its rows' blocks, by index arithmetic; slots fill disjoint columns,
+so an entry is the sum of one entry per slot plus the witness.
+A finished table, sorted by witness, is the next table's nested input.
 
 Deduplication is per witness, keyed by the leaf-label assignment.
 Deduplicating across witnesses would be wrong: the same leaf assignment
@@ -26,7 +27,7 @@ The answer stays an int64 matrix (late materialization): a ResultSet
 formats its lines straight from the rows, one string per run of equal
 labels, and builds DeweyLabel/MatchTuple objects only when asked for
 them.  A fan-out that would exceed ``max_results`` rows raises
-ResultLimitError before it is allocated.
+ResultLimitError, counted from the runs before any tuple is built.
 """
 
 from __future__ import annotations
@@ -192,12 +193,12 @@ def _run_merge(
     plen: int,
     use_jump: bool,
     backend: Backend,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Stack the input lists' plen-prefixes and run the merge kernel.
 
-    Returns (local_indices, touched, reads, offsets, comps, jumps);
-    local_indices has one row per output tuple, one column per list,
-    holding positions local to that list.
+    Returns (first, stop, touched, reads, offsets, comps, jumps): per
+    run of equal prefixes and per list, the run's first and
+    one-past-last position local to that list.
     """
     stacked, offsets = _stack([a[:, :plen] for a in arrays], plen)
     touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
@@ -205,8 +206,22 @@ def _run_merge(
     out, count, comps, jumps = backend.multiway_merge(
         stacked, offsets, plen, use_jump, touched, reads
     )
-    local = out[:count] - offsets[:-1][None, :]
-    return local, touched, reads, offsets, int(comps), int(jumps)
+    first, stop = np.hsplit(out[:count] - np.tile(offsets[:-1], 2), 2)
+    return first, stop, touched, reads, offsets, int(comps), int(jumps)
+
+
+def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r in order, every tuple of range(sizes[r, j]) over the
+    columns j, last column fastest: its owner row and its digits."""
+    per = sizes.prod(axis=1)
+    owner = np.repeat(np.arange(len(sizes)), per)
+    rest = np.arange(len(owner)) - np.repeat(np.cumsum(per) - per, per)
+    digits = np.empty((len(owner), sizes.shape[1]), dtype=np.int64)
+    for j in reversed(range(sizes.shape[1])):
+        radix = sizes[owner, j]
+        digits[:, j] = rest % radix
+        rest //= radix
+    return owner, digits
 
 
 def _eligible(rows: np.ndarray, level: int) -> np.ndarray:
@@ -232,11 +247,13 @@ def match_multiway(
     Sorted by first component (in fact lexicographically), no
     duplicates.
     """
+    if not lists:
+        raise ValueError("match_multiway needs at least one list")
     be = get_backend(backend)
     nls = [as_node_list(src) for src in lists]
     keeps = [_eligible(nl.rows, level) for nl in nls]
     arrays = [nl.rows[keep] for nl, keep in zip(nls, keeps)]
-    local, touched, reads, offsets, comps, jumps = _run_merge(arrays, level, use_jump, be)
+    first, stop, touched, reads, offsets, comps, jumps = _run_merge(arrays, level, use_jump, be)
     if metrics is not None:
         metrics.prefix_comparisons += comps
         metrics.jumps += jumps
@@ -247,6 +264,8 @@ def match_multiway(
                 kept_touched = touched[offsets[j] : offsets[j + 1]].astype(bool)
                 mask[keeps[j][kept_touched]] = True
                 metrics.touch_mask(nl.extent.gid, mask, nl.extent.byte_lens)
+    run, digits = _cross(stop - first)
+    local = first[run] + digits
     cols = [_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
     return list(zip(*cols))
 
@@ -366,7 +385,7 @@ def match_proc(
                     c = done[slot.child_table]
                     k = np.isin(c.gids, named)
                     inputs.append(_Input(c.rows[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
-            local, touched, reads, offsets, comps, jumps = _run_merge(
+            first, stop, touched, reads, offsets, comps, jumps = _run_merge(
                 [inp.rows for inp in inputs], level, use_jump, be
             )
             if metrics is not None:
@@ -380,23 +399,26 @@ def match_proc(
                         cuts = np.cumsum([len(e) for e in inp.exts])[:-1]
                         for ext, mask in zip(inp.exts, np.split(flat, cuts)):
                             metrics.touch_mask(ext.gid, mask, ext.byte_lens)
-            # tuple r yields the cross product of its slots' runs, last slot
-            # fastest; entry e is tuple tup[e]'s rest[e]-th, in mixed radix
-            sizes = np.prod([inp.counts[local[:, j]] for j, inp in enumerate(inputs)], axis=0)
-            entries += int(sizes.sum())
+            # a run owns, per slot, the entries of its rows; it yields
+            # their product across slots, counted before any is built
+            owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
+            entries += int(np.prod([o[stop[:, j]] - o[first[:, j]]
+                                    for j, o in enumerate(owned)], axis=0).sum())
             if max_results is not None and entries > max_results:
                 raise ResultLimitError(entries, max_results)
-            tup = np.repeat(np.arange(len(local)), sizes)
-            rest = np.arange(len(tup)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            # runs fan out into row tuples, row tuples into entries
+            run, digits = _cross(stop - first)
+            rows = first[run] + digits
+            tup, digits = _cross(np.stack([inp.counts[rows[:, j]]
+                                           for j, inp in enumerate(inputs)], axis=1))
             out = np.zeros((len(tup), n_cols), dtype=np.int64)
-            for j in reversed(range(len(inputs))):
-                inp, row = inputs[j], local[tup, j]
-                part = inp.block[inp.starts[row] + rest % inp.counts[row]]
+            for j, inp in enumerate(inputs):
+                part = inp.block[inp.starts[rows[tup, j]] + digits[:, j]]
                 out[:, inp.col : inp.col + part.shape[1]] += part
-                rest //= inp.counts[row]
-            out[:, wcol : wcol + level] = inputs[0].rows[local[tup, 0], :level]
+            run = run[tup]
+            out[:, wcol : wcol + level] = inputs[0].rows[first[run, 0], :level]
             blocks.append(out)
-            jps.append(pg.anc[inputs[0].gids[local[:, 0]], level][tup])
+            jps.append(pg.anc[inputs[0].gids[first[:, 0]], level][run])
         block, jp = np.concatenate(blocks), np.concatenate(jps)
         witness = slice(wcol, wcol + levels[-1])
         keep = _first_of_runs(np.hstack([block[:, witness], block[:, : n_leaves * width]]))

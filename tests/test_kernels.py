@@ -11,7 +11,9 @@ from twigjoin.kernels import (
     _numba_backend,
     default_backend_name,
     get_backend,
+    prefix_ranks,
 )
+from twigjoin.matcher import _cross
 
 from frozen_merge import multiway_merge as frozen_merge
 
@@ -44,6 +46,14 @@ def stack(lists: list[np.ndarray]):
     return stacked, offsets
 
 
+def expand(out, count) -> np.ndarray:
+    """The tuples of the kernel's runs, as rows of global positions."""
+    k = out.shape[1] // 2
+    first, stop = out[:count, :k], out[:count, k:]
+    run, digits = _cross(stop - first)
+    return first[run] + digits
+
+
 def run_merge(backend_name, lists, plen, use_jump):
     be = get_backend(backend_name)
     stacked, offsets = stack(lists)
@@ -52,7 +62,7 @@ def run_merge(backend_name, lists, plen, use_jump):
     out, count, comps, jumps = be.multiway_merge(
         stacked, offsets, plen, use_jump, touched, reads
     )
-    return out[:count].copy(), touched, reads, comps, jumps
+    return expand(out, count), touched, reads, comps, jumps
 
 
 def merge_oracle(lists, plen) -> list[tuple[int, ...]]:
@@ -169,13 +179,43 @@ def test_merge_repeats_the_frozen_column_kernel(backend_name, use_jump):
         sizes = [0 if rng.random() < 0.1 else rng.randint(1, 25) for _ in range(k)]
         stacked, offsets = stack([make_list(rng, n, width, plen) for n in sizes])
         results = []
-        for merge in (be.multiway_merge, frozen_merge):
+        for merge, tuples in ((be.multiway_merge, expand),
+                              (frozen_merge, lambda out, count: out[:count])):
             touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
             reads = np.zeros(k, dtype=np.int64)
             out, count, comps, jumps = merge(stacked, offsets, plen, use_jump, touched, reads)
-            results.append((out[:count].tolist(), count, comps, jumps,
+            got = tuples(out, count)
+            results.append((got.tolist(), len(got), comps, jumps,
                             touched.tolist(), reads.tolist()))
         assert results[0] == results[1], (trial, sizes, plen)
+
+
+@both_backends
+@pytest.mark.parametrize("use_jump", [True, False])
+def test_merge_emits_maximal_runs_in_key_order(backend_name, use_jump):
+    be = get_backend(backend_name)
+    rng = random.Random(211 + BACKEND_NAMES.index(backend_name) * 2 + int(use_jump))
+    for trial in range(200):
+        k = rng.randint(1, 4)
+        width = rng.randint(1, 4)
+        plen = rng.randint(0, width)
+        sizes = [0 if rng.random() < 0.1 else rng.randint(1, 25) for _ in range(k)]
+        stacked, offsets = stack([make_list(rng, n, width, plen) for n in sizes])
+        touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
+        reads = np.zeros(k, dtype=np.int64)
+        out, count, _, _ = be.multiway_merge(stacked, offsets, plen, use_jump, touched, reads)
+        keys = prefix_ranks(stacked, plen)
+        first, stop = out[:count, :k], out[:count, k:]
+        assert count <= min(sizes), (trial, sizes)
+        assert (keys[first[1:, 0]] > keys[first[:-1, 0]]).all(), trial
+        for run in range(count):
+            key = keys[first[run, 0]]
+            for j in range(k):
+                lo, hi = first[run, j], stop[run, j]
+                assert offsets[j] <= lo < hi <= offsets[j + 1]
+                assert (keys[lo:hi] == key).all(), (trial, run, j)
+                assert lo == offsets[j] or keys[lo - 1] != key, (trial, run, j)
+                assert hi == offsets[j + 1] or keys[hi] != key, (trial, run, j)
 
 
 def jump_oracle(rows: np.ndarray, lo: int, hi: int, bound, plen: int) -> int:

@@ -14,6 +14,7 @@ from twigjoin.matcher import (
     NodeList,
     ResultLimitError,
     ResultSet,
+    _cross,
     as_node_list,
     evaluate,
     jump,
@@ -87,6 +88,11 @@ def test_node_list_from_extent_keeps_rows():
     assert nl.label_at(1) == L("2")
 
 
+def test_multiway_needs_a_list():
+    with pytest.raises(ValueError, match="at least one list"):
+        match_multiway([], 1)
+
+
 def test_short_labels_do_not_fake_prefixes():
     # ⟨1⟩ has no level-2 prefix; zero padding must not match it
     assert match_multiway([labs("1"), labs("1")], 2) == []
@@ -134,6 +140,20 @@ def test_multiway_against_brute_force(backend_name, use_jump):
         lists = [random_label_list(rng, rng.randint(1, 15)) for _ in range(k)]
         got = match_multiway(lists, level, use_jump=use_jump, backend=backend_name)
         assert got == brute_multiway(lists, level)
+
+
+def test_cross_against_itertools_product():
+    rng = random.Random(5)
+    for k in range(1, 5):
+        for trial in range(40):
+            n = 0 if trial == 0 else rng.randint(1, 6)
+            sizes = np.array([[rng.choice((0, 1, 1, 2, 3)) for _ in range(k)]
+                              for _ in range(n)], dtype=np.int64).reshape(n, k)
+            owner, digits = _cross(sizes)
+            want = [(r, d) for r, row in enumerate(sizes.tolist())
+                    for d in product(*map(range, row))]
+            assert list(zip(owner.tolist(), map(tuple, digits.tolist()))) == want
+            assert digits.shape == (len(want), k)
 
 
 # --------------------------------------------------------------------- jump
@@ -365,7 +385,7 @@ def test_lines_agree_with_labels(small_corpus):
 
 
 def test_max_results_fails_before_the_fan_out():
-    n = 100  # the kernel runs slowly under tracemalloc
+    n = 100
     pg = PathGuide.build_from_xml(fan_out_doc(n))
     q = "//B[.//C]//D"
     rs, _ = evaluate(pg, q)
@@ -380,6 +400,7 @@ def test_max_results_fails_before_the_fan_out():
         tracemalloc.stop()
     assert (err.value.rows, err.value.limit) == (n * n, n * n - 1)
     assert peak < needed
+    assert peak < 8 * n * n  # less than one int64 per would-be answer
     assert evaluate(pg, q, max_results=n * n)[0].lines() == rs.lines()
     # a zero-JP query is bounded by the extents it would sort
     with pytest.raises(ResultLimitError):
