@@ -197,9 +197,9 @@ def synth_multi_branch(pg: PathGuide) -> list[tuple[str, str]]:
         if len(node.children) < 5:
             continue
         kids = sorted(
-            node.children.values(), key=lambda g: (-len(pg.extents[g]), g)
+            node.children.values(), key=lambda g: (-pg.extent_size(g), g)
         )[:5]
-        score = (len(pg.extents[node.gid]), sum(len(pg.extents[g]) for g in kids))
+        score = (pg.extent_size(node.gid), sum(pg.extent_size(g) for g in kids))
         if best is None or score > best[0]:
             best = (score, node, kids)
     if best is None:

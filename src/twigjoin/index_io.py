@@ -47,9 +47,7 @@ class Index:
 
     @classmethod
     def from_guide(cls, pg: PathGuide) -> "Index":
-        node_count = sum(len(ext) for ext in pg.extents)
-        max_depth = max((n.depth for n in pg.nodes), default=0)
-        return cls(pg, node_count, max_depth)
+        return cls(pg, pg.total_nodes(), int(pg.depths.max(initial=0)))
 
 
 def to_bytes(index: Index) -> bytes:
@@ -64,9 +62,7 @@ def to_bytes(index: Index) -> bytes:
         out += struct.pack("<IHH", parent, node.depth, len(tag))
         out += tag
     for ext in pg.extents:
-        blob = bytearray()
-        for row in ext.rows:
-            blob += dewey.encode(dewey.DeweyLabel(tuple(int(c) for c in row)))
+        blob = b"".join(dewey.encode(dewey.DeweyLabel(row)) for row in ext.rows.tolist())
         out += struct.pack("<IQ", len(ext.rows), len(blob))
         out += blob
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
@@ -113,10 +109,12 @@ def from_bytes(data: bytes) -> Index:
     depths: list[int] = []
     for _ in range(n_guide):
         parent, depth, tag_len = r.unpack("<IHH")
-        tag = r.take(tag_len).decode("utf-8")
+        try:
+            tags.append(r.take(tag_len).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"guide node {len(tags)}: tag is not UTF-8: {exc}") from None
         parents.append(-1 if parent == _NO_PARENT else parent)
         depths.append(depth)
-        tags.append(tag)
     extent_rows: list[np.ndarray] = []
     for gid in range(n_guide):
         count, blob_len = r.unpack("<IQ")
@@ -132,19 +130,13 @@ def from_bytes(data: bytes) -> Index:
                 f"extent of guide node {gid}: {len(comps)} components "
                 f"do not form {count} labels of depth {depth}"
             )
-        rows = np.array(comps, dtype=np.int64).reshape(count, depth)
-        extent_rows.append(rows)
+        extent_rows.append(np.array(comps, dtype=np.int64).reshape(count, depth))
     if r.pos != len(r.data):
         raise IndexFormatError(f"{len(r.data) - r.pos} trailing bytes after extents")
     try:
         pg = PathGuide.from_tables(tags, parents, extent_rows)
     except GuideError as exc:
         raise IndexFormatError(f"inconsistent guide tables: {exc}") from None
-    for gid, depth in enumerate(depths):
-        if pg.nodes[gid].depth != depth:
-            raise IndexFormatError(
-                f"guide node {gid}: stored depth {depth} disagrees with parent chain"
-            )
     index = Index.from_guide(pg)
     if (node_count, max_depth) != (index.node_count, index.max_depth):
         stats = f"node_count={node_count}, max_depth={max_depth}"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -132,14 +132,9 @@ def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
     if isinstance(src, ExtentList):
         return NodeList(src.rows, src)
     labels = list(src)
-    for prev, cur in zip(labels, labels[1:]):
-        if not prev < cur:
-            raise ValueError("label list must be strictly sorted")
-    width = max((lab.level for lab in labels), default=0)
-    rows = np.zeros((len(labels), width), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        rows[i, : lab.level] = lab.components
-    return NodeList(rows)
+    if not all(prev < cur for prev, cur in zip(labels, labels[1:])):
+        raise ValueError("label list must be strictly sorted")
+    return NodeList(_stack([np.array([lab.components], np.int64) for lab in labels])[0])
 
 
 @dataclass
@@ -172,10 +167,11 @@ def jump(
     pos, reads = be.jump_scan(rows, cursor.position, len(rows), bound_arr, level, touched)
     if metrics is not None:
         metrics.jumps += 1
-        metrics.count_reads(int(reads))
+        metrics.nodes_read += int(reads)
         ext = cursor.list.extent
         if ext is not None:
-            metrics.touch_mask(ext.gid, touched.astype(bool), ext.byte_lens)
+            local = np.flatnonzero(touched)
+            metrics.credit(ext.first + local, ext.byte_lens[local])
     return Cursor(cursor.list, int(pos))
 
 
@@ -258,12 +254,10 @@ def match_multiway(
         metrics.prefix_comparisons += comps
         metrics.jumps += jumps
         for j, nl in enumerate(nls):
-            metrics.count_reads(int(reads[j]))
+            metrics.nodes_read += int(reads[j])
             if nl.extent is not None:
-                mask = np.zeros(len(nl.rows), dtype=bool)
-                kept_touched = touched[offsets[j] : offsets[j + 1]].astype(bool)
-                mask[keeps[j][kept_touched]] = True
-                metrics.touch_mask(nl.extent.gid, mask, nl.extent.byte_lens)
+                local = keeps[j][touched[offsets[j] : offsets[j + 1]] > 0]
+                metrics.credit(nl.extent.first + local, nl.extent.byte_lens[local])
     run, digits = _cross(stop - first)
     local = first[run] + digits
     cols = [_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
@@ -276,8 +270,8 @@ class _Input:
     block[starts[i] : starts[i] + counts[i]], which land at column col.
 
     gids holds each row's extent (an extent union, which is its own
-    block and keeps its extents and sort order for metering) or its
-    witness's JP guide node (a finished table).
+    block and keeps each row's global row id in ids, for metering) or
+    its witness's JP guide node (a finished table).
     """
 
     rows: np.ndarray
@@ -286,27 +280,23 @@ class _Input:
     starts: np.ndarray
     counts: np.ndarray
     col: int = 0
-    exts: list[ExtentList] | None = None
-    order: np.ndarray | None = None
+    ids: np.ndarray | None = None
 
 
-def _sorted_rows(exts: list[ExtentList]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the extents in label order, and the order that sorts
-    their stack; a lone extent is strictly sorted already."""
-    if len(exts) == 1:
-        return exts[0].rows, np.arange(len(exts[0]))
-    rows, _ = _stack([e.rows for e in exts])
-    order = lexsort(rows)
-    return rows[order], order
-
-
-def _union(pg: PathGuide, gids: Sequence[int], col: int = 0) -> _Input:
-    """The sorted union of the extents of gids; no label sits in two extents."""
-    exts = [pg.read_extent(g) for g in gids]
-    rows, order = _sorted_rows(exts)
-    owner = np.repeat(np.asarray(gids, dtype=np.int64), [len(e) for e in exts])[order]
-    ones = np.ones(len(rows), dtype=np.int64)
-    return _Input(rows, owner, rows, np.arange(len(rows)), ones, col, exts, order)
+def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, ...]:
+    """The sorted union of the extents' rows, gathered from the store by row
+    id, with each row's guide node and row id; no label sits in two extents."""
+    sizes = np.array([len(e) for e in exts], dtype=np.int64)
+    firsts = np.array([e.first for e in exts], dtype=np.int64)
+    ids = np.arange(sizes.sum()) + np.repeat(firsts - np.cumsum(sizes) + sizes, sizes)
+    gids = np.repeat(np.array([e.gid for e in exts], dtype=np.int64), sizes)
+    if len(exts) == 1:  # sorted already: its read-only view of the store will do
+        rows = exts[0].rows
+    else:
+        rows = np.take(pg.rows, ids, axis=0)[:, : max((e.rows.shape[1] for e in exts), default=0)]
+        order = lexsort(rows)
+        rows, gids, ids = np.take(rows, order, axis=0), gids[order], ids[order]
+    return rows, gids, ids
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -364,8 +354,9 @@ def match_proc(
     if schema.is_empty:
         return ResultSet(np.zeros((0, n_leaves, 0), np.int64),
                          np.zeros((0, n_tables, 0), np.int64), np.zeros((0, 0), np.int64), schema)
-    width = max(pg.nodes[e].depth for t in schema.tables for rec in t.records
-                for s, ends in zip(t.slots, rec.ends) if s.kind == "leaf" for e in ends)
+    leaf_ends = [rec.ends[si] for t in schema.tables for si, s in enumerate(t.slots)
+                 if s.kind == "leaf" for rec in t.records]
+    width = int(pg.depths[np.fromiter(chain.from_iterable(leaf_ends), np.int64)].max())
     n_cols = (n_leaves + n_tables) * width
 
     def run_table(ti: int, table: DataTable) -> _Input:
@@ -380,7 +371,9 @@ def match_proc(
             for si, slot in enumerate(table.slots):
                 named = sorted({e for rec in recs for e in rec.ends[si]})
                 if slot.kind == "leaf":
-                    inputs.append(_union(pg, named, slot.leaf_id * width))
+                    rows, gids, ids = _union(pg, [pg.read_extent(g) for g in named])
+                    inputs.append(_Input(rows, gids, rows, np.arange(len(rows)),
+                                         np.ones(len(rows), np.int64), slot.leaf_id * width, ids))
                 else:  # the child table's witnesses under the named JP guide nodes
                     c = done[slot.child_table]
                     k = np.isin(c.gids, named)
@@ -392,13 +385,10 @@ def match_proc(
                 metrics.prefix_comparisons += comps
                 metrics.jumps += jumps
                 for j, inp in enumerate(inputs):
-                    if inp.exts is not None:
-                        metrics.count_reads(int(reads[j]))
-                        flat = np.zeros(len(inp.rows), dtype=bool)
-                        flat[inp.order[touched[offsets[j] : offsets[j + 1]] > 0]] = True
-                        cuts = np.cumsum([len(e) for e in inp.exts])[:-1]
-                        for ext, mask in zip(inp.exts, np.split(flat, cuts)):
-                            metrics.touch_mask(ext.gid, mask, ext.byte_lens)
+                    if inp.ids is not None:
+                        metrics.nodes_read += int(reads[j])
+                        ids = inp.ids[touched[offsets[j] : offsets[j + 1]] > 0]
+                        metrics.credit(ids, pg.byte_lens[ids])
             # a run owns, per slot, the entries of its rows; it yields
             # their product across slots, counted before any is built
             owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
@@ -465,12 +455,11 @@ def evaluate(
             n = sum(len(ext) for ext in exts)
             if max_results is not None and n > max_results:
                 raise ResultLimitError(n, max_results)
-            for ext in exts:
-                metrics.read_full_extent(ext.gid, ext.byte_lens)
-            leaves = _sorted_rows(exts)[0][:, None, :]
-            leaves.flags.writeable = False  # may be a view of the guide's extent
+            rows, _, ids = _union(pg, exts)
+            metrics.nodes_read += n
+            metrics.credit(ids, pg.byte_lens[ids])
             no_tables = np.zeros((n, 0, 0), np.int64)
-            return ResultSet(leaves, no_tables, np.zeros((0, 0), np.int64)), metrics
+            return ResultSet(rows[:, None, :], no_tables, np.zeros((0, 0), np.int64)), metrics
         rs = match_proc(build_dt_schema(pg, d), pg, metrics=metrics, use_jump=use_jump,
                         backend=backend, max_results=max_results)
         return rs, metrics

@@ -8,8 +8,9 @@ the same index produce identical numbers:
   jump's binary search.  A row probed and later revisited counts twice;
   that keeps the counter conservative and reproducible.
 * ``bytes_scanned`` sums the encoded size of each distinct extent row
-  touched.  Rows are deduplicated per extent, so the total can never
-  exceed the extent section of the index.
+  touched.  Bytes are credited once per global row id of the guide's
+  extent store, however many merges or scans touch the row, so the
+  total can never exceed the extent section of the index.
 * ``micros`` is wall-clock time; callers wrap the timed region in
   :meth:`Metrics.timed`.
 * ``prefix_comparisons`` and ``jumps`` are side counters used by the
@@ -33,35 +34,18 @@ class Metrics:
     micros: int = 0
     prefix_comparisons: int = 0
     jumps: int = 0
-    # gid -> bool flags, one per extent row already credited to bytes_scanned
-    _touched: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    # one flag per global row id, set once the row's bytes are credited
+    _touched: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool), repr=False, compare=False
+    )
 
-    def count_reads(self, n: int) -> None:
-        self.nodes_read += int(n)
-
-    def _flags(self, gid: int, n_rows: int) -> np.ndarray:
-        flags = self._touched.get(gid)
-        if flags is None:
-            flags = np.zeros(n_rows, dtype=bool)
-            self._touched[gid] = flags
-        return flags
-
-    def touch_mask(self, gid: int, mask: np.ndarray, byte_lens: np.ndarray) -> None:
-        """Credit bytes for the masked rows of one extent, each row once."""
-        flags = self._flags(gid, len(byte_lens))
-        fresh = np.asarray(mask, dtype=bool) & ~flags
-        if fresh.any():
-            self.bytes_scanned += int(byte_lens[fresh].sum())
-            flags[fresh] = True
-
-    def read_full_extent(self, gid: int, byte_lens: np.ndarray) -> None:
-        """Account for a sequential scan of a whole extent list."""
-        self.nodes_read += len(byte_lens)
-        flags = self._flags(gid, len(byte_lens))
-        fresh = ~flags
-        if fresh.any():
-            self.bytes_scanned += int(byte_lens[fresh].sum())
-            flags[:] = True
+    def credit(self, ids: np.ndarray, byte_lens: np.ndarray) -> None:
+        """Add byte_lens[i] to bytes_scanned for each distinct row id ids[i] not yet credited."""
+        if len(ids) and ids.max() >= len(self._touched):
+            self._touched.resize(2 * int(ids.max()) + 1, refcheck=False)  # zero-filled; no views
+        fresh = ~self._touched[ids]
+        self._touched[ids] = True
+        self.bytes_scanned += int(byte_lens[fresh].sum())
 
     @contextmanager
     def timed(self) -> Iterator["Metrics"]:

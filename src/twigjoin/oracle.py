@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .dewey import DeweyLabel
 from .document import NodeEvent
 from .matcher import MatchTuple
@@ -84,9 +86,9 @@ class MaterializedDoc:
         for gid, node in enumerate(pg.nodes):
             ext = pg.read_extent(gid)
             if metrics is not None:
-                metrics.read_full_extent(gid, ext.byte_lens)
-            for row in ext.rows:
-                items.append((tuple(int(c) for c in row), node.tag))
+                metrics.nodes_read += len(ext)
+                metrics.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
+            items += [(tuple(row), node.tag) for row in ext.rows.tolist()]
         items.sort()
         events = (NodeEvent(DeweyLabel(comps), tag) for comps, tag in items)
         return cls.from_events(events)
@@ -188,10 +190,10 @@ def leaf_scan_match(
             items: list[tuple[tuple[int, ...], int]] = []
             for g in gids:
                 ext = pg.read_extent(g)
-                metrics.read_full_extent(g, ext.byte_lens)
+                metrics.nodes_read += len(ext)
+                metrics.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
                 if steps_match(branch.steps, pg.path_tags(g)):
-                    for row in ext.rows:
-                        items.append((tuple(int(c) for c in row), g))
+                    items += [(tuple(row), g) for row in ext.rows.tolist()]
             items.sort()
             cand.append(items)
 

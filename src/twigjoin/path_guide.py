@@ -1,12 +1,17 @@
-"""Path summary with per-node extent lists.
+"""Path summary over one columnar extent store.
 
 One guide node per distinct root-to-node tag path; the root guide node
-is the document element at depth 0.  Extents hold the Dewey labels of
-all document nodes sharing a path, as a 2-D int64 array with one row
-per label (row width = guide depth), strictly sorted.
+is the document element at depth 0.  A node's extent holds the Dewey
+labels of all document nodes sharing its path.  All extents live in one
+store, built in one pass: rows is an int64 matrix of zero-padded labels,
+gid-major and strictly sorted within each extent, so the extent of g is
+rows start[g] : start[g + 1] and a row's index is its global row id;
+byte_lens[i] is row i's encoded size.  build rejects events out of
+document order; from_tables checks the store it fills (_check_store).
 
-Extent access goes through read_extent, so tests can spy on it to
-assert that guide-only phases touch no extents.
+Extent access goes through read_extent, which returns views of the
+store and the extent's first row id, so tests can spy on it to assert
+that guide-only phases touch no extents.
 
 A finished guide also holds int32 arrays derived from the node table
 (never serialized): per node its depth and tag id, the ancestor matrix
@@ -19,6 +24,7 @@ phase walks guide nodes in Python.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,6 +32,7 @@ import numpy as np
 
 from .dewey import _CLASS_BASE, _CLASS_CAP, DeweyLabel
 from .document import NodeEvent, ingest
+from .kernels import lexsort
 from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
@@ -38,7 +45,7 @@ _LEN_BINS = np.array(
 
 
 class GuideError(ValueError):
-    """Structural problem in the event stream (orphan, second root)."""
+    """Structural problem in the events or tables (orphan, unsorted extent)."""
 
 
 @dataclass
@@ -48,58 +55,64 @@ class GuideNode:
     parent: int  # -1 for the root
     depth: int  # Dewey level of the labels in this node's extent
     path: tuple[str, ...]  # tags from the document element down to here
-    ancestors: tuple[int, ...]  # gids root..self inclusive; len = depth+1
     children: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class ExtentList:
+    """One guide node's extent as views of the store."""
+
     gid: int
     rows: np.ndarray  # (n, depth) int64, strictly sorted rows
     byte_lens: np.ndarray  # (n,) int64, encoded size per label
+    first: int  # global row id of rows[0]
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def labels(self) -> list[DeweyLabel]:
-        return [DeweyLabel(tuple(int(c) for c in row)) for row in self.rows]
-
 
 def _component_byte_lens(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[1] == 0:
-        return np.zeros(len(rows), dtype=np.int64)
-    return (1 + np.digitize(rows, _LEN_BINS)).sum(axis=1).astype(np.int64)
+    """Each row's encoded size; zero padding takes no bytes."""
+    lens = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:  # a column at a time keeps the temporaries small
+        lens += (1 + np.digitize(col, _LEN_BINS)) * (col > 0)
+    return lens
 
 
 class PathGuide:
     def __init__(self) -> None:
         self.nodes: list[GuideNode] = []
-        self.extents: list[ExtentList] = []
         self.by_tag: dict[str, list[int]] = {}
         # derived by _derive_arrays once the node table is complete
         self.tag_id: dict[str, int] = {}
         self.tags = self.depths = np.empty(0, dtype=np.int32)
         self.anc = np.empty((0, 1), dtype=np.int32)
         self.tag_paths = np.empty((1, 0), dtype=np.int32)
+        # the extent store, set by _set_store
+        self.rows = np.zeros((0, 0), dtype=np.int64)
+        self.start = np.zeros(1, dtype=np.int64)
+        self.byte_lens = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------ construction
 
     @classmethod
     def build(cls, events: Iterable[NodeEvent]) -> "PathGuide":
         pg = cls()
-        buffers: list[list[tuple[int, ...]]] = []
-        stack: list[tuple[DeweyLabel, int]] = []  # (label, gid) per open level
+        # per guide node, in gid order, its labels in document order
+        buffers: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+        stack: list[tuple[DeweyLabel, int]] = []  # (label, gid), the last seen per depth
 
         for ev in events:
             depth = ev.label.level
             if depth > len(stack):
                 raise GuideError(f"orphan event at {ev.label}: no parent on stack")
+            if 0 < depth < len(stack) and stack[depth][0].components >= ev.label.components:
+                raise GuideError(f"event at {ev.label} is not sorted after {stack[depth][0]}")
             del stack[depth:]
             if depth == 0:
                 if pg.nodes:
                     raise GuideError("second root element in event stream")
                 gid = pg._add_node(ev.tag, _VIRTUAL)
-                buffers.append([])
             else:
                 parent_label, parent_gid = stack[-1]
                 if ev.label.prefix(depth - 1) != parent_label:
@@ -108,18 +121,13 @@ class PathGuide:
                 gid = parent.children.get(ev.tag, _VIRTUAL)
                 if gid == _VIRTUAL:
                     gid = pg._add_node(ev.tag, parent_gid)
-                    buffers.append([])
             buffers[gid].append(ev.label.components)
             stack.append((ev.label, gid))
 
         if not pg.nodes:
             raise GuideError("empty event stream")
-        for gid, buf in enumerate(buffers):
-            depth = pg.nodes[gid].depth
-            rows = np.array(buf, dtype=np.int64).reshape(len(buf), depth)
-            pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
-        pg._check_sorted()
         pg._derive_arrays()
+        pg._set_store(list(buffers.values()))
         return pg
 
     @classmethod
@@ -139,14 +147,22 @@ class PathGuide:
             if not _VIRTUAL <= parent < gid:
                 raise GuideError(f"guide node {gid}: parent {parent} is not an earlier node")
             pg._add_node(tag, parent)
-        for gid, rows in enumerate(extent_rows):
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.shape[1] != pg.nodes[gid].depth:
-                raise GuideError(f"extent width mismatch for guide node {gid}")
-            pg.extents.append(ExtentList(gid, rows, _component_byte_lens(rows)))
-        pg._check_sorted()
         pg._derive_arrays()
+        bad = np.flatnonzero([np.shape(rows)[1] for rows in extent_rows] != pg.depths)
+        if len(bad):
+            raise GuideError(f"extent width mismatch for guide node {bad[0]}")
+        pg._set_store(extent_rows)
+        pg._check_store()
         return pg
+
+    def _set_store(self, extents: Sequence) -> None:
+        """Fill the store from each node's labels (rows or tuples), in gid order."""
+        self.start = np.cumsum([0] + [len(e) for e in extents], dtype=np.int64)
+        self.rows = np.zeros((self.start[-1], self.depths.max(initial=0)), dtype=np.int64)
+        for g, labels in enumerate(extents):
+            self.rows[self.start[g] : self.start[g + 1], : self.depths[g]] = labels
+        self.byte_lens = _component_byte_lens(self.rows)
+        self.rows.flags.writeable = self.byte_lens.flags.writeable = False
 
     def _derive_arrays(self) -> None:
         """Fill tag_id, tags, depths, anc and tag_paths from the nodes.
@@ -166,45 +182,52 @@ class PathGuide:
             self.anc[at, d] = at
         self.tag_paths = np.where(self.anc >= 0, self.tags[self.anc], -1).T.copy()
 
-    def _check_sorted(self) -> None:
-        """Raise GuideError unless every extent is strictly sorted.
+    def _check_store(self) -> None:
+        """Raise GuideError unless every extent is strictly sorted, no label
+        sits in two extents, and every label's parent prefix is a label in
+        the parent node's extent.
 
-        Vectorized per depth, one column at a time: each row must exceed
-        the row before it in its extent.
+        One stable lexsort puts the labels in document order: regrouped by
+        guide node it must give back the store order, with no two equal
+        neighbours.  A label's parent is then the last label one level up
+        before it, which must be its prefix and lie in the parent's extent.
         """
-        by_depth: dict[int, list[ExtentList]] = {}
-        for ext in self.extents:
-            by_depth.setdefault(ext.rows.shape[1], []).append(ext)
-        for exts in by_depth.values():
-            rows = np.concatenate([e.rows for e in exts])
-            gids = np.repeat([e.gid for e in exts], [len(e) for e in exts])
-            ahead = np.zeros(max(len(rows) - 1, 0), dtype=bool)  # decided: greater
-            tied = ~ahead  # equal so far
-            for col in rows.T:
-                ahead |= tied & (col[1:] > col[:-1])
-                tied &= col[1:] == col[:-1]
-            bad = np.flatnonzero(~ahead & (gids[1:] == gids[:-1]))
-            if len(bad):
-                raise GuideError(f"extent of guide node {gids[bad[0]]} is not sorted")
+        owner = np.repeat(np.arange(len(self.nodes)), np.diff(self.start))
+        order = lexsort(self.rows)
+        moved = order[np.argsort(owner[order], kind="stable")] != np.arange(len(order))
+        twin = np.ones(max(len(order) - 1, 0), dtype=bool)
+        for col in self.rows.T:
+            twin &= col[order[1:]] == col[order[:-1]]
+        bad = np.concatenate([np.flatnonzero(moved), order[np.flatnonzero(twin)]])
+        if len(bad):
+            raise GuideError(f"guide node {owner[bad[0]]} is not sorted or shares a label")
+        depth = self.depths[owner[order]]
+        kid, up, at = np.flatnonzero(depth > 0), np.full(len(order), -1), np.arange(len(order))
+        for d in range(1, self.rows.shape[1] + 1):  # the last position one level up so far
+            up[depth == d] = np.maximum.accumulate(np.where(depth == d - 1, at, -1))[depth == d]
+        kid, up = order[kid], np.where(up[kid] >= 0, order[up[kid]], -1)
+        last = self.depths[owner[kid]] - 1
+        ok = (up >= 0) & (owner[up] == self.anc[owner[kid], last])
+        for j, col in enumerate(self.rows.T):
+            ok &= col[up] == np.where(last == j, 0, col[kid])
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            gid = owner[kid[bad[0]]]
+            label = DeweyLabel(self.rows[kid[bad[0]], : self.depths[gid]].tolist())
+            raise GuideError(f"label {label} of guide node {gid} has no parent label "
+                             f"in guide node {self.nodes[gid].parent}")
 
     def _add_node(self, tag: str, parent: int) -> int:
         gid = len(self.nodes)
         if parent == _VIRTUAL:
             if gid != 0:
                 raise GuideError("second root element in event stream")
-            node = GuideNode(gid, tag, _VIRTUAL, 0, (tag,), (gid,))
+            node = GuideNode(gid, tag, _VIRTUAL, 0, (tag,))
         else:
             pnode = self.nodes[parent]
             if tag in pnode.children:
                 raise GuideError(f"duplicate child tag {tag!r} under guide node {parent}")
-            node = GuideNode(
-                gid,
-                tag,
-                parent,
-                pnode.depth + 1,
-                pnode.path + (tag,),
-                pnode.ancestors + (gid,),
-            )
+            node = GuideNode(gid, tag, parent, pnode.depth + 1, pnode.path + (tag,))
             pnode.children[tag] = gid
         self.nodes.append(node)
         self.by_tag.setdefault(tag, []).append(gid)
@@ -219,29 +242,37 @@ class PathGuide:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _extent(self, gid: int) -> ExtentList:
+        first, stop = self.start.item(gid), self.start.item(gid + 1)
+        rows = self.rows[first:stop, : self.depths.item(gid)]
+        return ExtentList(gid, rows, self.byte_lens[first:stop], first)
+
     def read_extent(self, gid: int) -> ExtentList:
         """The only sanctioned way for query evaluation to reach extent data."""
-        return self.extents[gid]
+        return self._extent(gid)
+
+    @property
+    def extents(self) -> list[ExtentList]:
+        """Every extent, in gid order, as views of the store."""
+        return [self._extent(g) for g in range(len(self.nodes))]
 
     def extent_size(self, gid: int) -> int:
-        return len(self.extents[gid].rows)
+        return int(self.start[gid + 1] - self.start[gid])
 
     def path_tags(self, gid: int) -> tuple[str, ...]:
         return self.nodes[gid].path
 
     def ancestor_at_depth(self, gid: int, depth: int) -> int:
-        return self.nodes[gid].ancestors[depth]
+        return int(self.anc[gid, depth])
 
     def is_ancestor_or_self(self, a: int, b: int) -> bool:
-        anc = self.nodes[b].ancestors
-        da = self.nodes[a].depth
-        return da < len(anc) and anc[da] == a
+        return bool(self.anc[b, self.depths[a]] == a)
 
     def total_extent_bytes(self) -> int:
-        return sum(int(e.byte_lens.sum()) for e in self.extents)
+        return int(self.byte_lens.sum())
 
     def total_nodes(self) -> int:
-        return sum(len(e.rows) for e in self.extents)
+        return len(self.rows)
 
     # -------------------------------------------------------- evaluation
 

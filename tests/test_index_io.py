@@ -1,6 +1,7 @@
 import random
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from twigjoin.index_io import (
 from twigjoin.cli import main
 from twigjoin.dt import build_dt_schema
 from twigjoin.matcher import evaluate
-from twigjoin.path_guide import ExtentList, PathGuide, _component_byte_lens
+from twigjoin.path_guide import PathGuide
 
 from twigjoin.twig import parse, split
 
@@ -187,6 +188,21 @@ def test_parent_that_is_not_earlier_is_rejected(tmp_path, parent):
     assert main(["query", str(path), "//A"]) == 2
 
 
+def test_non_utf8_tag_is_rejected(tmp_path):
+    p = bytearray()
+    p += MAGIC
+    p += struct.pack("<IQI", FORMAT_VERSION, 1, 0)
+    p += struct.pack("<I", 1)
+    p += struct.pack("<IHH", 0xFFFFFFFF, 0, 1) + b"\xff"
+    p += struct.pack("<IQ", 1, 0)
+    data = reseal(bytes(p))
+    with pytest.raises(IndexFormatError, match="guide node 0: tag is not UTF-8"):
+        from_bytes(data)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    assert main(["query", str(path), "//A"]) == 2
+
+
 def test_bad_extent_encoding_detected():
     # valid framing and checksum, garbage varint inside an extent blob
     p = bytearray()
@@ -203,11 +219,26 @@ def test_bad_extent_encoding_detected():
 
 def _resealed_with_rows(pg: PathGuide, gid: int, rows: np.ndarray) -> bytes:
     """A CRC-valid index of pg whose extent gid holds rows instead."""
-    bad = PathGuide.from_tables(
-        [n.tag for n in pg.nodes], [n.parent for n in pg.nodes], [e.rows for e in pg.extents]
-    )
-    bad.extents[gid] = ExtentList(gid, rows, _component_byte_lens(rows))
+    tables = [e.rows for e in pg.extents]
+    tables[gid] = rows
+    with mock.patch.object(PathGuide, "_check_store"):
+        bad = PathGuide.from_tables([n.tag for n in pg.nodes], [n.parent for n in pg.nodes],
+                                    tables)
     return to_bytes(Index.from_guide(bad))
+
+
+def _load_error(pg: PathGuide, gid: int, rows: np.ndarray) -> str | None:
+    """Reference for the load checks of a sorted store: with extent gid
+    holding rows, no label may sit in two extents, and every label minus
+    its last component must be a label of the parent's extent."""
+    tables = [[tuple(r) for r in e.rows.tolist()] for e in pg.extents]
+    tables[gid] = [tuple(r) for r in rows.tolist()]
+    if len({lab for t in tables for lab in t}) < sum(map(len, tables)):
+        return "shares a label"
+    for node in pg.nodes[1:]:
+        if any(label[:-1] not in set(tables[node.parent]) for label in tables[node.gid]):
+            return "has no parent label"
+    return None
 
 
 def test_unsorted_extent_is_rejected(tmp_path):
@@ -221,6 +252,49 @@ def test_unsorted_extent_is_rejected(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     assert main(["query", str(path), "//A[./B]/C"]) == 2
+
+
+def test_label_outside_its_parent_extent_is_rejected(tmp_path):
+    # with R/A/C rewritten to [1.2, 3.2], //A/C would answer 3.2 on dt
+    # and leafscan alike if loaded, though no A has the label 3
+    pg = PathGuide.build_from_xml(b"<R><A><B/><C/></A><A><B/><C/></A></R>")
+    gid = pg.nodes[1].children["C"]
+    data = _resealed_with_rows(pg, gid, np.array([[1, 2], [3, 2]]))
+    with pytest.raises(IndexFormatError,
+                       match=f"label 3.2 of guide node {gid} has no parent label in guide node 1"):
+        from_bytes(data)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    assert main(["query", str(path), "//A/C"]) == 2
+
+
+def test_component_edits_load_only_while_labels_stay_nested(tmp_path):
+    # edits that keep the extent sorted pass the sort check, so only
+    # the containment check stands between them and a wrong answer
+    pg = PathGuide.build_from_xml(gen_doc(seed=43, target=600))
+    rng = random.Random(37)
+    path = tmp_path / "bad.idx"
+    loaded = rejected = 0
+    while min(loaded, rejected) < 15:
+        gid = rng.randrange(1, len(pg))
+        rows = pg.extents[gid].rows.copy()
+        i, c = rng.randrange(len(rows)), rng.randrange(rows.shape[1])
+        rows[i, c] = rng.randint(1, int(rows[:, c].max()) + 2)
+        labels = [tuple(r) for r in rows.tolist()]
+        if labels != sorted(set(labels)):
+            continue
+        data = _resealed_with_rows(pg, gid, rows)
+        error = _load_error(pg, gid, rows)
+        if error is None:
+            loaded += 1
+            assert to_bytes(from_bytes(data)) == data
+        else:
+            rejected += error == "has no parent label"
+            with pytest.raises(IndexFormatError, match=error):
+                from_bytes(data)
+            if rejected <= 2:
+                path.write_bytes(data)
+                assert main(["query", str(path), "//*/*", "--count"]) == 2
 
 
 def test_permuted_or_duplicated_rows_are_rejected(tmp_path):

@@ -207,6 +207,53 @@ def test_jump_meters_extent_bytes():
     assert met.bytes_scanned <= int(ext.byte_lens.sum())
 
 
+def test_credit_counts_each_row_once():
+    met = Metrics()
+    met.credit(np.array([3, 0]), np.array([5, 7]))
+    met.credit(np.array([3, 9]), np.array([5, 2]))
+    assert met.bytes_scanned == 14
+    assert met.nodes_read == 0
+
+
+def test_row_touched_by_two_merges_credits_its_bytes_once():
+    # the inner table merges B with C under each A, the outer one
+    # merges those witnesses with B again: every B row is read by both
+    pg = PathGuide.build_from_xml(b"<R><A><B/><B/><C/></A><A><B/><C/></A></R>")
+    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
+    rs, met = evaluate(pg, "//R[./A[./B]/C]//B")
+    assert len(rs.plan.tables) == 2
+    assert met.nodes_read == 2 * len(b) + len(c)
+    assert met.bytes_scanned == int(b.byte_lens.sum() + c.byte_lens.sum())
+
+
+def test_full_scan_credits_exactly_the_extent(small_corpus):
+    for _, pg, _ in small_corpus[:4]:
+        for node in pg.nodes[1:]:
+            ext = pg.read_extent(node.gid)
+            _, met = evaluate(pg, "/" + "/".join(node.path))
+            assert met.nodes_read == len(ext)
+            assert met.bytes_scanned == int(ext.byte_lens.sum())
+
+
+def test_jump_and_multiway_credit_only_their_extents():
+    # after the merge, a full credit of the same extents must add just
+    # the rows the merge left: a row credited elsewhere would show
+    pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/><C/><B/></A>" * 12 + b"</R>")
+    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
+    assert min(b.first, c.first) > 0
+    met = Metrics()
+    jump(Cursor(as_node_list(b)), 1, (7,), metrics=met)
+    assert 0 < met.bytes_scanned < int(b.byte_lens.sum())
+    met.credit(np.arange(b.first, b.first + len(b)), b.byte_lens)
+    assert met.bytes_scanned == int(b.byte_lens.sum())
+    met = Metrics()
+    match_multiway([c, b], 1, metrics=met)
+    assert 0 < met.bytes_scanned
+    for ext in (b, c):
+        met.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
+    assert met.bytes_scanned == int(b.byte_lens.sum() + c.byte_lens.sum())
+
+
 # ----------------------------------------------------- full-pipeline checks
 
 

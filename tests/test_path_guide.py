@@ -73,12 +73,20 @@ def test_tree_invariants(guides):
         )
 
 
+def parent_chain(pg: PathGuide, gid: int) -> list[int]:
+    """The gids from the root down to gid, by walking parent links."""
+    chain = [gid]
+    while pg.nodes[chain[0]].parent >= 0:
+        chain.insert(0, pg.nodes[chain[0]].parent)
+    return chain
+
+
 def test_ancestor_helpers(guides):
     _, pg = guides[0]
     for node in pg.nodes:
-        assert len(node.ancestors) == node.depth + 1
-        assert node.ancestors[-1] == node.gid
-        for d, a in enumerate(node.ancestors):
+        chain = parent_chain(pg, node.gid)
+        assert len(chain) == node.depth + 1
+        for d, a in enumerate(chain):
             assert pg.ancestor_at_depth(node.gid, d) == a
             assert pg.is_ancestor_or_self(a, node.gid)
         if node.gid:
@@ -145,7 +153,7 @@ def test_derived_arrays_agree_with_nodes(guides):
             pad = [-1] * (width - n.depth - 1)
             assert pg.depths[n.gid] == n.depth
             assert names[pg.tags[n.gid]] == n.tag
-            assert pg.anc[n.gid].tolist() == list(n.ancestors) + pad
+            assert pg.anc[n.gid].tolist() == parent_chain(pg, n.gid) + pad
             tag_path = pg.tag_paths[:, n.gid].tolist()
             assert [names[t] for t in tag_path[: n.depth + 1]] == list(n.path)
             assert tag_path[n.depth + 1 :] == pad
@@ -233,7 +241,7 @@ def test_byte_lens_agree_with_label_codec():
 def test_byte_lens_on_built_guide(guides):
     for _, pg in guides:
         for ext in pg.extents:
-            want = [encoded_len(lbl) for lbl in ext.labels()]
+            want = [encoded_len(DeweyLabel(row)) for row in ext.rows.tolist()]
             assert ext.byte_lens.tolist() == want
 
 
@@ -269,6 +277,22 @@ def test_build_rejects_unsorted_extent():
     bad = [ev("", "A"), ev("2", "B"), ev("1", "B")]
     with pytest.raises(GuideError, match="not sorted"):
         PathGuide.build(bad)
+
+
+def test_build_accepts_document_order_only(guides):
+    # any two events swapped break document order; some swaps leave
+    # every extent sorted, and build must still reject them
+    xml, _ = guides[0]
+    events = list(ingest(xml))
+    PathGuide.build(events)
+    rng = random.Random(9)
+    for _ in range(60):
+        i, j = sorted(rng.sample(range(1, len(events)), 2))
+        swapped = events[:i] + [events[j]] + events[i + 1 : j] + [events[i]] + events[j + 1 :]
+        with pytest.raises(GuideError):
+            PathGuide.build(swapped)
+    with pytest.raises(GuideError, match="not sorted after 2"):
+        PathGuide.build([ev("", "A"), ev("2", "B"), ev("1", "C")])
 
 
 def test_from_tables_round_trip(guides):
@@ -311,15 +335,17 @@ def test_from_tables_rejects_unsorted_or_duplicate_rows(rows):
 
 
 def test_sorted_check_agrees_with_tuple_order():
-    # reference: Python tuple comparison, one extent at a time; extents
-    # of one depth sit next to each other in the vectorized check
+    # reference: Python tuple comparison, one extent at a time, for
+    # sortedness; Python sets for labels shared by two extents and for
+    # nesting (every C label, under B0, must extend a B0 label).  The
+    # vectorized checks see the whole store at once.
     rng = random.Random(5)
 
     def extent(depth: int) -> list[tuple[int, ...]]:
         rows = [tuple(rng.randint(1, 3) for _ in range(depth)) for _ in range(rng.randint(1, 5))]
         return sorted(set(rows)) if rng.random() < 0.7 else rows
 
-    rejected = 0
+    rejected = loaded = 0
     for _ in range(300):
         n_b, n_c = rng.randint(1, 4), rng.randint(0, 3)
         tags = ["A"] + [f"B{i}" for i in range(n_b)] + [f"C{i}" for i in range(n_c)]
@@ -327,10 +353,20 @@ def test_sorted_check_agrees_with_tuple_order():
         exts = [[()] * (1 if rng.random() < 0.9 else 2)]
         exts += [extent(1) for _ in range(n_b)] + [extent(2) for _ in range(n_c)]
         tables = [np.array(e, dtype=np.int64).reshape(len(e), len(e[0])) for e in exts]
-        if all(a < b for e in exts for a, b in zip(e, e[1:])):
-            PathGuide.from_tables(tags, parents, tables)
-        else:
+        nested = all(c[:1] in exts[1] for e in exts[1 + n_b :] for c in e)
+        shared = len({lab for e in exts for lab in e}) < sum(map(len, exts))
+        if not all(a < b for e in exts for a, b in zip(e, e[1:])):
             rejected += 1
             with pytest.raises(GuideError, match="not sorted"):
                 PathGuide.from_tables(tags, parents, tables)
+        elif shared:
+            with pytest.raises(GuideError, match="shares a label"):
+                PathGuide.from_tables(tags, parents, tables)
+        elif nested:
+            loaded += 1
+            PathGuide.from_tables(tags, parents, tables)
+        else:
+            with pytest.raises(GuideError, match="has no parent label in guide node 1"):
+                PathGuide.from_tables(tags, parents, tables)
     assert 50 <= rejected <= 250
+    assert 20 <= loaded <= 250
