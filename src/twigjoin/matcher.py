@@ -293,7 +293,7 @@ def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, ...]:
     if len(exts) == 1:  # sorted already: its read-only view of the store will do
         rows = exts[0].rows
     else:
-        rows = np.take(pg.rows, ids, axis=0)[:, : max((e.rows.shape[1] for e in exts), default=0)]
+        rows = np.take(pg.rows, ids, axis=0)[:, : pg.depths[[e.gid for e in exts]].max(initial=0)]
         order = lexsort(rows)
         rows, gids, ids = np.take(rows, order, axis=0), gids[order], ids[order]
     return rows, gids, ids

@@ -7,11 +7,14 @@ store, built in one pass: rows is an int64 matrix of zero-padded labels,
 gid-major and strictly sorted within each extent, so the extent of g is
 rows start[g] : start[g + 1] and a row's index is its global row id;
 byte_lens[i] is row i's encoded size.  build rejects events out of
-document order; from_tables checks the store it fills (_check_store).
+document order.  A guide loaded from tables or from an index file starts
+from its node table (from_node_table) and takes a filled store through
+adopt_store, which checks it (_check_store).
 
-Extent access goes through read_extent, which returns views of the
-store and the extent's first row id, so tests can spy on it to assert
-that guide-only phases touch no extents.
+Extent access goes through read_extent, which returns the extent's
+guide node, first row id and length, with views of the store made only
+when read, so tests can spy on it to assert that guide-only phases
+touch no extents.
 
 A finished guide also holds int32 arrays derived from the node table
 (never serialized): per node its depth and tag id, the ancestor matrix
@@ -48,7 +51,7 @@ class GuideError(ValueError):
     """Structural problem in the events or tables (orphan, unsorted extent)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class GuideNode:
     gid: int
     tag: str
@@ -58,17 +61,31 @@ class GuideNode:
     children: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
 class ExtentList:
-    """One guide node's extent as views of the store."""
+    """One guide node's extent in the store.  Its rows and byte_lens are
+    views made when read: the zero-JP union needs only len, first and
+    gid."""
 
-    gid: int
-    rows: np.ndarray  # (n, depth) int64, strictly sorted rows
-    byte_lens: np.ndarray  # (n,) int64, encoded size per label
-    first: int  # global row id of rows[0]
+    __slots__ = ("_pg", "gid", "first", "stop")
+
+    def __init__(self, pg: "PathGuide", gid: int, first: int, stop: int) -> None:
+        self._pg = pg
+        self.gid = gid
+        self.first = first  # global row id of rows[0]
+        self.stop = stop
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.stop - self.first
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(n, depth) int64, strictly sorted rows."""
+        return self._pg.rows[self.first : self.stop, : self._pg.depths.item(self.gid)]
+
+    @property
+    def byte_lens(self) -> np.ndarray:
+        """(n,) int64, encoded size per label."""
+        return self._pg.byte_lens[self.first : self.stop]
 
 
 def _component_byte_lens(rows: np.ndarray) -> np.ndarray:
@@ -77,6 +94,15 @@ def _component_byte_lens(rows: np.ndarray) -> np.ndarray:
     for col in rows.T:  # a column at a time keeps the temporaries small
         lens += (1 + np.digitize(col, _LEN_BINS)) * (col > 0)
     return lens
+
+
+def _pack(extents: Sequence, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A store filled from each node's labels (rows or tuples), in gid order."""
+    start = np.cumsum([0] + [len(e) for e in extents], dtype=np.int64)
+    rows = np.zeros((start[-1], depths.max(initial=0)), dtype=np.int64)
+    for g, labels in enumerate(extents):
+        rows[start[g] : start[g + 1], : depths[g]] = labels
+    return rows, start
 
 
 class PathGuide:
@@ -127,7 +153,7 @@ class PathGuide:
         if not pg.nodes:
             raise GuideError("empty event stream")
         pg._derive_arrays()
-        pg._set_store(list(buffers.values()))
+        pg._set_store(*_pack(list(buffers.values()), pg.depths))
         return pg
 
     @classmethod
@@ -141,27 +167,36 @@ class PathGuide:
         parents: Sequence[int],
         extent_rows: Sequence[np.ndarray],
     ) -> "PathGuide":
-        """Rebuild from flat tables (index deserialization), checking them."""
+        """Rebuild from flat tables, checking them."""
+        pg = cls.from_node_table(tags, parents)
+        bad = np.flatnonzero([np.shape(rows)[1] for rows in extent_rows] != pg.depths)
+        if len(bad):
+            raise GuideError(f"extent width mismatch for guide node {bad[0]}")
+        pg.adopt_store(*_pack(extent_rows, pg.depths))
+        return pg
+
+    @classmethod
+    def from_node_table(cls, tags: Sequence[str], parents: Sequence[int]) -> "PathGuide":
+        """A guide with these nodes and no store yet; each parent must be
+        an earlier node (-1 for the root)."""
         pg = cls()
         for gid, (tag, parent) in enumerate(zip(tags, parents)):
             if not _VIRTUAL <= parent < gid:
                 raise GuideError(f"guide node {gid}: parent {parent} is not an earlier node")
             pg._add_node(tag, parent)
         pg._derive_arrays()
-        bad = np.flatnonzero([np.shape(rows)[1] for rows in extent_rows] != pg.depths)
-        if len(bad):
-            raise GuideError(f"extent width mismatch for guide node {bad[0]}")
-        pg._set_store(extent_rows)
-        pg._check_store()
         return pg
 
-    def _set_store(self, extents: Sequence) -> None:
-        """Fill the store from each node's labels (rows or tuples), in gid order."""
-        self.start = np.cumsum([0] + [len(e) for e in extents], dtype=np.int64)
-        self.rows = np.zeros((self.start[-1], self.depths.max(initial=0)), dtype=np.int64)
-        for g, labels in enumerate(extents):
-            self.rows[self.start[g] : self.start[g + 1], : self.depths[g]] = labels
-        self.byte_lens = _component_byte_lens(self.rows)
+    def adopt_store(self, rows: np.ndarray, start: np.ndarray) -> None:
+        """Take a store filled outside build (from tables or an index file)
+        and check it."""
+        self._set_store(rows, start)
+        self._check_store()
+
+    def _set_store(self, rows: np.ndarray, start: np.ndarray) -> None:
+        """Take rows, zero-padded and gid-major, and the extent offsets."""
+        self.rows, self.start = rows, start
+        self.byte_lens = _component_byte_lens(rows)
         self.rows.flags.writeable = self.byte_lens.flags.writeable = False
 
     def _derive_arrays(self) -> None:
@@ -187,33 +222,43 @@ class PathGuide:
         sits in two extents, and every label's parent prefix is a label in
         the parent node's extent.
 
-        One stable lexsort puts the labels in document order: regrouped by
-        guide node it must give back the store order, with no two equal
+        One stable lexsort puts the labels in document order: within each
+        guide node it must keep the store order, with no two equal
         neighbours.  A label's parent is then the last label one level up
         before it, which must be its prefix and lie in the parent's extent.
+        The checks run on one level at a time, so their temporaries stay
+        at a few arrays of one level's labels.
         """
-        owner = np.repeat(np.arange(len(self.nodes)), np.diff(self.start))
+        n = len(self.rows)
+        owner = np.repeat(np.arange(len(self.nodes), dtype=np.int32), np.diff(self.start))
         order = lexsort(self.rows)
-        moved = order[np.argsort(owner[order], kind="stable")] != np.arange(len(order))
-        twin = np.ones(max(len(order) - 1, 0), dtype=bool)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        moved = np.flatnonzero((rank[1:] < rank[:-1]) & (owner[1:] == owner[:-1]))
+        del rank
+        twin = np.ones(max(n - 1, 0), dtype=bool)
         for col in self.rows.T:
             twin &= col[order[1:]] == col[order[:-1]]
-        bad = np.concatenate([np.flatnonzero(moved), order[np.flatnonzero(twin)]])
+        bad = np.concatenate([moved, order[np.flatnonzero(twin)]])
         if len(bad):
             raise GuideError(f"guide node {owner[bad[0]]} is not sorted or shares a label")
-        depth = self.depths[owner[order]]
-        kid, up, at = np.flatnonzero(depth > 0), np.full(len(order), -1), np.arange(len(order))
-        for d in range(1, self.rows.shape[1] + 1):  # the last position one level up so far
-            up[depth == d] = np.maximum.accumulate(np.where(depth == d - 1, at, -1))[depth == d]
-        kid, up = order[kid], np.where(up[kid] >= 0, order[up[kid]], -1)
-        last = self.depths[owner[kid]] - 1
-        ok = (up >= 0) & (owner[up] == self.anc[owner[kid], last])
-        for j, col in enumerate(self.rows.T):
-            ok &= col[up] == np.where(last == j, 0, col[kid])
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            gid = owner[kid[bad[0]]]
-            label = DeweyLabel(self.rows[kid[bad[0]], : self.depths[gid]].tolist())
+        depth = self.depths[owner][order]
+        first_bad = n  # in document order
+        for d in range(1, self.rows.shape[1] + 1):
+            here = np.flatnonzero(depth == d)
+            above = np.flatnonzero(depth == d - 1)
+            at = np.searchsorted(above, here) - 1  # the last position one level up
+            kid = order[here]
+            up = order[above[np.maximum(at, 0)]] if len(above) else kid
+            ok = (at >= 0) & (owner[up] == self.anc[owner[kid], d - 1])
+            for col in self.rows.T[: d - 1]:  # zero padding matches by construction
+                ok &= col[up] == col[kid]
+            if not ok.all():
+                first_bad = min(first_bad, here[np.argmin(ok)])
+        if first_bad < n:
+            row = order[first_bad]
+            gid = owner[row]
+            label = DeweyLabel(self.rows[row, : self.depths[gid]].tolist())
             raise GuideError(f"label {label} of guide node {gid} has no parent label "
                              f"in guide node {self.nodes[gid].parent}")
 
@@ -243,9 +288,7 @@ class PathGuide:
         return len(self.nodes)
 
     def _extent(self, gid: int) -> ExtentList:
-        first, stop = self.start.item(gid), self.start.item(gid + 1)
-        rows = self.rows[first:stop, : self.depths.item(gid)]
-        return ExtentList(gid, rows, self.byte_lens[first:stop], first)
+        return ExtentList(self, gid, self.start.item(gid), self.start.item(gid + 1))
 
     def read_extent(self, gid: int) -> ExtentList:
         """The only sanctioned way for query evaluation to reach extent data."""

@@ -1,11 +1,13 @@
 import random
 import struct
+import tracemalloc
 import zlib
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from twigjoin import dewey, index_io
 from twigjoin.document import ingest
 from twigjoin.index_io import (
     FORMAT_VERSION,
@@ -20,7 +22,7 @@ from twigjoin.index_io import (
 from twigjoin.cli import main
 from twigjoin.dt import build_dt_schema
 from twigjoin.matcher import evaluate
-from twigjoin.path_guide import PathGuide
+from twigjoin.path_guide import GuideError, PathGuide
 
 from twigjoin.twig import parse, split
 
@@ -330,3 +332,217 @@ def test_wrong_header_stats_are_rejected(sample, field, value):
     struct.pack_into("<QI", payload, len(MAGIC) + 4, stats["node_count"], stats["max_depth"])
     with pytest.raises(IndexFormatError, match="header stats"):
         from_bytes(reseal(bytes(payload)))
+
+
+# ------------------------------------------------ batched codec oracles
+
+
+def _per_extent_bytes(pg: PathGuide) -> bytes:
+    """The index of pg as the per-label encoder writes it."""
+    out = bytearray(MAGIC)
+    out += struct.pack("<IQI", FORMAT_VERSION, pg.total_nodes(), int(pg.depths.max(initial=0)))
+    out += struct.pack("<I", len(pg.nodes))
+    for node in pg.nodes:
+        tag = node.tag.encode()
+        out += struct.pack("<IHH", 0xFFFFFFFF if node.parent < 0 else node.parent,
+                           node.depth, len(tag)) + tag
+    for ext in pg.extents:
+        blob = b"".join(dewey.encode(dewey.DeweyLabel(row)) for row in ext.rows.tolist())
+        out += struct.pack("<IQ", len(ext), len(blob)) + blob
+    return reseal(bytes(out))
+
+
+def _per_extent_load(data: bytes) -> PathGuide:
+    """The guide the per-extent loader gives for a CRC-valid index: one
+    dewey.decode per extent blob, then from_tables.  Raises
+    IndexFormatError where that loader did."""
+    try:
+        pos = len(MAGIC) + struct.calcsize("<IQI")
+        (n,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        tags, parents, depths, tables = [], [], [], []
+        for _ in range(n):
+            parent, depth, tag_len = struct.unpack_from("<IHH", data, pos)
+            tags.append(data[pos + 8 : pos + 8 + tag_len].decode())
+            parents.append(-1 if parent == 0xFFFFFFFF else parent)
+            depths.append(depth)
+            pos += 8 + tag_len
+        for gid in range(n):
+            count, blob_len = struct.unpack_from("<IQ", data, pos)
+            blob = data[pos + 12 : pos + 12 + blob_len]
+            if len(blob) < blob_len:
+                raise IndexFormatError("truncated")
+            comps = dewey.decode(blob).components
+            if len(comps) != count * depths[gid]:
+                raise IndexFormatError("components do not form labels")
+            if depths[gid] == 0 and count != 1:  # rejected by from_tables, after allocating
+                raise IndexFormatError("the root extent holds one label")
+            tables.append(np.array(comps, dtype=np.int64).reshape(count, depths[gid]))
+            pos += 12 + blob_len
+        if pos != len(data) - 4:
+            raise IndexFormatError("trailing bytes")
+        pg = PathGuide.from_tables(tags, parents, tables)
+    except (struct.error, UnicodeDecodeError, dewey.LabelError, GuideError) as exc:
+        raise IndexFormatError(str(exc)) from None
+    node_count, max_depth = struct.unpack_from("<QI", data, len(MAGIC) + 4)
+    if (node_count, max_depth) != (pg.total_nodes(), int(pg.depths.max(initial=0))):
+        raise IndexFormatError("header stats")
+    return pg
+
+
+def _extent_offsets(data: bytes) -> list[int]:
+    """Per guide node, the offset of its extent header (u32 count, u64 length)."""
+    pos = len(MAGIC) + struct.calcsize("<IQI")
+    (n,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    for _ in range(n):
+        pos += 8 + struct.unpack_from("<IHH", data, pos)[2]
+    heads = []
+    for _ in range(n):
+        heads.append(pos)
+        pos += 12 + struct.unpack_from("<IQ", data, pos)[1]
+    return heads
+
+
+def _edited(data: bytes, pos: int, value: int) -> bytes:
+    payload = bytearray(data[:-4])
+    payload[pos] = value
+    return reseal(bytes(payload))
+
+
+def _same_store(a: PathGuide, b: PathGuide) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "start", "byte_lens"))
+
+
+def test_encoder_matches_per_label_encoder(sample):
+    xml, pg, idx, data = sample
+    assert _per_extent_bytes(pg) == data
+    assert _same_store(_per_extent_load(data), from_bytes(data).guide)
+
+
+@pytest.mark.parametrize("chunk", [index_io.CHUNK_BYTES, 7, 64])
+def test_round_trip_at_component_class_boundaries(chunk):
+    # the last and first value of each byte-length class, and the
+    # largest 5-byte value, in every column of a 3-deep extent
+    edges = [1, 127, 128, 16511, 16512, 2113663, 2113664, dewey._MAX_COMPONENT]
+    a = np.array(edges, dtype=np.int64)[:, None]
+    b = np.array([[x, y] for x in edges for y in edges], dtype=np.int64)
+    c = np.array([[x, y, z] for x, y in b.tolist() for z in edges[::3]], dtype=np.int64)
+    pg = PathGuide.from_tables(["R", "A", "B", "C"], [-1, 0, 1, 2],
+                               [np.zeros((1, 0), np.int64), a, b, c])
+    with mock.patch.object(index_io, "CHUNK_BYTES", chunk):
+        data = to_bytes(Index.from_guide(pg))
+        assert data == _per_extent_bytes(pg)
+        clone = from_bytes(data).guide
+    assert _same_store(clone, pg)
+    assert to_bytes(Index.from_guide(clone)) == data
+
+
+@pytest.mark.parametrize("chunk", [index_io.CHUNK_BYTES, 64])
+def test_single_byte_edits_agree_with_the_per_extent_loader(sample, chunk):
+    # a third of the edits raise the last byte of an extent, which keeps
+    # it sorted and often loads; the rest are any byte, any value
+    xml, pg, idx, data = sample
+    heads = _extent_offsets(data)
+    last_bytes = [h - 1 for h in heads[1:] + [len(data) - 4] if data[h - 1] < 0x60]
+    rng = random.Random(chunk)
+    loaded = rejected = 0
+    with mock.patch.object(index_io, "CHUNK_BYTES", chunk):
+        for trial in range(150):
+            if trial % 3:
+                pos = rng.randrange(heads[0], len(data) - 4)
+                value = rng.choice([b for b in range(256) if b != data[pos]])
+            else:
+                pos = rng.choice(last_bytes)
+                value = data[pos] + rng.randint(1, 0x1F)
+            bad = _edited(data, pos, value)
+            try:
+                want = _per_extent_load(bad)
+            except IndexFormatError:
+                rejected += 1
+                with pytest.raises(IndexFormatError):
+                    from_bytes(bad)
+                continue
+            loaded += 1
+            assert _same_store(from_bytes(bad).guide, want)
+    assert loaded >= 15 and rejected >= 80
+
+
+def _small_index() -> tuple[PathGuide, bytes, list[int]]:
+    pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/><B/></A>" * 3 + b"<C/></R>")
+    assert [n.tag for n in pg.nodes] == ["R", "A", "B", "C"]
+    data = to_bytes(Index.from_guide(pg))
+    return pg, data, _extent_offsets(data)
+
+
+def test_zero_component_is_rejected():
+    pg, data, heads = _small_index()
+    with pytest.raises(IndexFormatError,
+                       match="bad extent encoding for guide node 2: component value 0"):
+        from_bytes(_edited(data, heads[2] + 12 + 3, 0))
+
+
+def test_component_running_into_the_next_extent_is_rejected():
+    # B's last byte becomes the lead of a 2-byte component; the byte
+    # after it is C's extent header
+    pg, data, heads = _small_index()
+    with pytest.raises(IndexFormatError,
+                       match="bad extent encoding for guide node 2: truncated component"):
+        from_bytes(_edited(data, heads[3] - 1, 0x80))
+
+
+def test_count_disagreeing_with_the_components_is_rejected():
+    pg, data, heads = _small_index()
+    assert struct.unpack_from("<I", data, heads[2]) == (6,)
+    with pytest.raises(IndexFormatError,
+                       match="guide node 2: 12 components do not form 5 labels of depth 2"):
+        from_bytes(_edited(data, heads[2], 5))
+
+
+def test_bad_lead_byte_in_a_later_extent_of_a_chunk_is_rejected(sample):
+    xml, pg, idx, data = sample
+    heads = _extent_offsets(data)
+    blob_lens = np.array([struct.unpack_from("<IQ", data, h)[1] for h in heads])
+    a, b = next(index_io._chunks(blob_lens))
+    gid = max(g for g in range(a, b) if blob_lens[g])
+    assert gid - a >= 20
+    with pytest.raises(IndexFormatError, match=f"bad extent encoding for guide node {gid}: "
+                                               "invalid component lead byte"):
+        from_bytes(_edited(data, heads[gid] + 12, 0xF8))
+
+
+def test_label_count_is_bounded_by_the_file(tmp_path, sample):
+    # the root's one label made five million: the store would take
+    # hundreds of MB before any check saw it
+    xml, pg, idx, data = sample
+    payload = bytearray(data[:-4])
+    struct.pack_into("<I", payload, _extent_offsets(data)[0], 5_000_000)
+    bad = reseal(bytes(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError, match="guide node 0: 5000000 labels of depth 0"):
+            from_bytes(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    path = tmp_path / "bad.idx"
+    path.write_bytes(bad)
+    assert main(["query", str(path), "//*"]) == 2
+    # a deeper extent whose labels could not fit its blob
+    heads = _extent_offsets(data)
+    gid = max(range(len(pg)), key=lambda g: pg.depths[g])
+    payload = bytearray(data[:-4])
+    struct.pack_into("<I", payload, heads[gid], 10**6)
+    with pytest.raises(IndexFormatError,
+                       match=f"guide node {gid}: 1000000 labels .* cannot be held"):
+        from_bytes(reseal(bytes(payload)))
+
+
+def test_loaded_store_is_laid_out_like_a_built_one(sample):
+    xml, pg, idx, data = sample
+    for guide in (pg, from_bytes(data).guide):
+        for name in ("rows", "byte_lens"):
+            arr = getattr(guide, name)
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous, name
+            assert arr.flags.owndata and not arr.flags.writeable, name
