@@ -1,15 +1,17 @@
 """Kernel backends.
 
-Two builds of the same kernel source: ``numba`` wraps the functions in
-:mod:`twigjoin.kernels._impl` with ``@njit``, ``numpy`` runs them
-uncompiled.  Both stay importable side by side so they can be compared
-on identical inputs; the ``TWIGJOIN_KERNELS`` environment variable
-picks which one evaluators use by default.
+``numba`` compiles the scalar kernels of :mod:`twigjoin.kernels._impl`
+with ``@njit``.  ``numpy`` runs the vectorized merge of
+:mod:`twigjoin.kernels._vector`, which retraces the scalar merge's
+cursors exactly, and the scalar ``jump_scan`` uncompiled.  Results and
+counters are identical on both.  Both stay importable side by side so
+they can be compared on identical inputs; the ``TWIGJOIN_KERNELS``
+environment variable picks which one evaluators use by default.
 
 A backend's ``multiway_merge`` takes stacked label rows and a prefix
 length, like ``jump_scan``: it ranks the prefixes once in numpy
-(:func:`prefix_ranks`) and runs the compiled merge on the ranks, which
-returns each run of equal prefixes as row ranges, not the joined tuples.
+(:func:`prefix_ranks`) and runs the merge on the ranks, which returns
+each run of equal prefixes as row ranges, not the joined tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _impl
+from . import _impl, _vector
 
 ENV_VAR = "TWIGJOIN_KERNELS"
 BACKEND_NAMES = ("numba", "numpy")
@@ -69,7 +71,7 @@ def _on_ranks(merge: Callable) -> Callable:
 
 @lru_cache(maxsize=None)
 def _numpy_backend() -> Backend:
-    return Backend("numpy", _impl.jump_scan, _on_ranks(_impl.multiway_merge))
+    return Backend("numpy", _impl.jump_scan, _on_ranks(_vector.multiway_merge))
 
 
 @lru_cache(maxsize=None)

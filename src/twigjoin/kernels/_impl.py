@@ -4,8 +4,10 @@ Both functions are written in the subset of Python/numpy that numba's
 nopython mode accepts, and they call nothing else in the package: the
 comparison and the galloping search are inlined at every use site
 because an njit-wrapped copy of one function cannot call the plain
-interpreted copy of another.  The numpy backend runs these very
-function objects uncompiled.
+interpreted copy of another.  The numba backend compiles them; the
+numpy backend runs ``jump_scan`` uncompiled and, in place of
+``multiway_merge``, the vectorized merge of
+:mod:`twigjoin.kernels._vector`, which the tests hold to this one.
 
 Conventions:
 

@@ -8,26 +8,34 @@ import pytest
 from twigjoin.kernels import (
     BACKEND_NAMES,
     ENV_VAR,
+    Backend,
+    _impl,
     _numba_backend,
+    _on_ranks,
     default_backend_name,
     get_backend,
     prefix_ranks,
 )
-from twigjoin.matcher import _cross
+from twigjoin.matcher import ResultLimitError, _cross, evaluate
+from twigjoin.path_guide import PathGuide
 
+from conftest import gen_doc, mixed_query
 from frozen_merge import multiway_merge as frozen_merge
+
+# the scalar merge, uncompiled: the source numba compiles
+SCALAR = Backend("scalar", _impl.jump_scan, _on_ranks(_impl.multiway_merge))
 
 both_backends = pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 
 
-def make_list(rng: random.Random, n: int, width: int, plen: int) -> np.ndarray:
+def make_list(rng: random.Random, n: int, width: int, plen: int, pool: int = 3) -> np.ndarray:
     """Sorted, duplicate-free rows whose prefixes collide across calls
-    (drawn from a small pool) so merges see real runs."""
+    (components drawn from 1..pool) so merges see real runs."""
     rows = set()
     for _ in range(40 * n):
         if len(rows) == n:
             break
-        prefix = tuple(rng.randint(1, 3) for _ in range(plen))
+        prefix = tuple(rng.randint(1, pool) for _ in range(plen))
         suffix = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, width - plen)))
         rows.add((prefix + suffix + (0,) * width)[:width])
     return np.array(sorted(rows), dtype=np.int64).reshape(len(rows), width)
@@ -63,6 +71,19 @@ def run_merge(backend_name, lists, plen, use_jump):
         stacked, offsets, plen, use_jump, touched, reads
     )
     return expand(out, count), touched, reads, comps, jumps
+
+
+def big_lists(rng: random.Random, pool: int):
+    """Three to six lists of a few hundred rows, one of them often
+    sparse (at most five rows), so that jumps gallop far and binary
+    searches run deep."""
+    k = rng.randint(3, 6)
+    width = rng.randint(3, 5)
+    plen = rng.randint(2, width)
+    sizes = [rng.randint(100, 400) for _ in range(k)]
+    if rng.random() < 0.6:
+        sizes[rng.randrange(k)] = rng.randint(1, 5)
+    return [make_list(rng, n, width, plen, pool) for n in sizes], plen
 
 
 def merge_oracle(lists, plen) -> list[tuple[int, ...]]:
@@ -150,19 +171,28 @@ def test_jump_flag_changes_nothing_but_counters(backend_name):
 
 
 def test_backends_agree_exactly():
+    # every backend that runs here against the uncompiled scalar merge,
+    # on runs, so that long runs (a small prefix pool) cost nothing to compare
+    backends = {be.name: be for be in map(get_backend, BACKEND_NAMES)}
     rng = random.Random(33)
-    for _ in range(60):
-        k = rng.randint(1, 4)
-        width = rng.randint(1, 4)
-        plen = rng.randint(0, width)
-        lists = [make_list(rng, rng.randint(1, 15), width, plen) for _ in range(k)]
+    for trial, be in product(range(260), backends.values()):
+        if trial < 200:
+            k = rng.randint(1, 4)
+            width = rng.randint(1, 4)
+            plen = rng.randint(0, width)
+            lists = [make_list(rng, rng.randint(1, 15), width, plen) for _ in range(k)]
+        else:
+            lists, plen = big_lists(rng, pool=rng.choice([3, 5, 12]))
+        stacked, offsets = stack(lists)
         use_jump = rng.random() < 0.5
-        outs = [run_merge(name, lists, plen, use_jump) for name in BACKEND_NAMES]
-        (a_out, a_t, a_r, a_c, a_j), (b_out, b_t, b_r, b_c, b_j) = outs
-        assert a_out.tolist() == b_out.tolist()
-        assert a_t.tolist() == b_t.tolist()
-        assert a_r.tolist() == b_r.tolist()
-        assert (a_c, a_j) == (b_c, b_j)
+        results = []
+        for merge in (be.multiway_merge, SCALAR.multiway_merge):
+            touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
+            reads = np.zeros(len(lists), dtype=np.int64)
+            out, count, comps, jumps = merge(stacked, offsets, plen, use_jump, touched, reads)
+            results.append((out[:count].tolist(), comps, jumps,
+                            touched.tolist(), reads.tolist()))
+        assert results[0] == results[1], (trial, use_jump)
 
 
 @both_backends
@@ -172,12 +202,18 @@ def test_merge_repeats_the_frozen_column_kernel(backend_name, use_jump):
     # exactly: same output, reads, touches, comparisons and jumps
     be = get_backend(backend_name)
     rng = random.Random(101 + BACKEND_NAMES.index(backend_name) * 2 + int(use_jump))
-    for trial in range(300):
-        k = rng.randint(1, 4)
-        width = rng.randint(1, 5)
-        plen = 0 if trial % 10 == 0 else rng.randint(0, width)
-        sizes = [0 if rng.random() < 0.1 else rng.randint(1, 25) for _ in range(k)]
-        stacked, offsets = stack([make_list(rng, n, width, plen) for n in sizes])
+    for trial in range(360):
+        if trial < 300:
+            k = rng.randint(1, 4)
+            width = rng.randint(1, 5)
+            plen = 0 if trial % 10 == 0 else rng.randint(0, width)
+            sizes = [0 if rng.random() < 0.1 else rng.randint(1, 25) for _ in range(k)]
+            lists = [make_list(rng, n, width, plen) for n in sizes]
+        else:
+            # many distinct prefixes keep the frozen kernel's tuples few
+            lists, plen = big_lists(rng, pool=12)
+            k, sizes = len(lists), [len(a) for a in lists]
+        stacked, offsets = stack(lists)
         results = []
         for merge, tuples in ((be.multiway_merge, expand),
                               (frozen_merge, lambda out, count: out[:count])):
@@ -216,6 +252,61 @@ def test_merge_emits_maximal_runs_in_key_order(backend_name, use_jump):
                 assert (keys[lo:hi] == key).all(), (trial, run, j)
                 assert lo == offsets[j] or keys[lo - 1] != key, (trial, run, j)
                 assert hi == offsets[j + 1] or keys[hi] != key, (trial, run, j)
+
+
+def long_extent_doc(rng: random.Random, records: int) -> bytes:
+    """A root over `records` A records, each with a handful of B, C and
+    D children, some over E leaves: a guide of a few nodes whose
+    extents run to hundreds of labels, so a one-JP query plans to one
+    record and merges whole extents."""
+    kids = ("<B/>", "<C/>", "<D/>", "<B><E/></B>", "<D><E/><E/></D>")
+    body = "".join("<A>" + "".join(rng.choice(kids) for _ in range(rng.randint(0, 5)))
+                   + "</A>" for _ in range(records))
+    return f"<R>{body}</R>".encode()
+
+
+LONG_EXTENT_QUERIES = (
+    "//A[./B]/C",
+    "//A[./B][./C]/D",
+    "//A[.//E]/C",
+    "/R/A[./D/E]/B",
+    "//A[./C][./D]//E",
+    "//*[./B][./D]",
+)
+
+
+def answers_and_counters(pg, query, use_jump, backend):
+    try:  # a few random twigs have millions of answers
+        rs, m = evaluate(pg, query, use_jump=use_jump, backend=backend, max_results=20_000)
+    except ResultLimitError as exc:
+        return exc.rows
+    return (rs.lines(), rs.jps.tolist(), rs.tops.tolist(), m.nodes_read,
+            m.bytes_scanned, m.prefix_comparisons, m.jumps)
+
+
+@pytest.mark.parametrize("use_jump", [True, False])
+def test_evaluate_counters_match_the_scalar_kernel(use_jump):
+    # the numpy merge against the uncompiled scalar one, end to end:
+    # same answers, witnesses and all four work counters
+    numpy_be = get_backend("numpy")
+    long_pg = PathGuide.build_from_xml(long_extent_doc(random.Random(5), 600))
+    for query in LONG_EXTENT_QUERIES:
+        rs, _ = evaluate(long_pg, query, backend=numpy_be)
+        assert [len(t.records) for t in rs.plan.tables] == [1], query
+        got = answers_and_counters(long_pg, query, use_jump, numpy_be)
+        assert got == answers_and_counters(long_pg, query, use_jump, SCALAR), query
+        assert got[5] > 0 and (got[6] > 0) == use_jump, query
+
+    rng = random.Random(8)
+    merged = 0
+    for seed in (0, 1, 3, 4):
+        pg = PathGuide.build_from_xml(gen_doc(seed=seed, target=600))
+        for _ in range(25):
+            query = mixed_query(rng, pg)
+            got = answers_and_counters(pg, query, use_jump, numpy_be)
+            assert got == answers_and_counters(pg, query, use_jump, SCALAR), query
+            merged += not isinstance(got, int) and got[5] > 0
+    assert merged >= 30, merged
 
 
 def jump_oracle(rows: np.ndarray, lo: int, hi: int, bound, plen: int) -> int:
