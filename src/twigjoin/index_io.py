@@ -21,11 +21,11 @@ extents holding about CHUNK_BYTES encoded bytes, so their numpy
 temporaries stay bounded however large the index is.  Loading walks
 the extent headers first and rejects any extent whose labels could not
 fit its blob (every component takes at least one byte; the depth-0 root
-extent holds exactly one label) before the store is allocated.  It
-then decodes each chunk's components straight into the store: a byte
-below 0x80 is a one-byte component, so only the walk over the
-multi-byte lead candidates needs pointer doubling.  The filled store
-gets the same checks as any other (PathGuide.adopt_store).
+extent holds exactly one label), and any empty extent, before the store
+is allocated.  It then decodes each chunk's components straight into
+the store: a byte below 0x80 is a one-byte component, so only the walk
+over the multi-byte lead candidates needs pointer doubling.  The filled
+store gets the same checks as any other (PathGuide.adopt_store).
 """
 
 from __future__ import annotations
@@ -267,10 +267,15 @@ def from_bytes(data: bytes) -> Index:
     fields = raw[blob_at[:, None] - np.arange(_EXTENT_HEAD.itemsize, 0, -1)].view(_EXTENT_HEAD)
     counts, blob_lens = (fields[f][:, 0].astype(np.int64) for f in ("count", "blob_len"))
     depths = pg.depths.astype(np.int64)
-    # every component takes a byte or more; the root's extent is its one label
-    over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1)))
+    # every component takes a byte or more; the root's extent is its one
+    # label; build makes no empty extent, and a deep chain of them would
+    # pad a wide store to its depth
+    over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1))
+                          | (counts == 0))
     if len(over):
         g = over[0]
+        if counts[g] == 0:
+            raise IndexFormatError(f"extent of guide node {g} holds no labels")
         raise IndexFormatError(
             f"extent of guide node {g}: {counts[g]} labels of depth {depths[g]} "
             f"cannot be held in {blob_lens[g]} bytes"

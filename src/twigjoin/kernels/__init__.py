@@ -11,7 +11,10 @@ environment variable picks which one evaluators use by default.
 A backend's ``multiway_merge`` takes stacked label rows and a prefix
 length, like ``jump_scan``: it ranks the prefixes once in numpy
 (:func:`prefix_ranks`) and runs the merge on the ranks, which returns
-each run of equal prefixes as row ranges, not the joined tuples.
+each run of equal prefixes as row ranges, not the joined tuples.  The
+query engine passes one key column (plen 1): each row's ancestor's
+document position, so the ranking is a one-column sort; the label-list
+APIs pass label rows.
 """
 
 from __future__ import annotations

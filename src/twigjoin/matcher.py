@@ -1,33 +1,37 @@
 """Execution of the DTSchema: prefix merge joins over extent lists.
 
 Tables run deepest-JP-first, with one multiway merge per JP level of a
-table: a leaf slot contributes the sorted union of the extents its
-records at that level name, a nested slot the witnesses of the child
-table whose JP guide node those records name.  This is exact: rows
-with equal level-prefixes share a data ancestor, hence one JP guide
-node, so no tuple can mix the ends of two records.
+table: a leaf slot contributes the union of the extents its records at
+that level name, a nested slot the witnesses of the child table whose
+JP guide node those records name.  This is exact: rows with equal
+level-prefixes share a data ancestor, hence one JP guide node, so no
+tuple can mix the ends of two records.
 
-A partial match is one row of an int64 entry matrix shared by the whole
-query: per twig leaf its zero-padded label, per table its witness, and
-zeros outside the subtree of the slot that made it.  The kernel merges
-into runs of rows that agree on the level-prefix.  Every input row owns
-a block of entries (an extent row one, itself; a witness those beneath
-it): a run fans out into row tuples, a row tuple into the cross product
-of its rows' blocks, by index arithmetic; slots fill disjoint columns,
-so an entry is the sum of one entry per slot plus the witness.
-A finished table, sorted by witness, is the next table's nested input.
+Every label, witnesses included, is a row of the guide's store, so the
+engine carries row ids, in document order (pos).  A row's key at level
+L is the pos of its ancestor at L, which compares exactly as its
+L-prefix does, and the kernel merges one key column into runs of equal
+keys.  A partial match is one row of an int64 entry matrix shared by
+the whole query: per twig leaf a row id, per table its witness's row
+id, and -1 outside the subtree of the slot that made it.  Every input
+row owns a block of entries (an extent row one, itself; a witness those
+beneath it): a run fans out into row tuples, a row tuple into the cross
+product of its rows' blocks, by index arithmetic; slots fill disjoint
+columns.  A finished table, sorted by witness, is the next table's
+nested input.
 
-Deduplication is per witness, keyed by the leaf-label assignment.
+Deduplication is per witness, keyed by the leaf assignment.
 Deduplicating across witnesses would be wrong: the same leaf assignment
 under two different witnesses must stay visible to a parent record that
 references only one of them.  The answer keeps each assignment once,
 under its shallowest top witness.
 
-The answer stays an int64 matrix (late materialization): a ResultSet
-formats its lines straight from the rows, one string per run of equal
-labels, and builds DeweyLabel/MatchTuple objects only when asked for
-them.  A fan-out that would exceed ``max_results`` rows raises
-ResultLimitError, counted from the runs before any tuple is built.
+Labels are gathered from the store only for the answer, which stays an
+int64 matrix (late materialization): a ResultSet formats its lines
+straight from the rows, one string per run of equal labels, and builds
+DeweyLabel/MatchTuple objects only when asked for them.  A fan-out that
+would exceed ``max_results`` rows raises ResultLimitError, counted from
+the runs before any tuple is built.
 """
 
 from __future__ import annotations
@@ -185,25 +189,25 @@ def _stack(arrays: list[np.ndarray], width: int = 0) -> tuple[np.ndarray, np.nda
 
 
 def _run_merge(
-    arrays: list[np.ndarray],
+    stacked: np.ndarray,
+    offsets: np.ndarray,
     plen: int,
     use_jump: bool,
     backend: Backend,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Stack the input lists' plen-prefixes and run the merge kernel.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Run the merge kernel on the lists stacked[offsets[j] : offsets[j + 1]].
 
-    Returns (first, stop, touched, reads, offsets, comps, jumps): per
-    run of equal prefixes and per list, the run's first and
-    one-past-last position local to that list.
+    Returns (first, stop, touched, reads, comps, jumps): per run of
+    equal plen-prefixes and per list, the run's first and one-past-last
+    position local to that list.
     """
-    stacked, offsets = _stack([a[:, :plen] for a in arrays], plen)
     touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
-    reads = np.zeros(len(arrays), dtype=np.int64)
+    reads = np.zeros(len(offsets) - 1, dtype=np.int64)
     out, count, comps, jumps = backend.multiway_merge(
         stacked, offsets, plen, use_jump, touched, reads
     )
     first, stop = np.hsplit(out[:count] - np.tile(offsets[:-1], 2), 2)
-    return first, stop, touched, reads, offsets, int(comps), int(jumps)
+    return first, stop, touched, reads, int(comps), int(jumps)
 
 
 def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +252,8 @@ def match_multiway(
     be = get_backend(backend)
     nls = [as_node_list(src) for src in lists]
     keeps = [_eligible(nl.rows, level) for nl in nls]
-    arrays = [nl.rows[keep] for nl, keep in zip(nls, keeps)]
-    first, stop, touched, reads, offsets, comps, jumps = _run_merge(arrays, level, use_jump, be)
+    stacked, offsets = _stack([nl.rows[keep, :level] for nl, keep in zip(nls, keeps)], level)
+    first, stop, touched, reads, comps, jumps = _run_merge(stacked, offsets, level, use_jump, be)
     if metrics is not None:
         metrics.prefix_comparisons += comps
         metrics.jumps += jumps
@@ -266,42 +270,39 @@ def match_multiway(
 
 @dataclass
 class _Input:
-    """A merge input: sorted, zero-padded rows, row i owning the entries
+    """A merge input: row ids in document order, row i owning the entries
     block[starts[i] : starts[i] + counts[i]], which land at column col.
 
-    gids holds each row's extent (an extent union, which is its own
-    block and keeps each row's global row id in ids, for metering) or
-    its witness's JP guide node (a finished table).
+    gids holds each row's guide node.  An extent union is its own block
+    and is metered; a finished table's rows are its witnesses.
     """
 
-    rows: np.ndarray
+    ids: np.ndarray
     gids: np.ndarray
     block: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     col: int = 0
-    ids: np.ndarray | None = None
+    metered: bool = False
 
 
-def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, ...]:
-    """The sorted union of the extents' rows, gathered from the store by row
-    id, with each row's guide node and row id; no label sits in two extents."""
+def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, np.ndarray]:
+    """The row ids of the extents' labels in document order, each with its
+    guide node; no label sits in two extents."""
     sizes = np.array([len(e) for e in exts], dtype=np.int64)
     firsts = np.array([e.first for e in exts], dtype=np.int64)
     ids = np.arange(sizes.sum()) + np.repeat(firsts - np.cumsum(sizes) + sizes, sizes)
     gids = np.repeat(np.array([e.gid for e in exts], dtype=np.int64), sizes)
-    if len(exts) == 1:  # sorted already: its read-only view of the store will do
-        rows = exts[0].rows
-    else:
-        rows = np.take(pg.rows, ids, axis=0)[:, : pg.depths[[e.gid for e in exts]].max(initial=0)]
-        order = lexsort(rows)
-        rows, gids, ids = np.take(rows, order, axis=0), gids[order], ids[order]
-    return rows, gids, ids
+    if len(exts) > 1:  # each extent is in document order already
+        order = np.argsort(pg.pos[ids], kind="stable")
+        ids, gids = ids[order], gids[order]
+    return ids, gids
 
 
-def _first_of_runs(keys: np.ndarray) -> np.ndarray:
-    """The first of every set of equal rows, in sorted order."""
-    keys = keys[:, (keys != keys[:1]).any(axis=0)]  # constant columns order nothing
+def _first_of_runs(pos: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The first of every set of equal rows of row ids, the rows sorted by
+    their columns' document positions."""
+    keys = pos[ids[:, (ids != ids[:1]).any(axis=0)]]  # constant columns order nothing
     order = lexsort(keys)
     return order[runs(keys[order])[0]]
 
@@ -347,8 +348,7 @@ def match_proc(
     exceed max_results rows; the answers are at most the top table's.
     """
     be = get_backend(backend)
-    # leaf i owns entry columns [i * width, (i + 1) * width), table t
-    # the n_leaves + t-th such block
+    # an entry holds a row id per leaf, then per table its witness
     n_leaves = sum(s.kind == "leaf" for t in schema.tables for s in t.slots)
     n_tables = len(schema.tables)
     if schema.is_empty:
@@ -357,13 +357,12 @@ def match_proc(
     leaf_ends = [rec.ends[si] for t in schema.tables for si, s in enumerate(t.slots)
                  if s.kind == "leaf" for rec in t.records]
     width = int(pg.depths[np.fromiter(chain.from_iterable(leaf_ends), np.int64)].max())
-    n_cols = (n_leaves + n_tables) * width
 
     def run_table(ti: int, table: DataTable) -> _Input:
         """Merge the table level by level; its entries, grouped by witness."""
-        wcol = (n_leaves + ti) * width
+        wcol = n_leaves + ti
         levels = sorted({rec.jp_level for rec in table.records})
-        blocks, jps = [], []
+        blocks = []
         entries = 0
         for level in levels:
             recs = [rec for rec in table.records if rec.jp_level == level]
@@ -371,21 +370,24 @@ def match_proc(
             for si, slot in enumerate(table.slots):
                 named = sorted({e for rec in recs for e in rec.ends[si]})
                 if slot.kind == "leaf":
-                    rows, gids, ids = _union(pg, [pg.read_extent(g) for g in named])
-                    inputs.append(_Input(rows, gids, rows, np.arange(len(rows)),
-                                         np.ones(len(rows), np.int64), slot.leaf_id * width, ids))
+                    ids, gids = _union(pg, [pg.read_extent(g) for g in named])
+                    inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
+                                         np.ones(len(ids), np.int64), slot.leaf_id, True))
                 else:  # the child table's witnesses under the named JP guide nodes
                     c = done[slot.child_table]
                     k = np.isin(c.gids, named)
-                    inputs.append(_Input(c.rows[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
-            first, stop, touched, reads, offsets, comps, jumps = _run_merge(
-                [inp.rows for inp in inputs], level, use_jump, be
+                    inputs.append(_Input(c.ids[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
+            # a row's key is the document position of its ancestor at level
+            ancs = [pg.ancestors(inp.ids, inp.gids, level) for inp in inputs]
+            offsets = np.cumsum([0] + [len(a) for a in ancs])
+            first, stop, touched, reads, comps, jumps = _run_merge(
+                pg.pos[np.concatenate(ancs)][:, None], offsets, 1, use_jump, be
             )
             if metrics is not None:
                 metrics.prefix_comparisons += comps
                 metrics.jumps += jumps
                 for j, inp in enumerate(inputs):
-                    if inp.ids is not None:
+                    if inp.metered:
                         metrics.nodes_read += int(reads[j])
                         ids = inp.ids[touched[offsets[j] : offsets[j + 1]] > 0]
                         metrics.credit(ids, pg.byte_lens[ids])
@@ -396,36 +398,37 @@ def match_proc(
                                     for j, o in enumerate(owned)], axis=0).sum())
             if max_results is not None and entries > max_results:
                 raise ResultLimitError(entries, max_results)
-            # runs fan out into row tuples, row tuples into entries
+            # runs fan out into row tuples, row tuples into entries; slots
+            # fill disjoint columns, -1 elsewhere
             run, digits = _cross(stop - first)
             rows = first[run] + digits
             tup, digits = _cross(np.stack([inp.counts[rows[:, j]]
                                            for j, inp in enumerate(inputs)], axis=1))
-            out = np.zeros((len(tup), n_cols), dtype=np.int64)
+            out = np.full((len(tup), n_leaves + n_tables), -1, dtype=np.int64)
             for j, inp in enumerate(inputs):
                 part = inp.block[inp.starts[rows[tup, j]] + digits[:, j]]
-                out[:, inp.col : inp.col + part.shape[1]] += part
+                cols = out[:, inp.col : inp.col + part.shape[1]]
+                np.maximum(cols, part, out=cols)
             run = run[tup]
-            out[:, wcol : wcol + level] = inputs[0].rows[first[run, 0], :level]
+            out[:, wcol] = ancs[0][first[run, 0]]
             blocks.append(out)
-            jps.append(pg.anc[inputs[0].gids[first[:, 0]], level][run])
-        block, jp = np.concatenate(blocks), np.concatenate(jps)
-        witness = slice(wcol, wcol + levels[-1])
-        keep = _first_of_runs(np.hstack([block[:, witness], block[:, : n_leaves * width]]))
-        block, jp = block[keep], jp[keep]
-        first, counts = runs(block[:, witness])
-        return _Input(block[first, witness], jp[first], block, first, counts)
+        block = np.concatenate(blocks)
+        block = block[_first_of_runs(pg.pos, block[:, [wcol, *range(n_leaves)]])]
+        first, counts = runs(block[:, wcol : wcol + 1])
+        wids = block[first, wcol]  # a witness's guide node is the extent it lies in
+        return _Input(wids, np.searchsorted(pg.start, wids, "right") - 1, block, first, counts)
 
     done: list[_Input] = []
     for ti, table in enumerate(schema.tables):
         done.append(run_table(ti, table))
     top = done.pop()
     del done  # release the inner tables' entry matrices
-    # top is sorted by witness, so each assignment keeps its shallowest
-    final = top.block[_first_of_runs(top.block[:, : n_leaves * width])]
-    tables = final[:, n_leaves * width :].reshape(len(final), n_tables, width)
-    return ResultSet(final[:, : n_leaves * width].reshape(len(final), n_leaves, width),
-                     tables, top.rows, schema)
+    # top is sorted by witness, so each assignment keeps its shallowest;
+    # labels are gathered for the answer only
+    final = top.block[_first_of_runs(pg.pos, top.block[:, :n_leaves])]
+    top_level = max(rec.jp_level for rec in schema.tables[-1].records)
+    return ResultSet(pg.rows[final[:, :n_leaves], :width], pg.rows[final[:, n_leaves:], :width],
+                     pg.rows[top.ids, :top_level], schema)
 
 
 def evaluate(
@@ -455,9 +458,13 @@ def evaluate(
             n = sum(len(ext) for ext in exts)
             if max_results is not None and n > max_results:
                 raise ResultLimitError(n, max_results)
-            rows, _, ids = _union(pg, exts)
+            ids, gids = _union(pg, exts)
             metrics.nodes_read += n
             metrics.credit(ids, pg.byte_lens[ids])
+            if len(exts) == 1:  # in order already: its read-only view of the store will do
+                rows = exts[0].rows
+            else:
+                rows = pg.rows[ids, : pg.depths[gids].max(initial=0)]
             no_tables = np.zeros((n, 0, 0), np.int64)
             return ResultSet(rows[:, None, :], no_tables, np.zeros((0, 0), np.int64)), metrics
         rs = match_proc(build_dt_schema(pg, d), pg, metrics=metrics, use_jump=use_jump,

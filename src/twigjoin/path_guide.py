@@ -6,10 +6,14 @@ labels of all document nodes sharing its path.  All extents live in one
 store, built in one pass: rows is an int64 matrix of zero-padded labels,
 gid-major and strictly sorted within each extent, so the extent of g is
 rows start[g] : start[g + 1] and a row's index is its global row id;
-byte_lens[i] is row i's encoded size.  build rejects events out of
+byte_lens[i] is row i's encoded size.  Two more int64 arrays per row,
+never serialized, let a row id stand for its label: pos[i], row i's
+document position (label order is document order), and up[i], the row
+id of its parent label (-1 for the root); ancestors walks up to any
+level.  build takes both from the events and rejects events out of
 document order.  A guide loaded from tables or from an index file starts
 from its node table (from_node_table) and takes a filled store through
-adopt_store, which checks it (_check_store).
+adopt_store, which checks it and derives pos and up (_check_store).
 
 Extent access goes through read_extent, which returns the extent's
 guide node, first row id and length, with views of the store made only
@@ -27,6 +31,7 @@ phase walks guide nodes in Python.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -63,7 +68,7 @@ class GuideNode:
 
 class ExtentList:
     """One guide node's extent in the store.  Its rows and byte_lens are
-    views made when read: the zero-JP union needs only len, first and
+    views made when read: the matcher's unions need only len, first and
     gid."""
 
     __slots__ = ("_pg", "gid", "first", "stop")
@@ -118,6 +123,7 @@ class PathGuide:
         self.rows = np.zeros((0, 0), dtype=np.int64)
         self.start = np.zeros(1, dtype=np.int64)
         self.byte_lens = np.zeros(0, dtype=np.int64)
+        self.pos = self.up = np.zeros(0, dtype=np.int64)  # set with the store
 
     # ------------------------------------------------------ construction
 
@@ -126,32 +132,44 @@ class PathGuide:
         pg = cls()
         # per guide node, in gid order, its labels in document order
         buffers: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-        stack: list[tuple[DeweyLabel, int]] = []  # (label, gid), the last seen per depth
+        stack: list[tuple[DeweyLabel, int, int]] = []  # (label, gid, event), the last per depth
+        gids = array("q")  # per event, its guide node
+        parents = array("q")  # per event, its parent's event (-1 for the root)
 
-        for ev in events:
-            depth = ev.label.level
+        for k, ev in enumerate(events):
+            comps = ev.label.components
+            depth = len(comps)
             if depth > len(stack):
                 raise GuideError(f"orphan event at {ev.label}: no parent on stack")
-            if 0 < depth < len(stack) and stack[depth][0].components >= ev.label.components:
+            if 0 < depth < len(stack) and stack[depth][0].components >= comps:
                 raise GuideError(f"event at {ev.label} is not sorted after {stack[depth][0]}")
             del stack[depth:]
             if depth == 0:
                 if pg.nodes:
                     raise GuideError("second root element in event stream")
-                gid = pg._add_node(ev.tag, _VIRTUAL)
+                gid, parent_k = pg._add_node(ev.tag, _VIRTUAL), -1
             else:
-                parent_label, parent_gid = stack[-1]
-                if ev.label.prefix(depth - 1) != parent_label:
+                parent_label, parent_gid, parent_k = stack[-1]
+                if comps[:-1] != parent_label.components:
                     raise GuideError(f"event at {ev.label} does not extend {parent_label}")
                 parent = pg.nodes[parent_gid]
                 gid = parent.children.get(ev.tag, _VIRTUAL)
                 if gid == _VIRTUAL:
                     gid = pg._add_node(ev.tag, parent_gid)
-            buffers[gid].append(ev.label.components)
-            stack.append((ev.label, gid))
+            buffers[gid].append(comps)
+            gids.append(gid)
+            parents.append(parent_k)
+            stack.append((ev.label, gid, k))
 
         if not pg.nodes:
             raise GuideError("empty event stream")
+        # the store is gid-major: a stable sort by guide node takes each
+        # row to its event, whose index is the row's document position
+        pg.pos = np.argsort(np.frombuffer(gids, np.int64), kind="stable")
+        row = np.full(len(gids) + 1, -1, dtype=np.int64)  # row[-1] stands for no parent
+        row[pg.pos] = np.arange(len(gids))
+        pg.up = row[np.frombuffer(parents, np.int64)[pg.pos]]
+        del gids, parents, row  # freed before the store, the largest allocation, is made
         pg._derive_arrays()
         pg._set_store(*_pack(list(buffers.values()), pg.depths))
         return pg
@@ -222,20 +240,20 @@ class PathGuide:
         sits in two extents, and every label's parent prefix is a label in
         the parent node's extent.
 
-        One stable lexsort puts the labels in document order: within each
-        guide node it must keep the store order, with no two equal
+        One stable lexsort puts the labels in document order (pos): within
+        each guide node it must keep the store order, with no two equal
         neighbours.  A label's parent is then the last label one level up
-        before it, which must be its prefix and lie in the parent's extent.
-        The checks run on one level at a time, so their temporaries stay
-        at a few arrays of one level's labels.
+        before it (up), which must be its prefix and lie in the parent's
+        extent.  The checks run on one level at a time, so their
+        temporaries stay at a few arrays of one level's labels.  A store
+        that passes keeps pos and up.
         """
         n = len(self.rows)
         owner = np.repeat(np.arange(len(self.nodes), dtype=np.int32), np.diff(self.start))
         order = lexsort(self.rows)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        moved = np.flatnonzero((rank[1:] < rank[:-1]) & (owner[1:] == owner[:-1]))
-        del rank
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        moved = np.flatnonzero((pos[1:] < pos[:-1]) & (owner[1:] == owner[:-1]))
         twin = np.ones(max(n - 1, 0), dtype=bool)
         for col in self.rows.T:
             twin &= col[order[1:]] == col[order[:-1]]
@@ -243,16 +261,17 @@ class PathGuide:
         if len(bad):
             raise GuideError(f"guide node {owner[bad[0]]} is not sorted or shares a label")
         depth = self.depths[owner][order]
+        up = np.full(n, -1, dtype=np.int64)
         first_bad = n  # in document order
         for d in range(1, self.rows.shape[1] + 1):
             here = np.flatnonzero(depth == d)
             above = np.flatnonzero(depth == d - 1)
             at = np.searchsorted(above, here) - 1  # the last position one level up
             kid = order[here]
-            up = order[above[np.maximum(at, 0)]] if len(above) else kid
-            ok = (at >= 0) & (owner[up] == self.anc[owner[kid], d - 1])
+            par = up[kid] = order[above[np.maximum(at, 0)]] if len(above) else kid
+            ok = (at >= 0) & (owner[par] == self.anc[owner[kid], d - 1])
             for col in self.rows.T[: d - 1]:  # zero padding matches by construction
-                ok &= col[up] == col[kid]
+                ok &= col[par] == col[kid]
             if not ok.all():
                 first_bad = min(first_bad, here[np.argmin(ok)])
         if first_bad < n:
@@ -261,6 +280,7 @@ class PathGuide:
             label = DeweyLabel(self.rows[row, : self.depths[gid]].tolist())
             raise GuideError(f"label {label} of guide node {gid} has no parent label "
                              f"in guide node {self.nodes[gid].parent}")
+        self.pos, self.up = pos, up
 
     def _add_node(self, tag: str, parent: int) -> int:
         gid = len(self.nodes)
@@ -310,6 +330,15 @@ class PathGuide:
 
     def is_ancestor_or_self(self, a: int, b: int) -> bool:
         return bool(self.anc[b, self.depths[a]] == a)
+
+    def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
+        """Row id of each row's ancestor-or-self label at depth level, for
+        rows ids[i] of guide nodes gids[i] at least that deep.  pos of the
+        result ranks the rows' level-prefixes exactly as the prefixes do."""
+        steps = self.depths[gids] - level
+        for s in range(steps.max(initial=0)):
+            ids = np.where(steps > s, self.up[ids], ids)
+        return ids
 
     def total_extent_bytes(self) -> int:
         return int(self.byte_lens.sum())

@@ -95,7 +95,7 @@ def test_reloaded_guide_plans_identically(sample):
     xml, pg, idx, data = sample
     clone = from_bytes(data).guide
     assert clone.tag_id == pg.tag_id
-    for name in ("tags", "depths", "anc", "tag_paths"):
+    for name in ("tags", "depths", "anc", "tag_paths", "pos", "up"):
         assert np.array_equal(getattr(clone, name), getattr(pg, name)), name
     rng = random.Random(4)
     planned = 0
@@ -537,6 +537,33 @@ def test_label_count_is_bounded_by_the_file(tmp_path, sample):
     with pytest.raises(IndexFormatError,
                        match=f"guide node {gid}: 1000000 labels .* cannot be held"):
         from_bytes(reseal(bytes(payload)))
+
+
+def test_empty_extent_is_rejected_before_the_store_is_allocated(tmp_path):
+    # 5,000 depth-1 labels beside a 200-deep chain of empty guide nodes:
+    # a 14 KB file whose store would be 5,001 x 200 int64 (8 MB)
+    depth = 200
+    blob = b"".join(dewey.encode(dewey.DeweyLabel((i,))) for i in range(1, 5001))
+    p = bytearray(MAGIC) + struct.pack("<IQI", FORMAT_VERSION, 5001, depth)
+    p += struct.pack("<I", 2 + depth)
+    p += struct.pack("<IHH", 0xFFFFFFFF, 0, 1) + b"R" + struct.pack("<IHH", 0, 1, 1) + b"A"
+    for d in range(1, depth + 1):
+        p += struct.pack("<IHH", 0 if d == 1 else d, d, 1) + b"C"
+    p += struct.pack("<IQ", 1, 0) + struct.pack("<IQ", 5000, len(blob)) + blob
+    p += struct.pack("<IQ", 0, 0) * depth
+    bad = reseal(bytes(p))
+    assert len(bad) < 15_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError, match="extent of guide node 2 holds no labels"):
+            from_bytes(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "empty.idx"
+    path.write_bytes(bad)
+    assert main(["query", str(path), "//A"]) == 2
 
 
 def test_loaded_store_is_laid_out_like_a_built_one(sample):

@@ -5,6 +5,8 @@ import pytest
 
 from twigjoin.dewey import DeweyLabel, encoded_len
 from twigjoin.document import NodeEvent, ingest
+from twigjoin.index_io import Index, from_bytes, to_bytes
+from twigjoin.kernels import prefix_ranks
 from twigjoin.path_guide import GuideError, PathGuide, _component_byte_lens
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
@@ -157,6 +159,31 @@ def test_derived_arrays_agree_with_nodes(guides):
             tag_path = pg.tag_paths[:, n.gid].tolist()
             assert [names[t] for t in tag_path[: n.depth + 1]] == list(n.path)
             assert tag_path[n.depth + 1 :] == pad
+
+
+def test_row_order_and_ancestor_keys(guides):
+    # pos is each row's place in the event stream, up its parent label's
+    # row, and the positions of ancestors at level L rank any set of rows
+    # exactly as their L-prefixes do
+    rng = random.Random(23)
+    for xml, built in guides:
+        loaded = from_bytes(to_bytes(Index.from_guide(built))).guide
+        events = [e.label.components for e in ingest(xml)]
+        for pg in (built, loaded):
+            owner = np.repeat(np.arange(len(pg)), np.diff(pg.start))
+            depth = pg.depths[owner]
+            labels = [tuple(r[:d]) for r, d in zip(pg.rows.tolist(), depth)]
+            assert [events[p] for p in pg.pos] == labels
+            assert pg.up[depth == 0].tolist() == [-1]
+            assert all(labels[u] == lab[:-1] for u, lab in zip(pg.up, labels) if lab)
+            for level in range(int(depth.max()) + 1):
+                deep = np.flatnonzero(depth >= level)
+                for _ in range(5):
+                    ids = rng.sample(deep.tolist(), rng.randint(1, len(deep)))
+                    ids = np.array(ids, dtype=np.int64)
+                    keys = pg.pos[pg.ancestors(ids, owner[ids], level)]
+                    ranks = np.unique(keys, return_inverse=True)[1]
+                    assert np.array_equal(ranks, prefix_ranks(pg.rows[ids], level))
 
 
 def test_match_steps_agrees_with_steps_match(guides):
