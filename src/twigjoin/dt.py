@@ -59,14 +59,6 @@ class DataTable:
     slots: tuple[SlotSpec, ...]
     records: list[DTRecord]
 
-    @property
-    def slot_kinds(self) -> tuple[str, ...]:
-        return tuple(s.kind for s in self.slots)
-
-    @property
-    def arity(self) -> int:
-        return len(self.slots)
-
 
 @dataclass
 class DTSchema:

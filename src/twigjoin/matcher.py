@@ -26,19 +26,19 @@ under two different witnesses must stay visible to a parent record that
 references only one of them.  The answer keeps each assignment once,
 under its shallowest top witness.
 
-Labels are gathered from the store only for the answer, which stays an
-int64 matrix (late materialization): a ResultSet formats its lines
-straight from the rows, one string per run of equal labels, and builds
-DeweyLabel/MatchTuple objects only when asked for them.  A fan-out that
-would exceed ``max_results`` rows raises ResultLimitError, counted from
-the runs before any tuple is built.
+The answer stays row ids too (late materialization): a ResultSet holds
+the guide and the row ids of its leaves, witnesses and top witnesses,
+and reads labels from the store only when it prints or builds
+DeweyLabel/MatchTuple objects, once per distinct row of an id column.
+A fan-out that would exceed ``max_results`` rows raises
+ResultLimitError, counted from the runs before any tuple is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +75,19 @@ class ResultLimitError(Exception):
 
 @dataclass(eq=False)
 class ResultSet:
-    """Query answers as int64 label rows; label objects only on demand.
+    """Query answers as int64 row ids of pg's store; labels only on demand.
 
-    leaves[i, j] is answer i's label for twig leaf j and jps[i, t] its
-    witness for schema table t (deepest JP first), each zero-padded to
-    the last axis (components are >= 1, so every zero is padding).
-    Answers are sorted by leaf labels and distinct; tops holds the
-    distinct top-JP witnesses, sorted.  Zero-JP queries have no tables.
+    leaves[i, j] is the row of answer i's label for twig leaf j and
+    jps[i, t] the row of its witness for schema table t (deepest JP
+    first).  Answers are sorted by leaf labels and distinct; tops holds
+    the rows of the distinct top-JP witnesses, sorted.  Zero-JP queries
+    have no tables.
     """
 
-    leaves: np.ndarray  # (answers, leaves, width)
-    jps: np.ndarray  # (answers, tables, width)
-    tops: np.ndarray  # (witnesses, width)
+    pg: PathGuide
+    leaves: np.ndarray  # (answers, leaves)
+    jps: np.ndarray  # (answers, tables)
+    tops: np.ndarray  # (witnesses,)
     plan: DTSchema | None = None  # the plan evaluated; None for zero-JP queries
 
     def __len__(self) -> int:
@@ -94,20 +95,41 @@ class ResultSet:
 
     @cached_property
     def matches(self) -> list[MatchTuple]:
-        leaves = [_labels(self.leaves[:, j]) for j in range(self.leaves.shape[1])]
-        jps = [_labels(self.jps[:, t]) for t in range(self.jps.shape[1])]
+        leaves = [self._labels(col) for col in self.leaves.T]
+        jps = [self._labels(col) for col in self.jps.T]
         return list(map(MatchTuple, zip(*leaves), zip(*jps) if jps else repeat(())))
 
     @cached_property
     def top_jp_labels(self) -> list[DeweyLabel]:
-        return _labels(self.tops)
+        return self._labels(self.tops)
 
     def lines(self) -> list[str]:
         """One tab-separated line of dotted leaf labels per answer."""
-        line = _dotted(self.leaves[:, 0])
+        line = self._dotted(self.leaves[:, 0])
         for j in range(1, self.leaves.shape[1]):
-            line = line + "\t" + _dotted(self.leaves[:, j])
+            line = line + "\t" + self._dotted(self.leaves[:, j])
         return line.tolist()
+
+    def _labels(self, ids: np.ndarray) -> list[DeweyLabel]:
+        """The label of each row id, one label object per distinct row."""
+        rows, at = np.unique(ids, return_inverse=True)
+        made = _row_labels(self.pg.rows[rows])
+        return list(map(made.__getitem__, at.tolist()))
+
+    def _dotted(self, ids: np.ndarray) -> np.ndarray:
+        """The label of each row id as text, ε for the root's empty label,
+        in an object array; each distinct row and component value is
+        formatted once."""
+        rows, at = np.unique(ids, return_inverse=True)
+        block = self.pg.rows[rows]
+        depth = (block > 0).sum(axis=1)  # components are >= 1: zeros are padding
+        block = block[:, : depth.max(initial=0)]
+        values, word = np.unique(block, return_inverse=True)
+        words = np.array(list(map(str, values.tolist())), dtype=object)[word.reshape(block.shape)]
+        text = np.full(len(block), "ε", dtype=object)
+        for c in range(block.shape[1]):
+            text = np.where(depth > c, text + "." + words[:, c] if c else words[:, c], text)
+        return text[at]
 
 
 @dataclass
@@ -127,7 +149,7 @@ class NodeList:
         return len(self.rows)
 
     def label_at(self, i: int) -> DeweyLabel:
-        return _labels(self.rows[i : i + 1])[0]
+        return _row_labels(self.rows[i : i + 1])[0]
 
 
 def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
@@ -264,7 +286,7 @@ def match_multiway(
                 metrics.credit(nl.extent.first + local, nl.extent.byte_lens[local])
     run, digits = _cross(stop - first)
     local = first[run] + digits
-    cols = [_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
+    cols = [_row_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
     return list(zip(*cols))
 
 
@@ -307,29 +329,9 @@ def _first_of_runs(pos: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return order[runs(keys[order])[0]]
 
 
-def _dotted(block: np.ndarray) -> np.ndarray:
-    """Each row's label as text, ε for the root's empty label, in an
-    object array; each distinct component value and each run of equal
-    rows is formatted once."""
-    starts, counts = runs(block)
-    firsts = block[starts]
-    depth = (firsts > 0).sum(axis=1)  # components are >= 1: zeros are padding
-    values, at = np.unique(firsts, return_inverse=True)
-    words = np.array(list(map(str, values.tolist())), dtype=object)[at.reshape(firsts.shape)]
-    text = np.full(len(firsts), "ε", dtype=object)
-    if firsts.shape[1]:
-        text[depth > 0] = words[depth > 0, 0]
-    for c in range(1, firsts.shape[1]):
-        text = np.where(depth > c, text + "." + words[:, c], text)
-    return np.repeat(text, counts)
-
-
-def _labels(block: np.ndarray) -> list[DeweyLabel]:
-    """One label per row, one label object per run of equal rows."""
-    starts, counts = runs(block)
-    firsts = block[starts]
-    made = [DeweyLabel(r[:d]) for r, d in zip(firsts.tolist(), (firsts > 0).sum(axis=1).tolist())]
-    return list(map(made.__getitem__, np.repeat(np.arange(len(made)), counts).tolist()))
+def _row_labels(rows: np.ndarray) -> list[DeweyLabel]:
+    """One label per zero-padded row."""
+    return [DeweyLabel(r[:d]) for r, d in zip(rows.tolist(), (rows > 0).sum(axis=1).tolist())]
 
 
 def match_proc(
@@ -352,11 +354,8 @@ def match_proc(
     n_leaves = sum(s.kind == "leaf" for t in schema.tables for s in t.slots)
     n_tables = len(schema.tables)
     if schema.is_empty:
-        return ResultSet(np.zeros((0, n_leaves, 0), np.int64),
-                         np.zeros((0, n_tables, 0), np.int64), np.zeros((0, 0), np.int64), schema)
-    leaf_ends = [rec.ends[si] for t in schema.tables for si, s in enumerate(t.slots)
-                 if s.kind == "leaf" for rec in t.records]
-    width = int(pg.depths[np.fromiter(chain.from_iterable(leaf_ends), np.int64)].max())
+        return ResultSet(pg, np.zeros((0, n_leaves), np.int64),
+                         np.zeros((0, n_tables), np.int64), np.zeros(0, np.int64), schema)
 
     def run_table(ti: int, table: DataTable) -> _Input:
         """Merge the table level by level; its entries, grouped by witness."""
@@ -423,12 +422,9 @@ def match_proc(
         done.append(run_table(ti, table))
     top = done.pop()
     del done  # release the inner tables' entry matrices
-    # top is sorted by witness, so each assignment keeps its shallowest;
-    # labels are gathered for the answer only
+    # top is sorted by witness, so each assignment keeps its shallowest
     final = top.block[_first_of_runs(pg.pos, top.block[:, :n_leaves])]
-    top_level = max(rec.jp_level for rec in schema.tables[-1].records)
-    return ResultSet(pg.rows[final[:, :n_leaves], :width], pg.rows[final[:, n_leaves:], :width],
-                     pg.rows[top.ids, :top_level], schema)
+    return ResultSet(pg, final[:, :n_leaves], final[:, n_leaves:], top.ids, schema)
 
 
 def evaluate(
@@ -458,15 +454,11 @@ def evaluate(
             n = sum(len(ext) for ext in exts)
             if max_results is not None and n > max_results:
                 raise ResultLimitError(n, max_results)
-            ids, gids = _union(pg, exts)
+            ids, _ = _union(pg, exts)
             metrics.nodes_read += n
             metrics.credit(ids, pg.byte_lens[ids])
-            if len(exts) == 1:  # in order already: its read-only view of the store will do
-                rows = exts[0].rows
-            else:
-                rows = pg.rows[ids, : pg.depths[gids].max(initial=0)]
-            no_tables = np.zeros((n, 0, 0), np.int64)
-            return ResultSet(rows[:, None, :], no_tables, np.zeros((0, 0), np.int64)), metrics
+            no_tables = np.zeros((n, 0), np.int64)
+            return ResultSet(pg, ids[:, None], no_tables, np.zeros(0, np.int64)), metrics
         rs = match_proc(build_dt_schema(pg, d), pg, metrics=metrics, use_jump=use_jump,
                         backend=backend, max_results=max_results)
         return rs, metrics

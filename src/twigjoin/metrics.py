@@ -44,7 +44,10 @@ class Metrics:
         if len(ids) and ids.max() >= len(self._touched):
             self._touched.resize(2 * int(ids.max()) + 1, refcheck=False)  # zero-filled; no views
         fresh = ~self._touched[ids]
-        self._touched[ids] = True
+        new = ids[fresh]
+        if (new[1:] <= new[:-1]).any():  # out of row order, an id may repeat: keep its first
+            fresh = np.flatnonzero(fresh)[np.unique(new, return_index=True)[1]]
+        self._touched[new] = True
         self.bytes_scanned += int(byte_lens[fresh].sum())
 
     @contextmanager

@@ -300,10 +300,6 @@ class PathGuide:
 
     # ------------------------------------------------------------ access
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -328,9 +324,6 @@ class PathGuide:
     def ancestor_at_depth(self, gid: int, depth: int) -> int:
         return int(self.anc[gid, depth])
 
-    def is_ancestor_or_self(self, a: int, b: int) -> bool:
-        return bool(self.anc[b, self.depths[a]] == a)
-
     def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
         """Row id of each row's ancestor-or-self label at depth level, for
         rows ids[i] of guide nodes gids[i] at least that deep.  pos of the
@@ -339,9 +332,6 @@ class PathGuide:
         for s in range(steps.max(initial=0)):
             ids = np.where(steps > s, self.up[ids], ids)
         return ids
-
-    def total_extent_bytes(self) -> int:
-        return int(self.byte_lens.sum())
 
     def total_nodes(self) -> int:
         return len(self.rows)

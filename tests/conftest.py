@@ -108,7 +108,7 @@ def random_query(rng: random.Random, max_leaves: int = 5, max_jps: int = 3) -> s
 
 
 def _gid_at(pg: PathGuide, path: tuple, depth: int) -> int:
-    g = pg.root
+    g = 0
     for tag in path[1 : depth + 1]:
         g = pg.nodes[g].children[tag]
     return g

@@ -32,7 +32,7 @@ def test_single_jp_one_record():
     schema = schema_for(pg, "//A[.//B]//C//D")
     assert len(schema.tables) == 1
     table = schema.tables[0]
-    assert table.slot_kinds == ("leaf", "leaf")
+    assert tuple(s.kind for s in table.slots) == ("leaf", "leaf")
     assert recs(table) == {((1, 3), 0, 0)}
     assert not schema.is_empty
 
@@ -110,8 +110,8 @@ def test_three_branch_two_table_plan():
     deep, top = schema.tables
     assert deep.jp.node.test == "B"
     assert top.jp.node.test == "A"
-    assert deep.slot_kinds == ("leaf", "leaf")
-    assert top.slot_kinds == ("nested", "leaf")
+    assert tuple(s.kind for s in deep.slots) == ("leaf", "leaf")
+    assert tuple(s.kind for s in top.slots) == ("nested", "leaf")
     assert [slot.child_table for slot in top.slots] == [0, None]
     # nested slot candidates are the deep table's distinct jp_guide gids
     nested_ends = {e for r in top.records for e in r.ends[0]}
@@ -228,18 +228,18 @@ def test_schema_structural_invariants():
             order = jp_order(d)
             assert [t.jp for t in schema.tables] == order
             for ti, table in enumerate(schema.tables):
-                assert table.arity == len(table.jp.groups)
-                assert table.slot_kinds == tuple(
+                assert len(table.slots) == len(table.jp.groups)
+                assert tuple(s.kind for s in table.slots) == tuple(
                     "leaf" if g.kind == "leaf" else "nested"
                     for g in table.jp.groups
                 )
                 for r in table.records:
-                    assert len(r.ends) == table.arity
+                    assert len(r.ends) == len(table.slots)
                     assert pg.nodes[r.jp_guide].depth == r.jp_level
                     for ends in r.ends:
                         assert ends and list(ends) == sorted(set(ends))
                         for e in ends:
-                            assert pg.is_ancestor_or_self(r.jp_guide, e)
+                            assert pg.anc[e, pg.depths[r.jp_guide]] == r.jp_guide
                 for slot in table.slots:
                     if slot.kind == "nested":
                         assert slot.child_table < ti  # consumed table built earlier

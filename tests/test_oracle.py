@@ -101,7 +101,7 @@ def test_from_guide_charges_full_scan(small_corpus):
     met = Metrics()
     MaterializedDoc.from_guide(pg, met)
     assert met.nodes_read == pg.total_nodes()
-    assert met.bytes_scanned == pg.total_extent_bytes()
+    assert met.bytes_scanned == int(pg.byte_lens.sum())
 
 
 # ------------------------------------------------------------ leaf scanner

@@ -59,7 +59,7 @@ def test_extents_partition_document(guides):
 
 def test_tree_invariants(guides):
     for _, pg in guides:
-        assert pg.root == 0
+        assert pg.nodes[0].depth == 0
         assert pg.nodes[0].parent == -1
         for node in pg.nodes[1:]:
             parent = pg.nodes[node.parent]
@@ -90,9 +90,9 @@ def test_ancestor_helpers(guides):
         assert len(chain) == node.depth + 1
         for d, a in enumerate(chain):
             assert pg.ancestor_at_depth(node.gid, d) == a
-            assert pg.is_ancestor_or_self(a, node.gid)
+            assert pg.anc[node.gid, pg.depths[a]] == a
         if node.gid:
-            assert not pg.is_ancestor_or_self(node.gid, node.parent)
+            assert pg.anc[node.parent, pg.depths[node.gid]] != node.gid
 
 
 def test_eval_single_branch_matches_regex_oracle(guides):
@@ -275,7 +275,7 @@ def test_byte_lens_on_built_guide(guides):
 def test_total_counters(guides):
     xml, pg = guides[0]
     assert pg.total_nodes() == sum(1 for _ in ingest(xml))
-    assert pg.total_extent_bytes() == sum(
+    assert int(pg.byte_lens.sum()) == sum(
         int(e.byte_lens.sum()) for e in pg.extents
     )
 
