@@ -22,7 +22,7 @@ from .dewey import (
     parse_label,
 )
 from .document import GeneratorConfig, IngestError, NodeEvent, generate, ingest
-from .dt import DataTable, DTRecord, DTSchema, build_dt, build_dt_schema, explain
+from .dt import DataTable, DTSchema, build_dt, build_dt_schema, explain
 from .index_io import Index, IndexFormatError
 from .kernels import get_backend
 from .matcher import (
@@ -79,7 +79,6 @@ __all__ = [
     "print_query",
     "split",
     "jp_order",
-    "DTRecord",
     "DataTable",
     "DTSchema",
     "build_dt",

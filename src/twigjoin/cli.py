@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import index_io
 from .document import GeneratorConfig, IngestError, generate
 from .dt import explain
@@ -99,7 +101,7 @@ def _cmd_index(args) -> int:
     pg = PathGuide.build_from_xml(xml)
     idx = index_io.Index.from_guide(pg)
     index_io.save(idx, args.output)
-    print(f"guide nodes: {len(pg.nodes)}")
+    print(f"guide nodes: {len(pg)}")
     print(f"document nodes: {idx.node_count}")
     return 0
 
@@ -171,13 +173,8 @@ def synth_single_branch(pg: PathGuide) -> list[tuple[str, str]]:
     the dt engine's reads can only shrink as the chain grows, while
     the leaf tag (and with it the name-scan cost) stays fixed.
     """
-    deepest = max(pg.nodes, key=lambda n: (n.depth, -n.gid))
-    tags = deepest.path
-    out = []
-    for k in range(2, 10):
-        if k > len(tags):
-            break
-        out.append((f"sb{k}", "//" + "//".join(tags[len(tags) - k :])))
+    tags = pg.path_tags(int(np.argmax(pg.depths)))  # the first deepest node
+    out = [(f"sb{k}", "//" + "//".join(tags[-k:])) for k in range(2, min(9, len(tags)) + 1)]
     if not out:
         raise ValueError("index too shallow for the single-branch sweep")
     return out
@@ -192,28 +189,20 @@ def synth_multi_branch(pg: PathGuide) -> list[tuple[str, str]]:
     descending extent size, which keeps the dt read-growth ratio below
     the name-scan baseline's.
     """
-    best = None
-    for node in pg.nodes:
-        if len(node.children) < 5:
-            continue
-        kids = sorted(
-            node.children.values(), key=lambda g: (-pg.extent_size(g), g)
-        )[:5]
-        score = (pg.extent_size(node.gid), sum(pg.extent_size(g) for g in kids))
-        if best is None or score > best[0]:
-            best = (score, node, kids)
-    if best is None:
+    sizes = np.diff(pg.start)
+    kids = np.lexsort((-sizes, pg.parents))[1:]  # by parent, largest extent first, then gid
+    cands = np.flatnonzero(np.bincount(pg.parents[1:], minlength=len(pg)) >= 5)
+    if not len(cands):
         raise ValueError(
             "index has no guide node with five distinct child tags; "
             "multi-branch sweep needs a wider document"
         )
-    _, node, kids = best
-    trunk = "/" + "/".join(node.path)
-    tags = [pg.nodes[g].tag for g in kids]
-    out = []
-    for b in range(2, 6):
-        out.append((f"mb{b}", trunk + "".join(f"[./{t}]" for t in tags[:b])))
-    return out
+    top5 = kids[np.searchsorted(pg.parents[kids], cands)[:, None] + np.arange(5)]
+    # the most witnesses, then the largest top five, then the first gid
+    best = np.lexsort((-cands, sizes[top5].sum(axis=1), sizes[cands]))[-1]
+    trunk = "/" + "/".join(pg.path_tags(cands[best]))
+    tags = [pg.tag_names[t] for t in pg.tags[top5[best]].tolist()]
+    return [(f"mb{b}", trunk + "".join(f"[./{t}]" for t in tags[:b])) for b in range(2, 6)]
 
 
 def _cmd_bench(args) -> int:

@@ -4,8 +4,9 @@ A DataTable belongs to one JP and holds one record per JP guide node g
 that can witness it.  Per slot (branch end or nested child JP), the
 record lists every guide node that fits under g; at evaluation time
 any choice of one end per slot means "merge these extent lists on
-equality of their jp_level-prefixes".  A DTSchema chains the tables
-deepest-JP-first.
+equality of their prefixes at g's depth", the record's level.  Both are
+arrays (DataTable); record_view gives them as tuples.  A DTSchema
+chains the tables deepest-JP-first.
 
 An end e sits in slot i of the record for g only when all three hold:
 
@@ -39,13 +40,6 @@ from .twig import Decomposition, JPDescriptor, Step, jp_order, steps_to_str
 
 
 @dataclass(frozen=True)
-class DTRecord:
-    ends: tuple[tuple[int, ...], ...]  # per slot, the GuideIds fitting jp_guide
-    jp_level: int  # document depth of the JP occurrence
-    jp_guide: int  # GuideId of the matched JP guide node
-
-
-@dataclass(frozen=True)
 class SlotSpec:
     kind: str  # "leaf" | "nested"
     steps: tuple[Step, ...]  # steps below the JP down to the slot target
@@ -55,9 +49,14 @@ class SlotSpec:
 
 @dataclass
 class DataTable:
+    """records holds one JP guide node per record, sorted; ends holds one
+    (JP guide node, slot, end) row per end of a record, sorted and
+    distinct, so a record's ends are one run of rows, slot by slot."""
+
     jp: JPDescriptor
     slots: tuple[SlotSpec, ...]
-    records: list[DTRecord]
+    records: np.ndarray  # (records,) int64
+    ends: np.ndarray  # (ends, 3) int64
 
 
 @dataclass
@@ -66,7 +65,7 @@ class DTSchema:
 
     @property
     def is_empty(self) -> bool:
-        return any(not t.records for t in self.tables)
+        return any(len(t.records) == 0 for t in self.tables)
 
 
 def build_dt(
@@ -84,14 +83,8 @@ def build_dt(
         raise ValueError("one candidate list per JP child group required")
     # group kind "jp" becomes slot kind "nested": the slot consumes a
     # table, not the twig node itself
-    slots = tuple(
-        SlotSpec(
-            kind="leaf" if g.kind == "leaf" else "nested",
-            steps=g.steps,
-            leaf_id=g.leaf_id,
-        )
-        for g in jp.groups
-    )
+    slots = tuple(SlotSpec("leaf" if g.kind == "leaf" else "nested", g.steps, g.leaf_id)
+                  for g in jp.groups)
     m = len(jp.groups)
     jp_mask = pg.branch_mask(jp.trunk_steps)
     # one (g, slot, end) triple per end fitting JP guide node g; an end
@@ -106,27 +99,29 @@ def build_dt(
         slot.append(np.full(fit.sum(), i))
         end.append(ends[col[fit]])
     g, slot, end = (np.concatenate(a) for a in (g, slot, end))
-    order = np.lexsort((end, slot, g))
-    g, slot, end = g[order], slot[order], end[order]
+    rows = np.column_stack([g, slot, end])[np.lexsort((end, slot, g))]
+    g, slot = rows[:, 0], rows[:, 1]
     # one run per (g, slot); g has a record when it has a run per slot
-    new_run = np.ones(len(g), dtype=bool)
+    new_run = np.ones(len(rows), dtype=bool)
     new_run[1:] = (g[1:] != g[:-1]) | (slot[1:] != slot[:-1])
-    starts = np.flatnonzero(new_run)
-    jps, first, n_slots = np.unique(g[starts], return_index=True, return_counts=True)
-    jps, first = jps[n_slots == m], first[n_slots == m]
-    end, bounds = end.tolist(), starts.tolist() + [len(end)]
-    runs = [tuple(end[a:b]) for a, b in zip(bounds, bounds[1:])]
-    records = [
-        DTRecord(tuple(runs[r : r + m]), level, jp_guide)
-        for r, level, jp_guide in zip(first.tolist(), pg.depths[jps].tolist(), jps.tolist())
-    ]
-    return DataTable(jp, slots, records)
+    jps, n_slots = np.unique(g[new_run], return_counts=True)
+    full = n_slots == m
+    return DataTable(jp, slots, jps[full], rows[full[np.searchsorted(jps, g)]])
+
+
+def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
+    """Per record, in order: its ends per slot, its level (the depth of
+    its JP guide node) and its JP guide node, all as ints."""
+    ends: dict[int, list[list[int]]] = {}
+    for g, slot, end in table.ends.tolist():
+        ends.setdefault(g, [[] for _ in table.slots])[slot].append(end)
+    return [(tuple(map(tuple, ends[g])), pg.depths.item(g), g) for g in table.records.tolist()]
 
 
 def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
     """One DataTable per JP, deepest first, nested slots linked.
 
-    A nested slot's candidates are the distinct jp_guide values of the
+    A nested slot's candidates are the records (JP guide nodes) of the
     child JP's table, which is always built first because a child JP
     sits strictly deeper in the twig.
     """
@@ -143,7 +138,7 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
                 links.append(None)
             else:
                 child_idx = table_of[id(group.jp_node)]
-                results.append(sorted({r.jp_guide for r in tables[child_idx].records}))
+                results.append(tables[child_idx].records)
                 links.append(child_idx)
         table = build_dt(pg, results, jp)
         table.slots = tuple(
@@ -174,9 +169,9 @@ def explain(schema: DTSchema, pg: PathGuide, max_records: int = 50) -> str:
                 target = f"DT {slot.child_table + 1}"
             lines.append(f"  slot {si}: {slot.kind} -> {target}, tail {steps_to_str(slot.steps)}")
         lines.append(f"  records: {len(table.records)}")
-        for rec in table.records[:max_records]:
-            ends = ", ".join(" | ".join(map(path_str, slot)) for slot in rec.ends)
-            lines.append(f"    ({ends}) level={rec.jp_level} jp={path_str(rec.jp_guide)}")
+        for ends, level, jp_guide in record_view(table, pg)[:max_records]:
+            ends = ", ".join(" | ".join(map(path_str, slot)) for slot in ends)
+            lines.append(f"    ({ends}) level={level} jp={path_str(jp_guide)}")
         hidden = len(table.records) - max_records
         if hidden > 0:
             lines.append(f"    ... {hidden} more")

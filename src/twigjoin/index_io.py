@@ -66,7 +66,7 @@ class Index:
 
     @classmethod
     def from_guide(cls, pg: PathGuide) -> "Index":
-        return cls(pg, pg.total_nodes(), int(pg.depths.max(initial=0)))
+        return cls(pg, len(pg.rows), int(pg.depths.max(initial=0)))
 
 
 def _chunks(blob_lens: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -84,12 +84,11 @@ def to_bytes(index: Index) -> bytes:
     pg = index.guide
     head = bytearray(MAGIC)
     head += _STATS.pack(FORMAT_VERSION, index.node_count, index.max_depth)
-    head += struct.pack("<I", len(pg.nodes))
-    for node in pg.nodes:
-        parent = _NO_PARENT if node.parent < 0 else node.parent
-        tag = node.tag.encode("utf-8")
-        head += _NODE.pack(parent, node.depth, len(tag))
-        head += tag
+    head += struct.pack("<I", len(pg))
+    names = [tag.encode("utf-8") for tag in pg.tag_names]
+    for parent, depth, t in zip(pg.parents.tolist(), pg.depths.tolist(), pg.tags.tolist()):
+        head += _NODE.pack(_NO_PARENT if parent < 0 else parent, depth, len(names[t]))
+        head += names[t]
     counts = np.diff(pg.start)
     blob_lens = np.diff(np.concatenate([[0], np.cumsum(pg.byte_lens)])[pg.start])
     # offset of each extent's header in the extent section

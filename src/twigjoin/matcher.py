@@ -360,16 +360,16 @@ def match_proc(
     def run_table(ti: int, table: DataTable) -> _Input:
         """Merge the table level by level; its entries, grouped by witness."""
         wcol = n_leaves + ti
-        levels = sorted({rec.jp_level for rec in table.records})
+        ends_level = pg.depths[table.ends[:, 0]]  # a record's level is its JP's depth
         blocks = []
         entries = 0
-        for level in levels:
-            recs = [rec for rec in table.records if rec.jp_level == level]
+        for level in np.unique(pg.depths[table.records]).tolist():
+            here = table.ends[ends_level == level]
             inputs = []
             for si, slot in enumerate(table.slots):
-                named = sorted({e for rec in recs for e in rec.ends[si]})
+                named = here[here[:, 1] == si, 2]  # distinct: an end fits one node per level
                 if slot.kind == "leaf":
-                    ids, gids = _union(pg, [pg.read_extent(g) for g in named])
+                    ids, gids = _union(pg, [pg.read_extent(g) for g in named.tolist()])
                     inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
                                          np.ones(len(ids), np.int64), slot.leaf_id, True))
                 else:  # the child table's witnesses under the named JP guide nodes

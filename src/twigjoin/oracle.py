@@ -184,9 +184,9 @@ def leaf_scan_match(
         for branch in d.branches:
             tag = branch.steps[-1].test
             if tag == WILDCARD:
-                gids: Iterable[int] = range(len(pg.nodes))
+                gids: Iterable[int] = range(len(pg))
             else:
-                gids = sorted(pg.by_tag.get(tag, ()))
+                gids = np.flatnonzero(pg.tags == pg.tag_id.get(tag, -1)).tolist()
             items: list[tuple[tuple[int, ...], int]] = []
             for g in gids:
                 ext = pg.read_extent(g)
@@ -226,7 +226,7 @@ def leaf_scan_match(
                         adm = _admissible_depths(pg, g, tail)
                         adm_cache[g] = adm
                     for lev in adm:
-                        w = pg.ancestor_at_depth(g, lev)
+                        w = int(pg.anc[g, lev])
                         ok = trunk_ok.get(w)
                         if ok is None:
                             ok = steps_match(jp.trunk_steps, pg.path_tags(w))
@@ -241,7 +241,7 @@ def leaf_scan_match(
             for (lev, prefix), lists in sorted(buckets.items()):
                 if any(not lst for lst in lists):
                     continue
-                witness_gid = pg.ancestor_at_depth(lists[0][0][1], lev)
+                witness_gid = int(pg.anc[lists[0][0][1], lev])
                 dedup: dict[tuple, _Item] = {}
                 for combo in product(*lists):
                     leaves: dict[int, tuple[int, ...]] = {}

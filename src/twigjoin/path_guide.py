@@ -1,29 +1,34 @@
 """Path summary over one columnar extent store.
 
 One guide node per distinct root-to-node tag path; the root guide node
-is the document element at depth 0.  A node's extent holds the Dewey
-labels of all document nodes sharing its path.  All extents live in one
-store, built in one pass: rows is an int64 matrix of zero-padded labels,
-gid-major and strictly sorted within each extent, so the extent of g is
-rows start[g] : start[g + 1] and a row's index is its global row id;
-byte_lens[i] is row i's encoded size.  Two more int64 arrays per row,
-never serialized, let a row id stand for its label: pos[i], row i's
-document position (label order is document order), and up[i], the row
-id of its parent label (-1 for the root); ancestors walks up to any
-level.  build takes both from the events and rejects events out of
-document order.  A guide loaded from tables or from an index file starts
-from its node table (from_node_table) and takes a filled store through
-adopt_store, which checks it and derives pos and up (_check_store).
+is the document element at depth 0.  The node table is three int32
+arrays, per guide node (gid) its parent (an earlier node; -1 for the
+root), tag id (tag_names[t] is tag t, tag_id the reverse) and depth,
+set and checked by _set_nodes.  GuideNode objects (nodes) are a view
+made on first use, for readers outside the query path.
+
+A node's extent holds the Dewey labels of all document nodes sharing
+its path.  All extents live in one store, built in one pass: rows is an
+int64 matrix of zero-padded labels, gid-major and strictly sorted within
+each extent, so the extent of g is rows start[g] : start[g + 1] and a
+row's index is its global row id; byte_lens[i] is row i's encoded size.
+Two more int64 arrays per row, never serialized, let a row id stand for
+its label: pos[i], row i's document position (label order is document
+order), and up[i], the row id of its parent label (-1 for the root);
+ancestors walks up to any level.  build takes both from the events and
+rejects events out of document order.  A guide loaded from tables or
+from an index file starts from its node table (from_node_table) and
+takes a filled store through adopt_store, which checks it and derives
+pos and up (_check_store).
 
 Extent access goes through read_extent, which returns the extent's
 guide node, first row id and length, with views of the store made only
 when read, so tests can spy on it to assert that guide-only phases
 touch no extents.
 
-A finished guide also holds int32 arrays derived from the node table
-(never serialized): per node its depth and tag id, the ancestor matrix
-anc[g, d] (the ancestor of g at depth d, -1 below g) and the tag-path
-matrix tag_paths[d, g] (the tag id of anc[g, d], -1 below g).
+Two int32 matrices derived from the node table (never serialized) serve
+planning: anc[g, d], the ancestor of g at depth d, and tag_paths[d, g],
+the tag id of anc[g, d] (both -1 below g); path_tags reads the latter.
 match_steps runs a step sequence over many guide nodes' tag paths at
 once; branch evaluation and DataTable fitting both use it, so no query
 phase walks guide nodes in Python.
@@ -34,6 +39,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,11 +118,10 @@ def _pack(extents: Sequence, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class PathGuide:
     def __init__(self) -> None:
-        self.nodes: list[GuideNode] = []
-        self.by_tag: dict[str, list[int]] = {}
-        # derived by _derive_arrays once the node table is complete
+        # the node table, set by _set_nodes
+        self.parents = self.tags = self.depths = np.empty(0, dtype=np.int32)
         self.tag_id: dict[str, int] = {}
-        self.tags = self.depths = np.empty(0, dtype=np.int32)
+        self.tag_names: list[str] = []
         self.anc = np.empty((0, 1), dtype=np.int32)
         self.tag_paths = np.empty((1, 0), dtype=np.int32)
         # the extent store, set by _set_store
@@ -130,6 +135,7 @@ class PathGuide:
     @classmethod
     def build(cls, events: Iterable[NodeEvent]) -> "PathGuide":
         pg = cls()
+        node_of: dict[tuple[str, int], int] = {}  # (tag, parent gid) -> gid
         # per guide node, in gid order, its labels in document order
         buffers: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         stack: list[tuple[DeweyLabel, int, int]] = []  # (label, gid, event), the last per depth
@@ -145,23 +151,20 @@ class PathGuide:
                 raise GuideError(f"event at {ev.label} is not sorted after {stack[depth][0]}")
             del stack[depth:]
             if depth == 0:
-                if pg.nodes:
+                if node_of:
                     raise GuideError("second root element in event stream")
-                gid, parent_k = pg._add_node(ev.tag, _VIRTUAL), -1
+                parent_gid = parent_k = _VIRTUAL
             else:
                 parent_label, parent_gid, parent_k = stack[-1]
                 if comps[:-1] != parent_label.components:
                     raise GuideError(f"event at {ev.label} does not extend {parent_label}")
-                parent = pg.nodes[parent_gid]
-                gid = parent.children.get(ev.tag, _VIRTUAL)
-                if gid == _VIRTUAL:
-                    gid = pg._add_node(ev.tag, parent_gid)
+            gid = node_of.setdefault((ev.tag, parent_gid), len(node_of))
             buffers[gid].append(comps)
             gids.append(gid)
             parents.append(parent_k)
             stack.append((ev.label, gid, k))
 
-        if not pg.nodes:
+        if not node_of:
             raise GuideError("empty event stream")
         # the store is gid-major: a stable sort by guide node takes each
         # row to its event, whose index is the row's document position
@@ -170,7 +173,7 @@ class PathGuide:
         row[pg.pos] = np.arange(len(gids))
         pg.up = row[np.frombuffer(parents, np.int64)[pg.pos]]
         del gids, parents, row  # freed before the store, the largest allocation, is made
-        pg._derive_arrays()
+        pg._set_nodes(*zip(*node_of))
         pg._set_store(*_pack(list(buffers.values()), pg.depths))
         return pg
 
@@ -198,11 +201,7 @@ class PathGuide:
         """A guide with these nodes and no store yet; each parent must be
         an earlier node (-1 for the root)."""
         pg = cls()
-        for gid, (tag, parent) in enumerate(zip(tags, parents)):
-            if not _VIRTUAL <= parent < gid:
-                raise GuideError(f"guide node {gid}: parent {parent} is not an earlier node")
-            pg._add_node(tag, parent)
-        pg._derive_arrays()
+        pg._set_nodes(tags, parents)
         return pg
 
     def adopt_store(self, rows: np.ndarray, start: np.ndarray) -> None:
@@ -217,18 +216,39 @@ class PathGuide:
         self.byte_lens = _component_byte_lens(rows)
         self.rows.flags.writeable = self.byte_lens.flags.writeable = False
 
-    def _derive_arrays(self) -> None:
-        """Fill tag_id, tags, depths, anc and tag_paths from the nodes.
+    def _set_nodes(self, tags: Sequence[str], parents: Sequence[int]) -> None:
+        """Take the node table, per node its tag and parent, and derive the
+        rest.  Raises GuideError at the first node whose parent is not an
+        earlier node, that is a second root, or whose tag an earlier
+        sibling has.
 
-        Parents precede children, so one pass per depth copies each
-        parent's ancestor row into its children's rows.  tag_paths is
-        stored depth-major, so match_steps works on long contiguous rows.
+        One pass per depth copies each parent's ancestor row into its
+        children's rows.  tag_paths is stored depth-major, so match_steps
+        works on long contiguous rows.
         """
-        self.tag_id = {tag: i for i, tag in enumerate(self.by_tag)}
-        self.tags = np.array([self.tag_id[n.tag] for n in self.nodes], dtype=np.int32)
-        self.depths = np.array([n.depth for n in self.nodes], dtype=np.int32)
-        parents = np.array([n.parent for n in self.nodes], dtype=np.int32)
-        self.anc = np.full((len(self.nodes), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
+        self.tag_names = list(dict.fromkeys(tags))  # in order of first use
+        self.tag_id = {tag: i for i, tag in enumerate(self.tag_names)}
+        self.tags = np.array(list(map(self.tag_id.__getitem__, tags)), dtype=np.int32)
+        parents = np.asarray(parents, dtype=np.int64)
+        late = (parents < _VIRTUAL) | (parents >= np.arange(len(parents)))
+        second_root = (parents == _VIRTUAL) & (np.arange(len(parents)) > 0)
+        dup = np.ones(len(parents), dtype=bool)  # a (parent, tag) pair seen before
+        dup[np.unique((parents + 1) * len(self.tag_names) + self.tags, return_index=True)[1]] = False
+        bad = late | second_root | dup
+        if bad.any():
+            g = int(np.argmax(bad))
+            if late[g]:
+                raise GuideError(f"guide node {g}: parent {parents[g]} is not an earlier node")
+            if second_root[g]:
+                raise GuideError("second root element in event stream")
+            raise GuideError(f"duplicate child tag {tags[g]!r} under guide node {parents[g]}")
+        self.parents = parents.astype(np.int32)
+        self.depths = np.zeros(len(parents), dtype=np.int32)
+        up = parents
+        while (up >= 0).any():
+            self.depths += up >= 0
+            up = np.where(up >= 0, parents[up], _VIRTUAL)
+        self.anc = np.full((len(parents), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
         for d in range(self.anc.shape[1]):
             at = np.flatnonzero(self.depths == d)
             self.anc[at, :d] = self.anc[parents[at], :d]
@@ -249,7 +269,7 @@ class PathGuide:
         that passes keeps pos and up.
         """
         n = len(self.rows)
-        owner = np.repeat(np.arange(len(self.nodes), dtype=np.int32), np.diff(self.start))
+        owner = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.start))
         order = lexsort(self.rows)
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n)
@@ -279,29 +299,24 @@ class PathGuide:
             gid = owner[row]
             label = DeweyLabel(self.rows[row, : self.depths[gid]].tolist())
             raise GuideError(f"label {label} of guide node {gid} has no parent label "
-                             f"in guide node {self.nodes[gid].parent}")
+                             f"in guide node {self.parents[gid]}")
         self.pos, self.up = pos, up
-
-    def _add_node(self, tag: str, parent: int) -> int:
-        gid = len(self.nodes)
-        if parent == _VIRTUAL:
-            if gid != 0:
-                raise GuideError("second root element in event stream")
-            node = GuideNode(gid, tag, _VIRTUAL, 0, (tag,))
-        else:
-            pnode = self.nodes[parent]
-            if tag in pnode.children:
-                raise GuideError(f"duplicate child tag {tag!r} under guide node {parent}")
-            node = GuideNode(gid, tag, parent, pnode.depth + 1, pnode.path + (tag,))
-            pnode.children[tag] = gid
-        self.nodes.append(node)
-        self.by_tag.setdefault(tag, []).append(gid)
-        return node.gid
 
     # ------------------------------------------------------------ access
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.tags)
+
+    @cached_property
+    def nodes(self) -> list[GuideNode]:
+        """The node table as GuideNode objects, in gid order, made on first
+        use for readers outside the query path."""
+        table = zip(self.tags.tolist(), self.parents.tolist(), self.depths.tolist())
+        nodes = [GuideNode(g, self.tag_names[t], p, d, self.path_tags(g))
+                 for g, (t, p, d) in enumerate(table)]
+        for node in nodes[1:]:
+            nodes[node.parent].children[node.tag] = node.gid
+        return nodes
 
     def _extent(self, gid: int) -> ExtentList:
         return ExtentList(self, gid, self.start.item(gid), self.start.item(gid + 1))
@@ -313,16 +328,12 @@ class PathGuide:
     @property
     def extents(self) -> list[ExtentList]:
         """Every extent, in gid order, as views of the store."""
-        return [self._extent(g) for g in range(len(self.nodes))]
-
-    def extent_size(self, gid: int) -> int:
-        return int(self.start[gid + 1] - self.start[gid])
+        return [self._extent(g) for g in range(len(self))]
 
     def path_tags(self, gid: int) -> tuple[str, ...]:
-        return self.nodes[gid].path
-
-    def ancestor_at_depth(self, gid: int, depth: int) -> int:
-        return int(self.anc[gid, depth])
+        """The tags from the document element down to guide node gid."""
+        return tuple(map(self.tag_names.__getitem__,
+                         self.tag_paths[: self.depths[gid] + 1, gid].tolist()))
 
     def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
         """Row id of each row's ancestor-or-self label at depth level, for
@@ -332,9 +343,6 @@ class PathGuide:
         for s in range(steps.max(initial=0)):
             ids = np.where(steps > s, self.up[ids], ids)
         return ids
-
-    def total_nodes(self) -> int:
-        return len(self.rows)
 
     # -------------------------------------------------------- evaluation
 
@@ -374,7 +382,7 @@ class PathGuide:
         """
         steps = q.steps if isinstance(q, SingleBranchQuery) else tuple(q)
         if not steps:
-            return np.zeros(len(self.nodes), dtype=bool)
+            return np.zeros(len(self), dtype=bool)
         keep = self.depths >= len(steps) - 1
         if steps[-1].test != WILDCARD:
             keep &= self.tags == self.tag_id.get(steps[-1].test, _NO_TAG)

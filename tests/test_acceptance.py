@@ -31,7 +31,7 @@ from twigjoin.dewey import (
     parse_label,
 )
 from twigjoin.document import GeneratorConfig, generate
-from twigjoin.dt import build_dt_schema
+from twigjoin.dt import build_dt_schema, record_view
 from twigjoin.index_io import IndexFormatError
 from twigjoin.matcher import Cursor, as_node_list, evaluate, jump
 from twigjoin.oracle import naive_match
@@ -98,10 +98,10 @@ def sweep():
                     allowed = {
                         e
                         for t in schema.tables
-                        for rec in t.records
+                        for ends, _, _ in record_view(t, pg)
                         for i, s in enumerate(t.slots)
                         if s.kind == "leaf"
-                        for e in rec.ends[i]
+                        for e in ends[i]
                     }
                     if not reads <= allowed:
                         read_violations += 1

@@ -19,12 +19,13 @@ from pathlib import Path
 import pytest
 
 from twigjoin import index_io
-from twigjoin.cli import main
+from twigjoin.cli import main, synth_multi_branch, synth_single_branch
 from twigjoin.dewey import DeweyLabel
 from twigjoin.matcher import evaluate
+from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse
 
-from conftest import fan_out_doc
+from conftest import fan_out_doc, gen_doc
 
 METRICS_RE = re.compile(r"^nodes_read=\d+, bytes_scanned=\d+, micros=\d+$")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -371,6 +372,34 @@ def test_bench_auto_multi_branch(idx_path, capsys):
     # mbN appends one more predicate each step onto the same trunk
     assert rows[0]["query"].count("[") == 2
     assert rows[3]["query"].count("[") == 5
+
+
+def _reference_sweeps(pg) -> tuple[list, list]:
+    """The --auto sweeps by a loop over the guide's nodes."""
+    deepest = max(pg.nodes, key=lambda n: (n.depth, -n.gid))
+    sb = [(f"sb{k}", "//" + "//".join(deepest.path[-k:]))
+          for k in range(2, min(9, len(deepest.path)) + 1)]
+    size = lambda g: len(pg.extents[g])  # noqa: E731
+    best = None
+    for node in pg.nodes:
+        if len(node.children) >= 5:
+            kids = sorted(node.children.values(), key=lambda g: (-size(g), g))[:5]
+            score = (size(node.gid), sum(map(size, kids)))
+            if best is None or score > best[0]:
+                best = (score, node, [pg.nodes[g].tag for g in kids])
+    _, node, tags = best
+    trunk = "/" + "/".join(node.path)
+    return sb, [(f"mb{b}", trunk + "".join(f"[./{t}]" for t in tags[:b])) for b in range(2, 6)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6, 11, 13, 14])  # 3 and 6 break ties on gid
+def test_auto_sweeps_agree_with_a_loop_over_guide_nodes(seed):
+    xml = gen_doc(seed, target=300, max_depth=5, max_fanout=6)
+    pg = index_io.from_bytes(index_io.to_bytes(index_io.Index.from_guide(
+        PathGuide.build_from_xml(xml)))).guide
+    got = synth_single_branch(pg), synth_multi_branch(pg)
+    assert "nodes" not in vars(pg)
+    assert got == _reference_sweeps(pg)
 
 
 def test_bench_unknown_engine_exits_1(workdir, idx_path, capsys):

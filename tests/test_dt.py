@@ -1,9 +1,10 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
-from twigjoin.dt import DTRecord, build_dt, build_dt_schema, explain
+from twigjoin.dt import build_dt, build_dt_schema, explain, record_view
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import jp_order, parse, split
 
@@ -14,12 +15,12 @@ def schema_for(pg: PathGuide, q: str):
     return build_dt_schema(pg, split(parse(q)))
 
 
-def recs(table) -> set[tuple]:
+def recs(pg: PathGuide, table) -> set[tuple]:
     """Every (one end per slot, level, JP guide node) a table allows."""
     return {
-        (combo, r.jp_level, r.jp_guide)
-        for r in table.records
-        for combo in product(*r.ends)
+        (combo, level, jp_guide)
+        for ends, level, jp_guide in record_view(table, pg)
+        for combo in product(*ends)
     }
 
 
@@ -33,7 +34,7 @@ def test_single_jp_one_record():
     assert len(schema.tables) == 1
     table = schema.tables[0]
     assert tuple(s.kind for s in table.slots) == ("leaf", "leaf")
-    assert recs(table) == {((1, 3), 0, 0)}
+    assert recs(pg, table) == {((1, 3), 0, 0)}
     assert not schema.is_empty
 
 
@@ -41,14 +42,14 @@ def test_two_ends_in_one_slot_share_one_record():
     pg = PathGuide.build_from_xml(b"<A><B/><X><B/></X><C/></A>")
     # gids: A=0, A/B=1, A/X=2, A/X/B=3, A/C=4
     schema = schema_for(pg, "//A[.//B]/C")
-    assert schema.tables[0].records == [DTRecord(((1, 3), (4,)), 0, 0)]
+    assert record_view(schema.tables[0], pg) == [(((1, 3), (4,)), 0, 0)]
     assert "(A/B | A/X/B, A/C) level=0 jp=A" in explain(schema, pg)
 
 
 def test_missing_branch_empties_table():
     pg = PathGuide.build_from_xml(b"<A><B/><C/></A>")
     schema = schema_for(pg, "//A[.//B]//C//D")
-    assert schema.tables[0].records == []
+    assert record_view(schema.tables[0], pg) == []
     assert schema.is_empty
 
 
@@ -58,7 +59,7 @@ def test_one_tuple_joins_at_two_depths():
     pg = PathGuide.build_from_xml(b"<A><B/><X><A><B/><C><D/></C></A></X></A>")
     # gids: A=0, A/B=1, A/X=2, A/X/A=3, A/X/A/B=4, A/X/A/C=5, A/X/A/C/D=6
     schema = schema_for(pg, "//A[.//B]//C//D")
-    assert recs(schema.tables[0]) == {
+    assert recs(pg, schema.tables[0]) == {
         ((1, 6), 0, 0),
         ((4, 6), 0, 0),
         ((4, 6), 2, 3),
@@ -71,11 +72,11 @@ def test_one_end_fits_two_jp_depths():
     # gids: A=0, A/B=1, A/X=2, A/X/A=3, A/X/A/B=4, A/X/A/A=5
     d = split(parse("//A[.//A]//B"))
     schema = build_dt_schema(pg, d)
-    assert schema.tables[0].records == [
-        DTRecord(((3, 5), (1, 4)), 0, 0),
-        DTRecord(((5,), (4,)), 2, 3),
+    assert record_view(schema.tables[0], pg) == [
+        (((3, 5), (1, 4)), 0, 0),
+        (((5,), (4,)), 2, 3),
     ]
-    assert [recs(t) for t in schema.tables] == oracle_schema_records(pg, d)
+    assert [recs(pg, t) for t in schema.tables] == oracle_schema_records(pg, d)
 
 
 @pytest.mark.parametrize(
@@ -88,7 +89,7 @@ def test_wildcard_trunks_match_oracle(q):
     )
     d = split(parse(q))
     schema = build_dt_schema(pg, d)
-    assert [recs(t) for t in schema.tables] == oracle_schema_records(pg, d)
+    assert [recs(pg, t) for t in schema.tables] == oracle_schema_records(pg, d)
     assert not schema.is_empty
 
 
@@ -98,7 +99,7 @@ def test_tail_alignment_blocks_false_join():
     # ./B; a record here would claim a match the document cannot have
     pg = PathGuide.build_from_xml(b"<A><A><A><B/></A><C/></A></A>")
     schema = schema_for(pg, "//A/*[./B][./C]")
-    assert schema.tables[0].records == []
+    assert record_view(schema.tables[0], pg) == []
 
 
 def test_three_branch_two_table_plan():
@@ -113,9 +114,9 @@ def test_three_branch_two_table_plan():
     assert tuple(s.kind for s in deep.slots) == ("leaf", "leaf")
     assert tuple(s.kind for s in top.slots) == ("nested", "leaf")
     assert [slot.child_table for slot in top.slots] == [0, None]
-    # nested slot candidates are the deep table's distinct jp_guide gids
-    nested_ends = {e for r in top.records for e in r.ends[0]}
-    assert nested_ends <= {r.jp_guide for r in deep.records}
+    # nested slot candidates are the deep table's JP guide nodes
+    nested_ends = {e for ends, _, _ in record_view(top, pg) for e in ends[0]}
+    assert nested_ends <= {jp_guide for _, _, jp_guide in record_view(deep, pg)}
 
 
 def test_zero_jp_is_rejected():
@@ -207,8 +208,9 @@ def test_schema_matches_brute_force_oracle():
             want = oracle_schema_records(pg, d)
             assert len(schema.tables) == len(want)
             for table, expect in zip(schema.tables, want):
-                assert len(table.records) == len({r.jp_guide for r in table.records})
-                assert recs(table) == expect
+                view = record_view(table, pg)
+                assert len(view) == len({jp_guide for _, _, jp_guide in view})
+                assert recs(pg, table) == expect
             checked += 1
             if not schema.is_empty:
                 nonempty += 1
@@ -233,13 +235,25 @@ def test_schema_structural_invariants():
                     "leaf" if g.kind == "leaf" else "nested"
                     for g in table.jp.groups
                 )
-                for r in table.records:
-                    assert len(r.ends) == len(table.slots)
-                    assert pg.nodes[r.jp_guide].depth == r.jp_level
-                    for ends in r.ends:
-                        assert ends and list(ends) == sorted(set(ends))
-                        for e in ends:
-                            assert pg.anc[e, pg.depths[r.jp_guide]] == r.jp_guide
+                rows = table.ends
+                assert rows.shape[1] == 3
+                # ends rows are sorted and distinct
+                assert (np.lexsort(rows.T[::-1]) == np.arange(len(rows))).all()
+                assert (np.diff(rows, axis=0) != 0).any(axis=1).all()
+                # every record has an end in every slot, and no other row
+                assert np.array_equal(np.unique(rows[:, 0]), table.records)
+                for si in range(len(table.slots)):
+                    assert np.array_equal(np.unique(rows[rows[:, 1] == si, 0]), table.records)
+                # every end sits below its JP guide node
+                g = rows[:, 0]
+                assert (pg.anc[rows[:, 2], pg.depths[g]] == g).all()
+                for ends, level, jp_guide in record_view(table, pg):
+                    assert len(ends) == len(table.slots)
+                    assert pg.nodes[jp_guide].depth == level
+                    for slot_ends in ends:
+                        assert slot_ends and list(slot_ends) == sorted(set(slot_ends))
+                        for e in slot_ends:
+                            assert pg.anc[e, pg.depths[jp_guide]] == jp_guide
                 for slot in table.slots:
                     if slot.kind == "nested":
                         assert slot.child_table < ti  # consumed table built earlier

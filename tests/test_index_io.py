@@ -95,7 +95,7 @@ def test_reloaded_guide_plans_identically(sample):
     xml, pg, idx, data = sample
     clone = from_bytes(data).guide
     assert clone.tag_id == pg.tag_id
-    for name in ("tags", "depths", "anc", "tag_paths", "pos", "up"):
+    for name in ("parents", "tags", "depths", "anc", "tag_paths", "pos", "up"):
         assert np.array_equal(getattr(clone, name), getattr(pg, name)), name
     rng = random.Random(4)
     planned = 0
@@ -105,11 +105,29 @@ def test_reloaded_guide_plans_identically(sample):
             assert clone.eval_single_branch(branch) == pg.eval_single_branch(branch)
         if d.jps:
             built, loaded = build_dt_schema(pg, d), build_dt_schema(clone, d)
-            assert [(t.slots, t.records) for t in loaded.tables] == [
-                (t.slots, t.records) for t in built.tables
-            ]
+            assert [t.slots for t in loaded.tables] == [t.slots for t in built.tables]
+            for a, b in zip(loaded.tables, built.tables):
+                assert np.array_equal(a.records, b.records)
+                assert np.array_equal(a.ends, b.ends)
             planned += not built.is_empty
     assert planned >= 10
+
+
+def test_build_load_and_evaluate_make_no_guide_nodes(sample):
+    # the node table stays arrays: GuideNode objects (pg.nodes) are made
+    # only when something outside the query path asks for them
+    xml, pg, idx, data = sample
+    rng = random.Random(12)
+    queries = [mixed_query(rng, pg) for _ in range(30)] + ["//A", "/*/*", "//B//C"]
+    twigs = sum(bool(split(parse(q)).jps) for q in queries)
+    assert 0 < twigs < len(queries)
+    built = PathGuide.build_from_xml(xml)
+    loaded = from_bytes(to_bytes(Index.from_guide(built))).guide
+    for guide in (built, loaded):
+        for q in queries:
+            rs, _ = evaluate(guide, q)
+            assert rs.lines() == evaluate(pg, q)[0].lines()
+        assert "nodes" not in vars(guide)
 
 
 def test_flipped_byte_fails_checksum(sample):
@@ -340,7 +358,7 @@ def test_wrong_header_stats_are_rejected(sample, field, value):
 def _per_extent_bytes(pg: PathGuide) -> bytes:
     """The index of pg as the per-label encoder writes it."""
     out = bytearray(MAGIC)
-    out += struct.pack("<IQI", FORMAT_VERSION, pg.total_nodes(), int(pg.depths.max(initial=0)))
+    out += struct.pack("<IQI", FORMAT_VERSION, len(pg.rows), int(pg.depths.max(initial=0)))
     out += struct.pack("<I", len(pg.nodes))
     for node in pg.nodes:
         tag = node.tag.encode()
@@ -385,7 +403,7 @@ def _per_extent_load(data: bytes) -> PathGuide:
     except (struct.error, UnicodeDecodeError, dewey.LabelError, GuideError) as exc:
         raise IndexFormatError(str(exc)) from None
     node_count, max_depth = struct.unpack_from("<QI", data, len(MAGIC) + 4)
-    if (node_count, max_depth) != (pg.total_nodes(), int(pg.depths.max(initial=0))):
+    if (node_count, max_depth) != (len(pg.rows), int(pg.depths.max(initial=0))):
         raise IndexFormatError("header stats")
     return pg
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twigjoin.dewey import DeweyLabel, parse_label
-from twigjoin.dt import build_dt_schema
+from twigjoin.dt import build_dt_schema, record_view
 from twigjoin.kernels import BACKEND_NAMES, Backend, get_backend
 from twigjoin.matcher import (
     Cursor,
@@ -341,7 +341,7 @@ def test_zero_jp_reads_extents_directly(small_corpus):
     assert rs.top_jp_labels == []
     matched = set(pg.eval_single_branch(split(parse("//B")).branches[0]))
     assert set(reads) == matched
-    assert met.nodes_read == sum(pg.extent_size(g) for g in matched)
+    assert met.nodes_read == np.diff(pg.start)[sorted(matched)].sum()
 
 
 def test_empty_plan_reads_nothing(small_corpus):
@@ -368,10 +368,10 @@ def test_jp_query_reads_only_planned_extents(small_corpus):
             allowed = {
                 e
                 for table in schema.tables
-                for rec in table.records
+                for ends, _, _ in record_view(table, pg)
                 for si, slot in enumerate(table.slots)
                 if slot.kind == "leaf"
-                for e in rec.ends[si]
+                for e in ends[si]
             }
             with spy_reads(pg) as reads:
                 evaluate(pg, q)
@@ -573,9 +573,9 @@ def test_one_kernel_call_per_table_level(small_corpus):
                 assert calls == []
                 continue
             pairs = {
-                (ti, rec.jp_level)
+                (ti, level)
                 for ti, table in enumerate(schema.tables)
-                for rec in table.records
+                for _, level, _ in record_view(table, pg)
             }
             assert len(calls) == len(pairs), q
             multi_level += len(pairs) > len(schema.tables)

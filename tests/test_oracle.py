@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from twigjoin.dewey import parse_label
@@ -100,7 +101,7 @@ def test_from_guide_charges_full_scan(small_corpus):
     xml, pg, doc = small_corpus[1]
     met = Metrics()
     MaterializedDoc.from_guide(pg, met)
-    assert met.nodes_read == pg.total_nodes()
+    assert met.nodes_read == len(pg.rows)
     assert met.bytes_scanned == int(pg.byte_lens.sum())
 
 
@@ -133,12 +134,8 @@ def test_leaf_scan_reads_whole_name_extents(small_corpus):
             want = 0
             for branch in d.branches:
                 tag = branch.steps[-1].test
-                gids = (
-                    range(len(pg.nodes))
-                    if tag == WILDCARD
-                    else pg.by_tag.get(tag, [])
-                )
-                want += sum(pg.extent_size(g) for g in gids)
+                gids = [n.gid for n in pg.nodes if tag in (WILDCARD, n.tag)]
+                want += np.diff(pg.start)[gids].sum()
             assert met.nodes_read == want
 
 
@@ -147,6 +144,4 @@ def test_leaf_scan_zero_jp_short_path():
     matches, met = leaf_scan_match(pg, parse("//A//B"))
     assert leaf_tuples(matches) == [("1",), ("2.1",)]
     # reads both B extents by name, nothing else
-    assert met.nodes_read == sum(
-        pg.extent_size(g) for g in pg.by_tag["B"]
-    )
+    assert met.nodes_read == sum(len(e) for e in pg.extents if pg.nodes[e.gid].tag == "B")

@@ -67,12 +67,11 @@ def test_tree_invariants(guides):
             assert node.depth == parent.depth + 1
             assert node.path == parent.path + (node.tag,)
             assert parent.children[node.tag] == node.gid
-        for tag, gids in pg.by_tag.items():
-            for g in gids:
-                assert pg.nodes[g].tag == tag
-        assert sorted(g for gids in pg.by_tag.values() for g in gids) == list(
-            range(len(pg.nodes))
-        )
+        for node in pg.nodes:
+            assert pg.parents[node.gid] == node.parent
+            assert pg.tag_names[pg.tags[node.gid]] == node.tag
+            assert pg.tag_id[node.tag] == pg.tags[node.gid]
+        assert sorted(pg.tag_id.values()) == list(range(len(pg.tag_names)))
 
 
 def parent_chain(pg: PathGuide, gid: int) -> list[int]:
@@ -89,7 +88,7 @@ def test_ancestor_helpers(guides):
         chain = parent_chain(pg, node.gid)
         assert len(chain) == node.depth + 1
         for d, a in enumerate(chain):
-            assert pg.ancestor_at_depth(node.gid, d) == a
+            assert pg.anc[node.gid, d] == a
             assert pg.anc[node.gid, pg.depths[a]] == a
         if node.gid:
             assert pg.anc[node.parent, pg.depths[node.gid]] != node.gid
@@ -148,7 +147,7 @@ def test_derived_arrays_agree_with_nodes(guides):
     for _, pg in guides:
         width = max(n.depth for n in pg.nodes) + 1
         assert pg.anc.shape == pg.tag_paths.T.shape == (len(pg), width)
-        for arr in (pg.tags, pg.depths, pg.anc, pg.tag_paths):
+        for arr in (pg.parents, pg.tags, pg.depths, pg.anc, pg.tag_paths):
             assert arr.dtype == np.int32
         names = list(pg.tag_id)
         for n in pg.nodes:
@@ -159,6 +158,7 @@ def test_derived_arrays_agree_with_nodes(guides):
             tag_path = pg.tag_paths[:, n.gid].tolist()
             assert [names[t] for t in tag_path[: n.depth + 1]] == list(n.path)
             assert tag_path[n.depth + 1 :] == pad
+            assert pg.path_tags(n.gid) == n.path
 
 
 def test_row_order_and_ancestor_keys(guides):
@@ -274,7 +274,7 @@ def test_byte_lens_on_built_guide(guides):
 
 def test_total_counters(guides):
     xml, pg = guides[0]
-    assert pg.total_nodes() == sum(1 for _ in ingest(xml))
+    assert len(pg.rows) == sum(1 for _ in ingest(xml))
     assert int(pg.byte_lens.sum()) == sum(
         int(e.byte_lens.sum()) for e in pg.extents
     )
@@ -339,6 +339,12 @@ def test_from_tables_rejects_duplicate_child_tag():
     rows = [np.zeros((1, 0)), np.ones((1, 1)), np.ones((1, 1))]
     with pytest.raises(GuideError, match="duplicate child tag"):
         PathGuide.from_tables(["A", "B", "B"], [-1, 0, 0], rows)
+
+
+def test_from_tables_rejects_second_root():
+    rows = [np.zeros((1, 0)), np.zeros((1, 0))]
+    with pytest.raises(GuideError, match="second root"):
+        PathGuide.from_tables(["A", "B"], [-1, -1], rows)
 
 
 @pytest.mark.parametrize("parents", [[-1, 2, 0], [-1, 1, 0], [-1, 0, -3]])
