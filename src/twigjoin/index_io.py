@@ -16,16 +16,16 @@ Layout (little-endian):
 Serialization is canonical: the same guide always produces the same
 bytes, so save/load/save round-trips are byte-identical.
 
-Both directions work on the guide's extent store in chunks of whole
-extents holding about CHUNK_BYTES encoded bytes, so their numpy
-temporaries stay bounded however large the index is.  Loading walks
-the extent headers first and rejects any extent whose labels could not
-fit its blob (every component takes at least one byte; the depth-0 root
-extent holds exactly one label), and any empty extent, before the store
-is allocated.  It then decodes each chunk's components straight into
-the store: a byte below 0x80 is a one-byte component, so only the walk
-over the multi-byte lead candidates needs pointer doubling.  The filled
-store gets the same checks as any other (PathGuide.adopt_store).
+The guide's store keeps the components in this file's order, so both
+directions work on one slice of it per chunk of whole extents holding
+about CHUNK_BYTES encoded bytes, and their temporaries stay bounded
+however large the index is.  Loading walks the extent headers first and
+rejects any extent whose labels could not fit its blob (every component
+takes at least one byte; the depth-0 root extent holds exactly one
+label), and any empty extent, before the store is allocated.  It then
+decodes each chunk into its slice: a byte below 0x80 is a one-byte
+component, so only the walk over the multi-byte lead candidates needs
+pointer doubling.  The store gets the checks of PathGuide.adopt_store.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Index:
 
     @classmethod
     def from_guide(cls, pg: PathGuide) -> "Index":
-        return cls(pg, len(pg.rows), int(pg.depths.max(initial=0)))
+        return cls(pg, int(pg.start[-1]), int(pg.depths.max(initial=0)))
 
 
 def _chunks(blob_lens: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -98,15 +98,13 @@ def to_bytes(index: Index) -> bytes:
         heads = np.empty(b - a, dtype=_EXTENT_HEAD)
         heads["count"], heads["blob_len"] = counts[a:b], blob_lens[a:b]
         section[(at[a:b, None] + np.arange(_EXTENT_HEAD.itemsize)).ravel()] = heads.view(np.uint8)
-        block = pg.rows[pg.start[a] : pg.start[b]]
-        r, c = np.nonzero(block)  # padding is 0, components are >= 1
-        comps = block[r, c]
+        comps = pg.comps[pg.comp_start[a] : pg.comp_start[b]]
         if comps.max(initial=0) > _MAX_COMPONENT:
             raise LabelError(f"component {comps.max()} outside encodable range")
         k = np.searchsorted(_LEN_BINS, comps, side="right")  # bytes - 1
         # the chunk's blobs are back to back but for one header per extent
-        ext = np.repeat(np.arange(b - a) * _EXTENT_HEAD.itemsize, counts[a:b])
-        pos = np.cumsum(k + 1) - (k + 1) + ext[r] + (at[a] + _EXTENT_HEAD.itemsize)
+        ext = np.repeat(np.arange(b - a) * _EXTENT_HEAD.itemsize, counts[a:b] * pg.depths[a:b])
+        pos = np.cumsum(k + 1) - (k + 1) + ext + (at[a] + _EXTENT_HEAD.itemsize)
         rest = comps - _BASE[k]
         for j in range(5):  # byte j of each component that has it
             has = k >= j
@@ -175,13 +173,11 @@ def _components(buf: np.ndarray, bounds: np.ndarray, first_gid: int):
 
 
 def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
-                blob_at: np.ndarray, blob_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The extent store decoded from the blobs raw[blob_at[g] :][: blob_lens[g]],
-    a chunk of extents at a time, with their labels written into place."""
-    start = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=start[1:])
-    rows = np.zeros((start[-1], depths.max(initial=0)), dtype=np.int64)
-    flat, width = rows.reshape(-1), rows.shape[1]
+                blob_at: np.ndarray, blob_lens: np.ndarray) -> np.ndarray:
+    """The components decoded from the blobs raw[blob_at[g] :][: blob_lens[g]],
+    a chunk of extents at a time, each chunk's written into place."""
+    comp_start = np.concatenate([[0], np.cumsum(counts * depths)])
+    comps = np.empty(comp_start[-1], dtype=np.int64)
     head = np.arange(_EXTENT_HEAD.itemsize)
     for a, b in _chunks(blob_lens):
         lo = blob_at[a]
@@ -190,7 +186,7 @@ def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
         buf = np.concatenate([np.delete(span, heads), np.zeros(4, dtype=np.uint8)])
         bounds = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(blob_lens[a:b], out=bounds[1:])
-        comps, per_blob = _components(buf, bounds, a)
+        chunk, per_blob = _components(buf, bounds, a)
         wrong = np.flatnonzero(per_blob != counts[a:b] * depths[a:b])
         if len(wrong):
             g = a + wrong[0]
@@ -198,12 +194,8 @@ def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
                 f"extent of guide node {g}: {per_blob[wrong[0]]} components "
                 f"do not form {counts[g]} labels of depth {depths[g]}"
             )
-        # component i of extent g is column i % depth of row start[g] + i // depth
-        g = np.repeat(np.arange(a, b), per_blob)
-        i = np.arange(len(comps)) - np.repeat(np.cumsum(per_blob) - per_blob, per_blob)
-        d = depths[g]
-        flat[start[g] * width + i + (i // d) * (width - d)] = comps
-    return rows, start
+        comps[comp_start[a] : comp_start[b]] = chunk
+    return comps
 
 
 def from_bytes(data: bytes) -> Index:
@@ -266,9 +258,7 @@ def from_bytes(data: bytes) -> Index:
     fields = raw[blob_at[:, None] - np.arange(_EXTENT_HEAD.itemsize, 0, -1)].view(_EXTENT_HEAD)
     counts, blob_lens = (fields[f][:, 0].astype(np.int64) for f in ("count", "blob_len"))
     depths = pg.depths.astype(np.int64)
-    # every component takes a byte or more; the root's extent is its one
-    # label; build makes no empty extent, and a deep chain of them would
-    # pad a wide store to its depth
+    # a component takes a byte or more, the root's extent is its one label, no extent is empty
     over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1))
                           | (counts == 0))
     if len(over):
@@ -279,9 +269,8 @@ def from_bytes(data: bytes) -> Index:
             f"extent of guide node {g}: {counts[g]} labels of depth {depths[g]} "
             f"cannot be held in {blob_lens[g]} bytes"
         )
-    store = _fill_store(raw, depths, counts, blob_at, blob_lens)
     try:
-        pg.adopt_store(*store)
+        pg.adopt_store(_fill_store(raw, depths, counts, blob_at, blob_lens), counts)
     except GuideError as exc:
         raise IndexFormatError(f"inconsistent guide tables: {exc}") from None
     index = Index.from_guide(pg)

@@ -8,18 +8,20 @@ set and checked by _set_nodes.  GuideNode objects (nodes) are a view
 made on first use, for readers outside the query path.
 
 A node's extent holds the Dewey labels of all document nodes sharing
-its path.  All extents live in one store, built in one pass: rows is an
-int64 matrix of zero-padded labels, gid-major and strictly sorted within
-each extent, so the extent of g is rows start[g] : start[g + 1] and a
-row's index is its global row id; byte_lens[i] is row i's encoded size.
-Two more int64 arrays per row, never serialized, let a row id stand for
-its label: pos[i], row i's document position (label order is document
-order), and up[i], the row id of its parent label (-1 for the root);
-ancestors walks up to any level.  build takes both from the events and
-rejects events out of document order.  A guide loaded from tables or
-from an index file starts from its node table (from_node_table) and
-takes a filled store through adopt_store, which checks it and derives
-pos and up (_check_store).
+its path, each of depths[g] components.  All extents live in one store,
+built in one pass and laid out as in the index file: comps holds each
+extent as a dense len × depths[g] int64 block, strictly sorted, the
+blocks back to back in gid order from comp_start[g].  The extent of g
+is rows start[g] : start[g + 1], so a row's index is its global row id;
+byte_lens[i] is row i's encoded size.  Two more int64 arrays per row,
+never serialized, let a row id stand for its label: pos[i], row i's
+document position (label order is document order), and up[i], the row
+id of its parent label (-1 for the root); ancestors walks up to any
+level.  build takes both from the events and rejects events out of
+document order.  A guide loaded from tables or from an index file
+starts from its node table (from_node_table) and takes a filled store
+through adopt_store, which checks it and derives pos and up
+(_check_store).  label_block reads labels out as padded rows.
 
 Extent access goes through read_extent, which returns the extent's
 guide node, first row id and length, with views of the store made only
@@ -37,16 +39,15 @@ phase walks guide nodes in Python.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dewey import _CLASS_BASE, _CLASS_CAP, DeweyLabel
 from .document import NodeEvent, ingest
-from .kernels import lexsort
 from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
@@ -90,30 +91,14 @@ class ExtentList:
 
     @property
     def rows(self) -> np.ndarray:
-        """(n, depth) int64, strictly sorted rows."""
-        return self._pg.rows[self.first : self.stop, : self._pg.depths.item(self.gid)]
+        """(n, depth) int64, strictly sorted rows: a view of the extent's block."""
+        at, depth = self._pg.comp_start.item(self.gid), self._pg.depths.item(self.gid)
+        return self._pg.comps[at : at + len(self) * depth].reshape(len(self), depth)
 
     @property
     def byte_lens(self) -> np.ndarray:
         """(n,) int64, encoded size per label."""
         return self._pg.byte_lens[self.first : self.stop]
-
-
-def _component_byte_lens(rows: np.ndarray) -> np.ndarray:
-    """Each row's encoded size; zero padding takes no bytes."""
-    lens = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:  # a column at a time keeps the temporaries small
-        lens += (1 + np.digitize(col, _LEN_BINS)) * (col > 0)
-    return lens
-
-
-def _pack(extents: Sequence, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A store filled from each node's labels (rows or tuples), in gid order."""
-    start = np.cumsum([0] + [len(e) for e in extents], dtype=np.int64)
-    rows = np.zeros((start[-1], depths.max(initial=0)), dtype=np.int64)
-    for g, labels in enumerate(extents):
-        rows[start[g] : start[g + 1], : depths[g]] = labels
-    return rows, start
 
 
 class PathGuide:
@@ -125,8 +110,8 @@ class PathGuide:
         self.anc = np.empty((0, 1), dtype=np.int32)
         self.tag_paths = np.empty((1, 0), dtype=np.int32)
         # the extent store, set by _set_store
-        self.rows = np.zeros((0, 0), dtype=np.int64)
-        self.start = np.zeros(1, dtype=np.int64)
+        self.comps = np.zeros(0, dtype=np.int64)
+        self.start = self.comp_start = np.zeros(1, dtype=np.int64)
         self.byte_lens = np.zeros(0, dtype=np.int64)
         self.pos = self.up = np.zeros(0, dtype=np.int64)  # set with the store
 
@@ -136,11 +121,10 @@ class PathGuide:
     def build(cls, events: Iterable[NodeEvent]) -> "PathGuide":
         pg = cls()
         node_of: dict[tuple[str, int], int] = {}  # (tag, parent gid) -> gid
-        # per guide node, in gid order, its labels in document order
-        buffers: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         stack: list[tuple[DeweyLabel, int, int]] = []  # (label, gid, event), the last per depth
         gids = array("q")  # per event, its guide node
         parents = array("q")  # per event, its parent's event (-1 for the root)
+        labels: list[tuple[int, ...]] = []  # per event, its components
 
         for k, ev in enumerate(events):
             comps = ev.label.components
@@ -159,7 +143,7 @@ class PathGuide:
                 if comps[:-1] != parent_label.components:
                     raise GuideError(f"event at {ev.label} does not extend {parent_label}")
             gid = node_of.setdefault((ev.tag, parent_gid), len(node_of))
-            buffers[gid].append(comps)
+            labels.append(comps)
             gids.append(gid)
             parents.append(parent_k)
             stack.append((ev.label, gid, k))
@@ -168,13 +152,18 @@ class PathGuide:
             raise GuideError("empty event stream")
         # the store is gid-major: a stable sort by guide node takes each
         # row to its event, whose index is the row's document position
-        pg.pos = np.argsort(np.frombuffer(gids, np.int64), kind="stable")
+        gids = np.frombuffer(gids, np.int64)
+        pg.pos = np.argsort(gids, kind="stable")
         row = np.full(len(gids) + 1, -1, dtype=np.int64)  # row[-1] stands for no parent
         row[pg.pos] = np.arange(len(gids))
         pg.up = row[np.frombuffer(parents, np.int64)[pg.pos]]
-        del gids, parents, row  # freed before the store, the largest allocation, is made
         pg._set_nodes(*zip(*node_of))
-        pg._set_store(*_pack(list(buffers.values()), pg.depths))
+        counts = np.bincount(gids, minlength=len(pg))
+        del gids, parents, row
+        labels = np.fromiter(labels, dtype=object, count=len(labels))[pg.pos]  # row r: event pos[r]
+        comps = np.fromiter(chain.from_iterable(labels), np.int64, counts @ pg.depths)
+        del labels  # before the store's temporaries
+        pg._set_store(comps, counts)
         return pg
 
     @classmethod
@@ -193,7 +182,8 @@ class PathGuide:
         bad = np.flatnonzero([np.shape(rows)[1] for rows in extent_rows] != pg.depths)
         if len(bad):
             raise GuideError(f"extent width mismatch for guide node {bad[0]}")
-        pg.adopt_store(*_pack(extent_rows, pg.depths))
+        comps = [np.asarray(rows, dtype=np.int64).ravel() for rows in extent_rows]
+        pg.adopt_store(np.concatenate(comps or [np.zeros(0, np.int64)]), [*map(len, extent_rows)])
         return pg
 
     @classmethod
@@ -204,17 +194,21 @@ class PathGuide:
         pg._set_nodes(tags, parents)
         return pg
 
-    def adopt_store(self, rows: np.ndarray, start: np.ndarray) -> None:
-        """Take a store filled outside build (from tables or an index file)
-        and check it."""
-        self._set_store(rows, start)
+    def adopt_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
+        """Take a store filled outside build (from tables or an index file); check it."""
+        self._set_store(comps, counts)
         self._check_store()
 
-    def _set_store(self, rows: np.ndarray, start: np.ndarray) -> None:
-        """Take rows, zero-padded and gid-major, and the extent offsets."""
-        self.rows, self.start = rows, start
-        self.byte_lens = _component_byte_lens(rows)
-        self.rows.flags.writeable = self.byte_lens.flags.writeable = False
+    def _set_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
+        """Take the components and each extent's label count."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self.comps, self.start = comps, np.concatenate([[0], np.cumsum(counts)])
+        self.comp_start = np.concatenate([[0], np.cumsum(counts * self.depths)])
+        width = np.repeat(self.depths, counts).astype(np.int64)  # a byte per component, and
+        big = [np.flatnonzero(comps >= b) for b in _LEN_BINS]  # one more per class boundary reached
+        row = np.searchsorted(np.cumsum(width), np.concatenate(big), side="right")
+        self.byte_lens = width + np.bincount(row, minlength=len(width))
+        self.comps.flags.writeable = self.byte_lens.flags.writeable = False
 
     def _set_nodes(self, tags: Sequence[str], parents: Sequence[int]) -> None:
         """Take the node table, per node its tag and parent, and derive the
@@ -260,44 +254,53 @@ class PathGuide:
         sits in two extents, and every label's parent prefix is a label in
         the parent node's extent.
 
-        One stable lexsort puts the labels in document order (pos): within
-        each guide node it must keep the store order, with no two equal
-        neighbours.  A label's parent is then the last label one level up
-        before it (up), which must be its prefix and lie in the parent's
-        extent.  The checks run on one level at a time, so their
-        temporaries stay at a few arrays of one level's labels.  A store
-        that passes keeps pos and up.
+        Level j numbers the distinct j-prefixes of the rows of depth j or
+        more in label order, as (node of the (j - 1)-prefix, component j):
+        the nodes of the labels' prefix trie.  A row's parent label is the
+        row at its node's parent, and its document position (pos) counts
+        the rows before its node.  The first error wins, in this order: an
+        unsorted extent, a label held twice, a label without its parent
+        (the first by row, then in document order).
         """
-        n = len(self.rows)
         owner = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.start))
-        order = lexsort(self.rows)
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        moved = np.flatnonzero((pos[1:] < pos[:-1]) & (owner[1:] == owner[:-1]))
-        twin = np.ones(max(n - 1, 0), dtype=bool)
-        for col in self.rows.T:
-            twin &= col[order[1:]] == col[order[:-1]]
-        bad = np.concatenate([moved, order[np.flatnonzero(twin)]])
-        if len(bad):
-            raise GuideError(f"guide node {owner[bad[0]]} is not sorted or shares a label")
-        depth = self.depths[owner][order]
-        up = np.full(n, -1, dtype=np.int64)
-        first_bad = n  # in document order
-        for d in range(1, self.rows.shape[1] + 1):
-            here = np.flatnonzero(depth == d)
-            above = np.flatnonzero(depth == d - 1)
-            at = np.searchsorted(above, here) - 1  # the last position one level up
-            kid = order[here]
-            par = up[kid] = order[above[np.maximum(at, 0)]] if len(above) else kid
-            ok = (at >= 0) & (owner[par] == self.anc[owner[kid], d - 1])
-            for col in self.rows.T[: d - 1]:  # zero padding matches by construction
-                ok &= col[par] == col[kid]
-            if not ok.all():
-                first_bad = min(first_bad, here[np.argmin(ok)])
-        if first_bad < n:
-            row = order[first_bad]
-            gid = owner[row]
-            label = DeweyLabel(self.rows[row, : self.depths[gid]].tolist())
+        depth = self.depths[owner]
+        order = np.argsort(-depth, kind="stable")  # the rows of depth j or more come first
+        at = (np.cumsum(depth, dtype=np.int64) - depth)[order]  # each row's next component
+        node = np.zeros(len(owner), dtype=np.int64)  # by place in order
+        parent, size, level = [np.full(1, -1)], [np.full(1, len(owner))], [0, 1]
+        for m in np.cumsum(np.bincount(depth)[::-1])[-2::-1]:
+            up, last = node[:m] - level[-2], self.comps[at[:m]]
+            at[:m] += 1
+            if np.ptp(last) >= m:  # ranks keep the pairs' numbers below rows²
+                last = np.unique(last, return_inverse=True)[1]
+            key = up * (int(np.ptp(last)) + 1) + (last - last.min())
+            pair = np.argsort(key, kind="stable")  # a sorted extent is a sorted run
+            step = np.diff(key[pair], prepend=-1) != 0  # the first of each node
+            parent.append(up[pair[step]] + level[-2])
+            size.append(np.diff(np.flatnonzero(step), append=m))
+            node[pair] = np.cumsum(step) + (level[-1] - 1)
+            level.append(level[-1] + len(size[-1]))
+        node[order] = node.copy()
+        order = at = up = last = key = pair = step = None  # free before the rest
+        parent, size = np.concatenate(parent), np.concatenate(size)
+        held = np.bincount(node, minlength=len(parent))
+        pre = np.zeros(len(parent), dtype=np.int64)  # the rows before each node
+        for a, b in zip(level[1:], level[2:]):
+            kids, before = parent[a:b], np.cumsum(size[a:b]) - size[a:b]
+            pre[a:b] = pre[kids] + held[kids] + before - before[np.searchsorted(kids, kids)]
+        pos = pre[node]
+        bad = np.flatnonzero((owner[1:] == owner[:-1]) & (pos[1:] < pos[:-1]))
+        twice = np.flatnonzero(held[node] > 1)
+        if len(bad) or len(twice):
+            row = bad[0] if len(bad) else twice[np.argmin(pos[twice])]
+            raise GuideError(f"guide node {owner[row]} is not sorted or shares a label")
+        row_of = np.full(len(parent) + 1, -1, dtype=np.int64)  # row_of[-1]: no parent node
+        row_of[node] = np.arange(len(node))
+        up = row_of[parent[node]]
+        orphan = np.flatnonzero((depth > 0) & ((up < 0) | (owner[up] != self.parents[owner])))
+        if len(orphan):
+            row = orphan[np.argmin(pos[orphan])]
+            label, gid = DeweyLabel(self.label_block([row])[0][0].tolist()), owner[row]
             raise GuideError(f"label {label} of guide node {gid} has no parent label "
                              f"in guide node {self.parents[gid]}")
         self.pos, self.up = pos, up
@@ -334,6 +337,16 @@ class PathGuide:
         """The tags from the document element down to guide node gid."""
         return tuple(map(self.tag_names.__getitem__,
                          self.tag_paths[: self.depths[gid] + 1, gid].tolist()))
+
+    def label_block(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows of ids as labels zero-padded in one int64 block; each id's row in it."""
+        rows, at = np.unique(ids, return_inverse=True)
+        gids = np.searchsorted(self.start, rows, side="right") - 1
+        depth = self.depths[gids]
+        cols = np.arange(depth.max(initial=0))
+        first = self.comp_start[gids] + (rows - self.start[gids]) * depth
+        block = self.comps.take(first[:, None] + cols, mode="clip")
+        return np.where(cols < depth[:, None], block, 0), at
 
     def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
         """Row id of each row's ancestor-or-self label at depth level, for

@@ -358,7 +358,7 @@ def test_wrong_header_stats_are_rejected(sample, field, value):
 def _per_extent_bytes(pg: PathGuide) -> bytes:
     """The index of pg as the per-label encoder writes it."""
     out = bytearray(MAGIC)
-    out += struct.pack("<IQI", FORMAT_VERSION, len(pg.rows), int(pg.depths.max(initial=0)))
+    out += struct.pack("<IQI", FORMAT_VERSION, int(pg.start[-1]), int(pg.depths.max(initial=0)))
     out += struct.pack("<I", len(pg.nodes))
     for node in pg.nodes:
         tag = node.tag.encode()
@@ -403,7 +403,7 @@ def _per_extent_load(data: bytes) -> PathGuide:
     except (struct.error, UnicodeDecodeError, dewey.LabelError, GuideError) as exc:
         raise IndexFormatError(str(exc)) from None
     node_count, max_depth = struct.unpack_from("<QI", data, len(MAGIC) + 4)
-    if (node_count, max_depth) != (len(pg.rows), int(pg.depths.max(initial=0))):
+    if (node_count, max_depth) != (int(pg.start[-1]), int(pg.depths.max(initial=0))):
         raise IndexFormatError("header stats")
     return pg
 
@@ -429,7 +429,7 @@ def _edited(data: bytes, pos: int, value: int) -> bytes:
 
 
 def _same_store(a: PathGuide, b: PathGuide) -> bool:
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "start", "byte_lens"))
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("comps", "start", "byte_lens"))
 
 
 def test_encoder_matches_per_label_encoder(sample):
@@ -584,10 +584,41 @@ def test_empty_extent_is_rejected_before_the_store_is_allocated(tmp_path):
     assert main(["query", str(path), "//A"]) == 2
 
 
+def test_load_allocates_no_more_than_the_file_bounds(tmp_path):
+    # 16,000 depth-1 labels beside a chain of one-label extents 400 deep: a
+    # 121 KB index whose labels, padded to the deepest, would fill 52 MB
+    depth, wide = 400, 16_000
+    tags, parents = ["R", "A"] + ["C"] * depth, [-1, 0, 0] + list(range(2, depth + 1))
+    chain = [np.array([[wide + 1] + [1] * (d - 1)]) for d in range(1, depth + 1)]
+    pg = PathGuide.from_tables(tags, parents, [np.zeros((1, 0), np.int64),
+                                               np.arange(1, wide + 1)[:, None], *chain])
+    data = to_bytes(Index.from_guide(pg))
+    blob = int(pg.byte_lens.sum())  # bytes of the extent blobs
+    labels = blob + 1  # every label but the root's takes a byte or more
+    limit = (
+        8 * len(data)  # the components, 8 B each, one file byte or more each
+        + 3 * 8 * labels  # byte_lens, pos and up: an int64 each per label
+        + 16 * 8 * labels  # the check: at most 16 int64 temporaries per label at once
+        + 2 * 4 * len(pg) * (depth + 1)  # anc and tag_paths: int32, node by depth
+        + 2**20  # the node table's Python objects and the codec's chunk
+    )
+    tracemalloc.start()
+    try:
+        loaded = from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
+    assert to_bytes(loaded) == data
+    path = tmp_path / "deep.idx"
+    path.write_bytes(data)
+    assert main(["query", str(path), "//C"]) == 0
+
+
 def test_loaded_store_is_laid_out_like_a_built_one(sample):
     xml, pg, idx, data = sample
     for guide in (pg, from_bytes(data).guide):
-        for name in ("rows", "byte_lens"):
+        for name in ("comps", "byte_lens"):
             arr = getattr(guide, name)
             assert arr.dtype == np.int64 and arr.flags.c_contiguous, name
             assert arr.flags.owndata and not arr.flags.writeable, name

@@ -436,7 +436,7 @@ def test_answers_are_row_ids_of_the_store(small_corpus):
     for xml, pg, doc in small_corpus[:6]:
         def label(i: int) -> DeweyLabel:
             gid = np.searchsorted(pg.start, i, "right") - 1
-            return DeweyLabel(pg.rows[i, : pg.depths[gid]].tolist())
+            return DeweyLabel(pg.extents[gid].rows[i - pg.start[gid]].tolist())
 
         for q in ["//A", "//*"] + [mixed_query(rng, pg) for _ in range(10)]:
             rs, _ = evaluate(pg, q)

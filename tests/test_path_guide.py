@@ -7,7 +7,7 @@ from twigjoin.dewey import DeweyLabel, encoded_len
 from twigjoin.document import NodeEvent, ingest
 from twigjoin.index_io import Index, from_bytes, to_bytes
 from twigjoin.kernels import prefix_ranks
-from twigjoin.path_guide import GuideError, PathGuide, _component_byte_lens
+from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
 from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
@@ -172,7 +172,9 @@ def test_row_order_and_ancestor_keys(guides):
         for pg in (built, loaded):
             owner = np.repeat(np.arange(len(pg)), np.diff(pg.start))
             depth = pg.depths[owner]
-            labels = [tuple(r[:d]) for r, d in zip(pg.rows.tolist(), depth)]
+            labels = [tuple(r) for ext in pg.extents for r in ext.rows.tolist()]
+            width = int(depth.max())
+            padded = np.array([lab + (0,) * (width - len(lab)) for lab in labels])
             assert [events[p] for p in pg.pos] == labels
             assert pg.up[depth == 0].tolist() == [-1]
             assert all(labels[u] == lab[:-1] for u, lab in zip(pg.up, labels) if lab)
@@ -183,7 +185,7 @@ def test_row_order_and_ancestor_keys(guides):
                     ids = np.array(ids, dtype=np.int64)
                     keys = pg.pos[pg.ancestors(ids, owner[ids], level)]
                     ranks = np.unique(keys, return_inverse=True)[1]
-                    assert np.array_equal(ranks, prefix_ranks(pg.rows[ids], level))
+                    assert np.array_equal(ranks, prefix_ranks(padded[ids], level))
 
 
 def test_match_steps_agrees_with_steps_match(guides):
@@ -257,12 +259,13 @@ def test_eval_reads_no_extents(guides):
 
 def test_byte_lens_agree_with_label_codec():
     # dual route: vectorized class binning vs the codec itself, across
-    # every length-class boundary
+    # every length-class boundary, in a store of labels 0, 1 and 2 deep
     edge = [1, 127, 128, 16511, 16512, 2113663, 2113664, 270549119, 270549120]
     rows = np.array(sorted((a, b) for a in edge for b in edge), dtype=np.int64)
-    got = _component_byte_lens(rows)
-    want = [encoded_len(DeweyLabel(tuple(map(int, r)))) for r in rows]
-    assert got.tolist() == want
+    pg = PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1],
+                               [np.zeros((1, 0), np.int64), np.array(edge)[:, None], rows])
+    want = [encoded_len(DeweyLabel(tuple(map(int, r)))) for e in pg.extents for r in e.rows]
+    assert pg.byte_lens.tolist() == want
 
 
 def test_byte_lens_on_built_guide(guides):
@@ -274,7 +277,7 @@ def test_byte_lens_on_built_guide(guides):
 
 def test_total_counters(guides):
     xml, pg = guides[0]
-    assert len(pg.rows) == sum(1 for _ in ingest(xml))
+    assert int(pg.start[-1]) == sum(1 for _ in ingest(xml))
     assert int(pg.byte_lens.sum()) == sum(
         int(e.byte_lens.sum()) for e in pg.extents
     )
@@ -403,3 +406,54 @@ def test_sorted_check_agrees_with_tuple_order():
                 PathGuide.from_tables(tags, parents, tables)
     assert 50 <= rejected <= 250
     assert 20 <= loaded <= 250
+
+    # the same reference below level 2: a chain A/B/C with sibling extents
+    # D0, D1 and, under D0, E0, E1 (labels 3 and 4 deep), built by
+    # extending parent labels and then editing a component, so that a
+    # label can miss its grandparent's prefix and siblings can share
+    # labels.  The message names the first offender: by row for an
+    # unsorted extent, in tuple order for a shared label or a missing
+    # parent; a store that loads has pos and up of that order.
+    rng = random.Random(7)
+    tags = ["A", "B", "C", "D0", "D1", "E0", "E1"]
+    parents = [-1, 0, 1, 2, 2, 3, 3]
+    seen = {"unsorted": 0, "shared deep": 0, "grandparent": 0, "no parent deep": 0, "loaded": 0}
+    for _ in range(400):
+        exts: list[list[tuple[int, ...]]] = [[()]]
+        for g in range(1, len(tags)):
+            rows = [rng.choice(exts[parents[g]]) + (rng.randint(1, 4),)
+                    for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.3:
+                i = rng.randrange(len(rows))
+                c = rng.randrange(len(rows[i]))
+                rows[i] = rows[i][:c] + (rng.randint(1, 5),) + rows[i][c + 1 :]
+            exts.append(sorted(set(rows)) if rng.random() < 0.9 else rows)
+        tables = [np.array(e, dtype=np.int64).reshape(len(e), len(e[0])) for e in exts]
+        unsorted = [g for g, e in enumerate(exts) if any(a > b for a, b in zip(e, e[1:]))]
+        labels = sorted((lab, g) for g, e in enumerate(exts) for lab in e)
+        shared = [(a, g) for (a, g), (b, _) in zip(labels, labels[1:]) if a == b]
+        orphans = sorted((lab, g) for g, e in enumerate(exts) if g
+                         for lab in e if lab[:-1] not in set(exts[parents[g]]))
+        if unsorted:
+            seen["unsorted"] += 1
+            want = f"guide node {unsorted[0]} is not sorted or shares a label"
+        elif shared:
+            seen["shared deep"] += len(shared[0][0]) > 2
+            want = f"guide node {shared[0][1]} is not sorted or shares a label"
+        elif orphans:
+            lab, g = orphans[0]
+            seen["no parent deep"] += len(lab) > 2
+            seen["grandparent"] += any(len(m) == 4 and m[:2] not in exts[2] for m, _ in labels)
+            want = (f"label {'.'.join(map(str, lab))} of guide node {g} has no parent label "
+                    f"in guide node {parents[g]}")
+        else:
+            seen["loaded"] += 1
+            pg = PathGuide.from_tables(tags, parents, tables)
+            rows = [lab for e in exts for lab in e]
+            assert pg.pos.tolist() == [sorted(rows).index(lab) for lab in rows]
+            assert [rows[u] for u in pg.up[1:]] == [lab[:-1] for lab in rows[1:]]
+            continue
+        with pytest.raises(GuideError) as err:
+            PathGuide.from_tables(tags, parents, tables)
+        assert str(err.value) == want
+    assert min(seen.values()) >= 30, seen
