@@ -112,15 +112,14 @@ class ResultSet:
 
     def _labels(self, ids: np.ndarray) -> list[DeweyLabel]:
         """The label of each row id, one label object per distinct row."""
-        block, at = self.pg.label_block(ids)
+        block, _, at = self.pg.label_block(ids)
         return list(map(_row_labels(block).__getitem__, at.tolist()))
 
     def _dotted(self, ids: np.ndarray) -> np.ndarray:
         """The label of each row id as text, ε for the root's empty label,
         in an object array; each distinct row and component value is
         formatted once."""
-        block, at = self.pg.label_block(ids)
-        depth = (block > 0).sum(axis=1)  # components are >= 1: zeros are padding
+        block, depth, at = self.pg.label_block(ids)
         values, word = np.unique(block, return_inverse=True)
         words = np.array(list(map(str, values.tolist())), dtype=object)[word.reshape(block.shape)]
         text = np.full(len(block), "ε", dtype=object)

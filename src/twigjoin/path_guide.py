@@ -338,15 +338,16 @@ class PathGuide:
         return tuple(map(self.tag_names.__getitem__,
                          self.tag_paths[: self.depths[gid] + 1, gid].tolist()))
 
-    def label_block(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows of ids as labels zero-padded in one int64 block; each id's row in it."""
+    def label_block(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct rows of ids as labels zero-padded in one int64 block, their
+        depths, and each id's row in the block."""
         rows, at = np.unique(ids, return_inverse=True)
         gids = np.searchsorted(self.start, rows, side="right") - 1
         depth = self.depths[gids]
         cols = np.arange(depth.max(initial=0))
         first = self.comp_start[gids] + (rows - self.start[gids]) * depth
         block = self.comps.take(first[:, None] + cols, mode="clip")
-        return np.where(cols < depth[:, None], block, 0), at
+        return np.where(cols < depth[:, None], block, 0), depth, at
 
     def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
         """Row id of each row's ancestor-or-self label at depth level, for
