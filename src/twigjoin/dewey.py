@@ -43,10 +43,13 @@ class DeweyLabel:
         return len(self.components)
 
     def child(self, n: int) -> "DeweyLabel":
-        """Label of this node's n-th child (n is 1-based)."""
-        if n < 1:
-            raise LabelError(f"child ordinal must be >= 1, got {n}")
-        return DeweyLabel(self.components + (n,))
+        """Label of this node's n-th child (n is 1-based).  Only n is
+        checked: this label's components were checked when it was made."""
+        if not isinstance(n, int) or n < 1:
+            raise LabelError(f"child ordinal must be a positive integer, got {n!r}")
+        label = _new_label(DeweyLabel)
+        _set_components(label, self.components + (n,))
+        return label
 
     def prefix(self, level: int) -> "DeweyLabel":
         """First `level` components; `level` may not exceed this label's level."""
@@ -91,6 +94,8 @@ class DeweyLabel:
         return format_label(self)
 
 
+_new_label = object.__new__
+_set_components = DeweyLabel.components.__set__  # the slot itself, past __setattr__
 EPSILON = DeweyLabel()
 
 

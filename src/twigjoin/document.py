@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Iterator, NamedTuple, Sequence, Union
 from xml.parsers import expat
 
 from .dewey import EPSILON, DeweyLabel
@@ -27,9 +27,10 @@ class _DepthCapHit(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NodeEvent:
-    """One element, in document order."""
+class NodeEvent(NamedTuple):
+    """One element, in document order: its label and tag.  A named tuple,
+    so making one per element costs one tuple; immutable, and equal
+    events compare and hash equal."""
 
     label: DeweyLabel
     tag: str
@@ -57,27 +58,35 @@ def ingest(
 
     parser = expat.ParserCreate()
     pending: list[NodeEvent] = []
-    # Stack entries are [label, child_count] for every open element.
-    stack: list[list] = []
+    # per open element, its label and its children so far: two stacks,
+    # so that an element keeps no container but its label and event
+    labels: list[DeweyLabel] = []
+    counts: list[int] = []
     depth_err: list[str] = []
+    # NodeEvent(label, tag) without the named tuple's Python-level __new__
+    new_event = tuple.__new__
+    emit, push, push_count = pending.append, labels.append, counts.append
+    pop, pop_count = labels.pop, counts.pop
 
     def on_start(tag: str, _attrs) -> None:
-        if len(stack) >= depth_cap:
+        if len(labels) >= depth_cap:
             depth_err.append(
                 f"element depth exceeds cap of {depth_cap} at byte {parser.CurrentByteIndex}"
             )
             raise _DepthCapHit
-        if stack:
-            top = stack[-1]
-            top[1] += 1
-            label = top[0].child(top[1])
+        if labels:
+            n = counts[-1] + 1
+            counts[-1] = n
+            label = labels[-1].child(n)
         else:
             label = EPSILON
-        pending.append(NodeEvent(label, tag))
-        stack.append([label, 0])
+        emit(new_event(NodeEvent, (label, tag)))
+        push(label)
+        push_count(0)
 
     def on_end(_tag: str) -> None:
-        stack.pop()
+        pop()
+        pop_count()
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end

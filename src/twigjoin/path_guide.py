@@ -17,11 +17,16 @@ byte_lens[i] is row i's encoded size.  Two more int64 arrays per row,
 never serialized, let a row id stand for its label: pos[i], row i's
 document position (label order is document order), and up[i], the row
 id of its parent label (-1 for the root); ancestors walks up to any
-level.  build takes both from the events and rejects events out of
-document order.  A guide loaded from tables or from an index file
-starts from its node table (from_node_table) and takes a filled store
-through adopt_store, which checks it and derives pos and up
-(_check_store).  label_block reads labels out as padded rows.
+level.  A guide loaded from tables or from an index file starts from
+its node table (from_node_table) and takes a filled store through
+adopt_store, which checks it and derives pos and up (_check_store).
+label_block reads labels out as padded rows.
+
+build makes the guide from an event stream with array steps after one
+pass over the events (_shape, then the store) and rejects events out
+of document order with boolean arrays (_unsound).  The first event at
+fault gets the message of the first rule it breaks, in this order:
+orphan, not sorted after, second root, does not extend (_rejection).
 
 Extent access goes through read_extent, which returns the extent's
 guide node, first row id and length, with views of the store made only
@@ -38,7 +43,6 @@ phase walks guide nodes in Python.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -52,6 +56,7 @@ from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
 _NO_TAG = -2  # a test for a tag the guide lacks: equals no tag id and no padding
+_CHECK_EVENTS = 1 << 12  # events per step of build's label checks: bounds their temporaries
 # first value needing 2, 3, 4, 5 encoded bytes; the code is biased, so
 # each class starts where the previous one ends, not at a power of two
 _LEN_BINS = np.array(
@@ -61,6 +66,87 @@ _LEN_BINS = np.array(
 
 class GuideError(ValueError):
     """Structural problem in the events or tables (orphan, unsorted extent)."""
+
+
+def _shape(depth: np.ndarray, tid: np.ndarray, n_tags: int):
+    """The tree of a sound event stream (one root, then no event more than
+    one level below the event before it) from its depths and tag ids.
+
+    A stable sort by depth keeps each depth's events in document order, so
+    an event's parent is the last event one level up before it
+    (searchsorted), and its previous sibling the event before it at its
+    depth when that one follows the parent.  Guide nodes come one depth at
+    a time from np.unique of (parent node, tag id), renumbered by first
+    event.  Returns order (depth t at order[bound[t]:bound[t + 1]]), bound,
+    per event its parent, previous sibling (-1 for none) and gid, and per
+    gid its tag id and parent.
+    """
+    order = np.argsort(depth, kind="stable").astype(np.int32)
+    bound = np.concatenate([[0], np.cumsum(np.bincount(depth))])
+    parent = np.full(len(depth), _VIRTUAL, dtype=np.int32)
+    sib = np.full(len(depth), _VIRTUAL, dtype=np.int32)
+    node = np.zeros(len(depth), dtype=np.int32)  # numbered depth by depth for now
+    first, up = [np.zeros(1, np.int32)], [np.full(1, _VIRTUAL, np.int32)]  # per node
+    n_nodes = 1
+    for t in range(1, len(bound) - 1):
+        ks, above = order[bound[t] : bound[t + 1]], order[bound[t - 1] : bound[t]]
+        parent[ks] = pk = above[np.searchsorted(above, ks) - 1]
+        sib[ks[1:]] = np.where(ks[:-1] > pk[1:], ks[:-1], _VIRTUAL)
+        key = node[pk].astype(np.int64) * n_tags + tid[ks]
+        _, at, inv = np.unique(key, return_index=True, return_inverse=True)
+        node[ks] = inv + n_nodes
+        n_nodes += len(at)
+        first.append(ks[at])
+        up.append(node[pk[at]])
+    first, up = np.concatenate(first), np.concatenate(up)
+    gid = np.empty(n_nodes, dtype=np.int32)  # in order of first event
+    gid[np.argsort(first)] = np.arange(n_nodes, dtype=np.int32)
+    node_tag, node_parent = np.empty(n_nodes, np.int32), np.empty(n_nodes, np.int64)
+    node_tag[gid] = tid[first]
+    node_parent[gid] = np.where(up >= 0, gid[up], _VIRTUAL)
+    return order, bound, parent, sib, gid[node], node_tag, node_parent
+
+
+def _unsound(comps, off, order, bound, parent, sib) -> np.ndarray:
+    """The events whose label does not extend its parent event's label or
+    whose last component does not exceed its previous sibling's; event k's
+    label starts at comps[off[k]].  order and bound are _shape's.  Walks
+    _CHECK_EVENTS events at a time in depth order, one component column at
+    a time: column c is compared for the events deeper than c + 1."""
+    bad = [np.zeros(0, np.int32)]
+    for lo in range(bound[1], len(order), _CHECK_EVENTS):
+        ks = order[lo : lo + _CHECK_EVENTS]
+        at, above = off[ks], off[parent[ks]]
+        flag = np.zeros(len(ks), dtype=bool)
+        for t in range(2, len(bound) - 1):  # column t - 2, of the events t deep or more
+            s = max(bound[t] - lo, 0)
+            if s >= len(ks):
+                break
+            flag[s:] |= comps[at[s:]] != comps[above[s:]]
+            at[s:] += 1
+            above[s:] += 1
+        has = np.flatnonzero(sib[ks] >= 0)  # at is now each label's last component
+        last = at[has]
+        flag[has] |= comps[last] <= comps[last - off[ks[has]] + off[sib[ks[has]]]]
+        bad.append(ks[flag])
+    return np.concatenate(bad)
+
+
+def _rejection(k: int, labels: Sequence[tuple[int, ...]], depth: np.ndarray,
+               parent: np.ndarray | None, sib: np.ndarray | None) -> str:
+    """Why event k breaks document order, for a stream sound before k:
+    the first of these rules that holds."""
+    label = DeweyLabel(labels[k])
+    above = depth[k - 1] if k else -1
+    if depth[k] > above + 1:
+        return f"orphan event at {label}: no parent on stack"
+    if 0 < depth[k] <= above and labels[sib[k]] >= labels[k]:
+        return f"event at {label} is not sorted after {DeweyLabel(labels[sib[k]])}"
+    if depth[k] == 0:
+        return "second root element in event stream"
+    if labels[k][:-1] != labels[parent[k]]:
+        return f"event at {label} does not extend {DeweyLabel(labels[parent[k]])}"
+    raise AssertionError("unreachable")
 
 
 @dataclass(slots=True)
@@ -119,50 +205,59 @@ class PathGuide:
 
     @classmethod
     def build(cls, events: Iterable[NodeEvent]) -> "PathGuide":
-        pg = cls()
-        node_of: dict[tuple[str, int], int] = {}  # (tag, parent gid) -> gid
-        stack: list[tuple[DeweyLabel, int, int]] = []  # (label, gid, event), the last per depth
-        gids = array("q")  # per event, its guide node
-        parents = array("q")  # per event, its parent's event (-1 for the root)
+        """The guide and store of an event stream in document order.
+
+        One pass takes each event's components and tag; the rest are
+        array steps: the tree and its guide nodes (gids in first-seen
+        order) from a stable depth-major sort (_shape), pos from a stable
+        sort by gid, and the gid-major store from the components.
+
+        Raises GuideError at the first event that breaks document order,
+        found with boolean arrays: a depth jump or a second root from the
+        depths, then _unsound on the store.  Its message is that of the
+        first rule the event breaks, in this order: orphan (more than one
+        level below the event before it), not sorted after its previous
+        sibling (whole labels compared), second root, does not extend its
+        parent's label.
+        """
         labels: list[tuple[int, ...]] = []  # per event, its components
-
-        for k, ev in enumerate(events):
-            comps = ev.label.components
-            depth = len(comps)
-            if depth > len(stack):
-                raise GuideError(f"orphan event at {ev.label}: no parent on stack")
-            if 0 < depth < len(stack) and stack[depth][0].components >= comps:
-                raise GuideError(f"event at {ev.label} is not sorted after {stack[depth][0]}")
-            del stack[depth:]
-            if depth == 0:
-                if node_of:
-                    raise GuideError("second root element in event stream")
-                parent_gid = parent_k = _VIRTUAL
-            else:
-                parent_label, parent_gid, parent_k = stack[-1]
-                if comps[:-1] != parent_label.components:
-                    raise GuideError(f"event at {ev.label} does not extend {parent_label}")
-            gid = node_of.setdefault((ev.tag, parent_gid), len(node_of))
-            labels.append(comps)
-            gids.append(gid)
-            parents.append(parent_k)
-            stack.append((ev.label, gid, k))
-
-        if not node_of:
+        names: list[str] = []  # per event, its tag
+        for ev in events:
+            labels.append(ev.label.components)
+            names.append(ev.tag)
+        if not labels:
             raise GuideError("empty event stream")
-        # the store is gid-major: a stable sort by guide node takes each
-        # row to its event, whose index is the row's document position
-        gids = np.frombuffer(gids, np.int64)
-        pg.pos = np.argsort(gids, kind="stable")
-        row = np.full(len(gids) + 1, -1, dtype=np.int64)  # row[-1] stands for no parent
-        row[pg.pos] = np.arange(len(gids))
-        pg.up = row[np.frombuffer(parents, np.int64)[pg.pos]]
-        pg._set_nodes(*zip(*node_of))
-        counts = np.bincount(gids, minlength=len(pg))
-        del gids, parents, row
-        labels = np.fromiter(labels, dtype=object, count=len(labels))[pg.pos]  # row r: event pos[r]
-        comps = np.fromiter(chain.from_iterable(labels), np.int64, counts @ pg.depths)
-        del labels  # before the store's temporaries
+        depth = np.fromiter(map(len, labels), np.int32, len(labels))
+        if depth[0] != 0:
+            raise GuideError(_rejection(0, labels, depth, None, None))
+        # the sound prefix ends at a jump of more than one level or a second root
+        fault = np.flatnonzero((depth[1:] > depth[:-1] + 1) | (depth[1:] == 0))
+        m = int(fault[0]) + 1 if len(fault) else len(labels)
+        tag_names = list(dict.fromkeys(names))  # in order of first use
+        tag_id = {tag: i for i, tag in enumerate(tag_names)}
+        tid = np.fromiter(map(tag_id.__getitem__, names), np.int32, m)
+        del names
+        order, bound, parent, sib, node, node_tag, node_parent = _shape(depth[:m], tid, len(tag_names))
+        del tid
+        pg = cls()
+        pg._set_nodes([tag_names[t] for t in node_tag.tolist()], node_parent)
+        pos = np.argsort(node, kind="stable")
+        counts = np.bincount(node, minlength=len(pg))
+        width = depth[pos]
+        off = np.empty(m, dtype=np.int64)  # per event, where its label starts in the store
+        off[pos] = np.cumsum(width, dtype=np.int64) - width
+        del node, width
+        rows = np.fromiter(labels, dtype=object, count=m)[pos]  # row r: event pos[r]
+        comps = np.fromiter(chain.from_iterable(rows), np.int64, counts @ pg.depths)
+        del rows
+        bad = _unsound(comps, off, order, bound, parent, sib)
+        if len(bad) or m < len(labels):
+            raise GuideError(_rejection(int(bad.min(initial=m)), labels, depth, parent, sib))
+        del off, order, sib, labels, depth
+        row = np.full(m + 1, -1, dtype=np.int64)  # row[-1] stands for no parent
+        row[pos] = np.arange(m)
+        pg.pos, pg.up = pos, row[parent[pos]]
+        del row, parent
         pg._set_store(comps, counts)
         return pg
 
@@ -204,10 +299,11 @@ class PathGuide:
         counts = np.asarray(counts, dtype=np.int64)
         self.comps, self.start = comps, np.concatenate([[0], np.cumsum(counts)])
         self.comp_start = np.concatenate([[0], np.cumsum(counts * self.depths)])
-        width = np.repeat(self.depths, counts).astype(np.int64)  # a byte per component, and
+        width = np.repeat(self.depths, counts)  # a byte per component, and
         big = [np.flatnonzero(comps >= b) for b in _LEN_BINS]  # one more per class boundary reached
-        row = np.searchsorted(np.cumsum(width), np.concatenate(big), side="right")
-        self.byte_lens = width + np.bincount(row, minlength=len(width))
+        row = np.searchsorted(np.cumsum(width, dtype=np.int64), np.concatenate(big), side="right")
+        self.byte_lens = np.bincount(row, minlength=len(width))
+        self.byte_lens += width
         self.comps.flags.writeable = self.byte_lens.flags.writeable = False
 
     def _set_nodes(self, tags: Sequence[str], parents: Sequence[int]) -> None:

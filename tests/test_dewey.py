@@ -49,6 +49,21 @@ def test_label_validation():
         parse_label("1.x.2")
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5, "2"])
+def test_child_checks_its_ordinal(n):
+    for parent in (EPSILON, parse_label("1.3")):
+        with pytest.raises(LabelError):
+            parent.child(n)
+
+
+def test_child_is_a_whole_label():
+    lab = parse_label("1.3").child(7)
+    assert type(lab) is DeweyLabel and lab.components == (1, 3, 7)
+    assert lab == parse_label("1.3.7") and hash(lab) == hash(parse_label("1.3.7"))
+    with pytest.raises(AttributeError):
+        lab.components = (9,)
+
+
 def test_immutability():
     lab = parse_label("1.2")
     with pytest.raises(AttributeError):

@@ -5,6 +5,7 @@ from twigjoin.document import (
     GeneratedDoc,
     GeneratorConfig,
     IngestError,
+    NodeEvent,
     generate,
     ingest,
 )
@@ -68,6 +69,54 @@ def test_ingest_streams_from_file_object(tmp_path):
     p.write_bytes(b"<A><B/></A>")
     with open(p, "rb") as fh:
         assert [ev.tag for ev in ingest(fh)] == ["A", "B"]
+
+
+class Trickle:
+    """A file object that hands out at most 3 bytes per read."""
+
+    def __init__(self, data: bytes):
+        self.data, self.at = data, 0
+
+    def read(self, n: int = -1) -> bytes:
+        chunk = self.data[self.at : self.at + min(n, 3)]
+        self.at += len(chunk)
+        return chunk
+
+
+def test_node_event_is_an_immutable_value():
+    label = parse_label("2.1")
+    ev = NodeEvent(label, "D")
+    assert ev.label is label and ev.tag == "D" and ev.depth == label.level == 2
+    for name in ("label", "tag"):
+        with pytest.raises(AttributeError):
+            setattr(ev, name, None)
+    same = NodeEvent(parse_label("2.1"), "D")
+    assert ev == same and hash(ev) == hash(same)
+    assert ev != NodeEvent(label, "E") and ev != NodeEvent(parse_label("2.2"), "D")
+
+
+def test_ingest_reads_a_trickling_stream_alike():
+    xml = generate(GeneratorConfig(seed=5, target_node_count=300)).xml
+    events = list(ingest(xml))
+    assert len(events) >= 150
+    assert list(ingest(Trickle(xml))) == events
+    assert [ev.depth for ev in events] == [ev.label.level for ev in events]
+
+
+@pytest.mark.parametrize("xml, kw, message", [
+    (b"<A>" * 30 + b"</A>" * 30, {"depth_cap": 10}, "element depth exceeds cap of 10 at byte 30"),
+    (b'<?xml version="1.0"?>\n<R><A x="1">text</A><!-- c --><B><C/></B></R>', {"depth_cap": 2},
+     "element depth exceeds cap of 2 at byte 55"),
+    (b"<R>\n  <A><B></A>\n</R>", {}, "malformed XML at byte 14: mismatched tag"),
+    (b"<A/><B/>", {}, "malformed XML at byte 4: junk after document element"),
+    (b"<A><B/>", {}, "malformed XML at byte 7: no element found"),
+    (b"", {}, "malformed XML at byte -1: no element found"),
+])
+def test_ingest_error_texts(xml, kw, message):
+    for source in (xml, Trickle(xml)):
+        with pytest.raises(IngestError) as err:
+            list(ingest(source, **kw))
+        assert str(err.value) == message
 
 
 def test_generate_deterministic():

@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twigjoin.dewey import DeweyLabel, encoded_len
-from twigjoin.document import NodeEvent, ingest
+from twigjoin.document import GeneratorConfig, NodeEvent, generate, ingest
 from twigjoin.index_io import Index, from_bytes, to_bytes
 from twigjoin.kernels import prefix_ranks
 from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
 from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
+from frozen_build import build as frozen_build
 
 
 def ev(label: str, tag: str) -> NodeEvent:
@@ -323,6 +325,88 @@ def test_build_accepts_document_order_only(guides):
             PathGuide.build(swapped)
     with pytest.raises(GuideError, match="not sorted after 2"):
         PathGuide.build([ev("", "A"), ev("2", "B"), ev("1", "C")])
+
+
+def assert_same_guide(pg: PathGuide, want: PathGuide) -> None:
+    assert pg.tag_names == want.tag_names
+    for name in ("parents", "tags", "depths", "comps", "start", "byte_lens", "pos", "up"):
+        got, ref = getattr(pg, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+def corrupt(rng: random.Random, events: list[NodeEvent]) -> list[NodeEvent]:
+    """events with one of seven faults put in at a random place; some
+    leave the stream in document order (a raised last component with no
+    later sibling, a deleted leaf)."""
+    k = rng.randrange(len(events))
+    comps, tag = events[k].label.components, events[k].tag
+
+    def at_k(new: tuple[int, ...]) -> list[NodeEvent]:
+        return events[:k] + [NodeEvent(DeweyLabel(new), tag)] + events[k + 1 :]
+
+    fault = rng.randrange(7)
+    if fault == 0 and len(events) > 1:  # swap two events
+        i, j = sorted(rng.sample(range(len(events)), 2))
+        return events[:i] + [events[j]] + events[i + 1 : j] + [events[i]] + events[j + 1 :]
+    if fault == 1 and comps:  # raise or lower one component
+        c = rng.randrange(len(comps))
+        value = max(1, comps[c] + rng.choice([-2, -1, 1, 2]))
+        return at_k(comps[:c] + (value,) + comps[c + 1 :])
+    if fault == 2:  # delete an event
+        return events[:k] + events[k + 1 :]
+    if fault == 3:  # a second root
+        return events[: k + 1] + [NodeEvent(DeweyLabel(), tag)] + events[k + 1 :]
+    if fault == 4 and comps:  # cut a label
+        return at_k(comps[:-1])
+    if fault == 5:  # extend a label
+        return at_k(comps + (rng.randint(1, 3),))
+    # a depth jump: an event two levels below the one before it
+    return events[: k + 1] + [NodeEvent(DeweyLabel(comps + (1, 1)), tag)] + events[k + 1 :]
+
+
+def test_build_repeats_the_frozen_loop_builder():
+    # clean streams give the loop builder's node table and store; a
+    # corrupted one is rejected with its exact message, or built alike
+    streams = [list(ingest(gen_doc(seed, target=60 + 20 * i))) for i, seed in enumerate(DOC_SEEDS[:8])]
+    for events in streams:
+        assert_same_guide(PathGuide.build(events), frozen_build(events))
+    rng = random.Random(23)
+    kinds = ("orphan", "not sorted after", "second root", "does not extend", "empty")
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(2400):
+        events = rng.choice(streams)
+        if rng.random() < 0.4:  # a prefix of a document is a document
+            events = events[: rng.choice([1, 2, rng.randint(1, len(events))])]
+        events = corrupt(rng, events)
+        try:
+            want = frozen_build(events)
+        except GuideError as exc:
+            with pytest.raises(GuideError) as err:
+                PathGuide.build(events)
+            assert str(err.value) == str(exc)
+            seen[next(k for k in kinds if k in str(exc))] += 1
+        else:
+            assert_same_guide(PathGuide.build(events), want)
+    assert sum(seen.values()) >= 2000 and min(seen.values()) >= 30, seen
+
+
+def test_build_allocates_within_its_bound():
+    # a frag-like document of 20,000 elements in about 7,000 guide nodes
+    xml = generate(GeneratorConfig(seed=7, target_node_count=20_000)).xml
+    events = list(ingest(xml))
+    components = sum(len(ev.label.components) for ev in events)
+    limit = (
+        8 * components  # the store: an int64 per component
+        + 12 * 8 * len(events)  # at most 12 int64 temporaries per event at once
+        + 2**20  # the node table, its planning matrices and the checks' chunk
+    )
+    tracemalloc.start()
+    try:
+        PathGuide.build(events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
 
 
 def test_from_tables_round_trip(guides):
