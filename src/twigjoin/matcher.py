@@ -29,7 +29,9 @@ under its shallowest top witness.
 The answer stays row ids too (late materialization): a ResultSet holds
 the guide and the row ids of its leaves, witnesses and top witnesses,
 and reads labels from the store only when it prints or builds
-DeweyLabel/MatchTuple objects, once per distinct row of an id column.
+DeweyLabel/MatchTuple objects, once per distinct row.  Printing makes
+no object but the lines: a slice of answers is written as bytes into
+one matrix with whole-array steps, then decoded and split once.
 A fan-out that would exceed ``max_results`` rows raises
 ResultLimitError, counted from the runs before any tuple is built.
 """
@@ -49,6 +51,8 @@ from .kernels import Backend, get_backend, lexsort, runs
 from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
+
+_PRINT_SLICE = 2048  # answers lines() prints at once: bounds its byte matrices
 
 
 @dataclass(frozen=True)
@@ -104,28 +108,44 @@ class ResultSet:
         return self._labels(self.tops)
 
     def lines(self) -> list[str]:
-        """One tab-separated line of dotted leaf labels per answer."""
-        line = self._dotted(self.leaves[:, 0])
-        for j in range(1, self.leaves.shape[1]):
-            line = line + "\t" + self._dotted(self.leaves[:, j])
-        return line.tolist()
+        """One tab-separated line of dotted leaf labels per answer; the
+        root's empty label prints as ε.
+
+        A slice of answers is printed into one byte matrix: each distinct
+        row's label once, a slot per component (its digits after zero
+        bytes, then "."), its last "." made a tab; a line is its columns'
+        rows side by side, its last tab made a newline.  The nonzero
+        bytes are the slice's text, decoded and split once.
+        """
+        out: list[str] = []
+        for s in range(0, len(self), _PRINT_SLICE):
+            leaves = self.leaves[s : s + _PRINT_SLICE]
+            block, depth, at = self.pg.label_block(leaves.ravel())
+            rows, d = block.shape
+            m = len(str(block.max(initial=0)))  # digits of the widest component
+            w = max(d * (m + 1), 3)  # room for "ε\t"
+            text = np.zeros((rows, w), np.uint8)
+            slots = text[:, : d * (m + 1)].reshape(rows, d, m + 1)
+            real = block > 0
+            slots[:, :, m] = real * ord(".")
+            for p in reversed(range(m)):
+                block, digit = np.divmod(block, 10)
+                slots[:, :, p] = real * (digit + ord("0"))
+                real = block > 0
+            text[depth == 0, :2] = tuple("ε".encode())
+            tab = np.where(depth > 0, depth * (m + 1) - 1, 2)
+            text[np.arange(rows), tab] = ord("\t")
+            k = leaves.shape[1]
+            line = text[at].reshape(len(leaves), k * w)
+            line[np.arange(len(leaves)), (k - 1) * w + tab[at[k - 1 :: k]]] = ord("\n")
+            out += line[line > 0][:-1].tobytes().decode().split("\n")
+        return out
 
     def _labels(self, ids: np.ndarray) -> list[DeweyLabel]:
         """The label of each row id, one label object per distinct row."""
-        block, _, at = self.pg.label_block(ids)
-        return list(map(_row_labels(block).__getitem__, at.tolist()))
-
-    def _dotted(self, ids: np.ndarray) -> np.ndarray:
-        """The label of each row id as text, ε for the root's empty label,
-        in an object array; each distinct row and component value is
-        formatted once."""
         block, depth, at = self.pg.label_block(ids)
-        values, word = np.unique(block, return_inverse=True)
-        words = np.array(list(map(str, values.tolist())), dtype=object)[word.reshape(block.shape)]
-        text = np.full(len(block), "ε", dtype=object)
-        for c in range(block.shape[1]):
-            text = np.where(depth > c, text + "." + words[:, c] if c else words[:, c], text)
-        return text[at]
+        labels = [DeweyLabel(r[:d]) for r, d in zip(block.tolist(), depth.tolist())]
+        return list(map(labels.__getitem__, at.tolist()))
 
 
 @dataclass

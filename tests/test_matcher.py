@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from twigjoin.dewey import DeweyLabel, parse_label
+from twigjoin.document import GeneratorConfig, generate
 from twigjoin.dt import build_dt_schema, record_view
 from twigjoin.kernels import BACKEND_NAMES, Backend, get_backend
 from twigjoin.matcher import (
@@ -14,6 +16,7 @@ from twigjoin.matcher import (
     NodeList,
     ResultLimitError,
     ResultSet,
+    _PRINT_SLICE,
     _cross,
     as_node_list,
     evaluate,
@@ -26,7 +29,8 @@ from twigjoin.oracle import naive_match
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
-from conftest import build_all, fan_out_doc, gen_doc, mixed_query, spy_reads
+from conftest import DOC_SEEDS, build_all, fan_out_doc, gen_doc, mixed_query, spy_reads
+from frozen_lines import lines as frozen_lines
 
 L = parse_label
 
@@ -466,6 +470,64 @@ def test_lines_agree_with_labels(small_corpus):
             rs, _ = evaluate(pg, q)
             want = ["\t".join(str(lab) for lab in mt.leaf_labels) for mt in rs.matches]
             assert rs.lines() == want, q
+
+
+def schema_doc(records: int) -> bytes:
+    """An XMark-like document: a guide of a dozen nodes, long sibling lists."""
+    person = b"<person><name/><email/><address><city/><zip/></address><watch/><watch/></person>"
+    item = b"<item><name/><text><bold/><emph/></text></item>"
+    return (b"<site><people>" + person * records + b"</people><items>"
+            + item * (records // 2) + b"</items></site>")
+
+
+def test_lines_repeat_the_frozen_formatter():
+    # random answer matrices of 1-5 leaf columns, the root's empty label
+    # in the first, a middle and the last column, on generated guides
+    # and on one whose components sit on every decimal-digit boundary
+    # and on the label codec's byte-class boundaries; as many answers as
+    # fill a print slice, one fewer and one more
+    guides = [PathGuide.build_from_xml(gen_doc(seed, target=150 + 60 * i))
+              for i, seed in enumerate(DOC_SEEDS[:6])]
+    guides += [PathGuide.build_from_xml(schema_doc(n)) for n in (3, 40, 1200)]
+    comps = sorted({1, 127, 128, 16511, 16512, 10**9 + 1}
+                   | {10**i + d for i in range(1, 10) for d in (-1, 0)})
+    two = [[a, b] for a in comps for b in comps]
+    guides.append(PathGuide.from_tables(
+        ["R", "A", "B", "C"], [-1, 0, 1, 2],
+        [np.zeros((1, 0), np.int64), [[c] for c in comps], two,
+         [ab + [c] for ab in two[::5] for c in comps]]))
+    rng = np.random.default_rng(23)
+    for pg in guides:
+        assert pg.depths[0] == 0 and pg.start[1] == 1  # row 0 is the root
+        for k in range(1, 6):
+            for n in (0, 1, 2, int(rng.integers(3, 300)),
+                      _PRINT_SLICE - 1, _PRINT_SLICE, _PRINT_SLICE + 1):
+                leaves = rng.integers(0, pg.start[-1], size=(n, k))
+                for col in {0, k // 2, k - 1}:
+                    leaves[rng.random(n) < 0.2, col] = 0
+                rs = ResultSet(pg, leaves, np.zeros((n, 0), np.int64), np.zeros(0, np.int64))
+                assert rs.lines() == frozen_lines(rs), (k, n)
+
+
+def test_lines_allocate_within_their_bound():
+    # //*[./A]//B on a frag-like document of 20,000 elements: 27,958
+    # answers, so lines() prints them in 14 slices
+    pg = PathGuide.build_from_xml(generate(GeneratorConfig(seed=7, target_node_count=20_000)).xml)
+    rs, _ = evaluate(pg, "//*[./A]//B")
+    (n, k), depth = rs.leaves.shape, int(pg.depths.max())
+    answer = sum(map(sys.getsizeof, rs.lines())) + 8 * n  # the strings and their list
+    limit = (
+        4 * answer  # per byte of the answer: itself and up to three copies of its text
+        + 8 * 8 * min(n, _PRINT_SLICE) * k * (depth + 1)  # a slice's temporaries: 8 int64 per label slot
+        + 2**20  # slack: the guide's lookups and small arrays
+    )
+    tracemalloc.start()
+    try:
+        rs.lines()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
 
 
 def test_max_results_fails_before_the_fan_out():
