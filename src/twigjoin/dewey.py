@@ -1,15 +1,18 @@
 """Hierarchical node labels: child ordinals from the root, compared
 lexicographically, with a compact order-preserving byte encoding.
 
-A label is a sequence of 1-based child ordinals.  The root carries the
-empty label (printed as an epsilon).  Byte encodings of whole labels
-compare byte-lexicographically exactly like the labels themselves, so
-encoded lists can be merged without decoding.
+A label is the tuple of its 1-based child ordinals (DeweyLabel is a
+tuple subclass that checks them), so labels equal, hash and order as
+their tuples do: lexicographically, a proper prefix first, which for
+labels of one document is document order.  The root carries the empty
+label (printed as an epsilon), the only falsy one.  Byte encodings of
+whole labels compare byte-lexicographically exactly like the labels
+themselves, so encoded lists can be merged without decoding.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class LabelError(ValueError):
@@ -26,66 +29,42 @@ _CLASS_MARK = (0x00, 0x80, 0xC0, 0xE0, 0xF0)
 _MAX_COMPONENT = _CLASS_BASE[4] + _CLASS_CAP[4] - 1
 
 
-class DeweyLabel:
-    """Immutable hierarchical label; a value type, safe to share."""
+class DeweyLabel(tuple):
+    """Immutable hierarchical label: the tuple of its components, so it
+    equals, hashes and orders exactly as that tuple does."""
 
-    __slots__ = ("components",)
+    __slots__ = ()
 
-    def __init__(self, components: Iterable[int] = ()):
+    def __new__(cls, components: Iterable[int] = ()):
         comps = tuple(components)
         for c in comps:
             if not isinstance(c, int) or c < 1:
                 raise LabelError(f"label component must be a positive integer, got {c!r}")
-        object.__setattr__(self, "components", comps)
+        return _new_label(cls, comps)
+
+    @property
+    def components(self) -> "DeweyLabel":
+        return self
 
     @property
     def level(self) -> int:
-        return len(self.components)
+        return len(self)
 
     def child(self, n: int) -> "DeweyLabel":
         """Label of this node's n-th child (n is 1-based).  Only n is
         checked: this label's components were checked when it was made."""
         if not isinstance(n, int) or n < 1:
             raise LabelError(f"child ordinal must be a positive integer, got {n!r}")
-        label = _new_label(DeweyLabel)
-        _set_components(label, self.components + (n,))
-        return label
+        return _new_label(DeweyLabel, (*self, n))
 
     def prefix(self, level: int) -> "DeweyLabel":
         """First `level` components; `level` may not exceed this label's level."""
-        if level < 0 or level > len(self.components):
-            raise LabelError(
-                f"prefix level {level} out of range for label of level {len(self.components)}"
-            )
-        return DeweyLabel(self.components[:level])
+        if level < 0 or level > len(self):
+            raise LabelError(f"prefix level {level} out of range for label of level {len(self)}")
+        return _new_label(DeweyLabel, self[:level])
 
     def is_ancestor_or_self(self, other: "DeweyLabel") -> bool:
-        n = len(self.components)
-        return len(other.components) >= n and other.components[:n] == self.components
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeweyLabel is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DeweyLabel) and self.components == other.components
-
-    def __lt__(self, other: "DeweyLabel") -> bool:
-        return self.components < other.components
-
-    def __le__(self, other: "DeweyLabel") -> bool:
-        return self.components <= other.components
-
-    def __gt__(self, other: "DeweyLabel") -> bool:
-        return self.components > other.components
-
-    def __ge__(self, other: "DeweyLabel") -> bool:
-        return self.components >= other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.components)
+        return other[: len(self)] == self
 
     def __repr__(self) -> str:
         return f"DeweyLabel({format_label(self)})"
@@ -94,8 +73,7 @@ class DeweyLabel:
         return format_label(self)
 
 
-_new_label = object.__new__
-_set_components = DeweyLabel.components.__set__  # the slot itself, past __setattr__
+_new_label = tuple.__new__  # a label of components already checked
 EPSILON = DeweyLabel()
 
 
@@ -108,11 +86,7 @@ def compare(a: DeweyLabel, b: DeweyLabel) -> int:
 
     For labels of one document this equals document preorder.
     """
-    if a.components < b.components:
-        return -1
-    if a.components > b.components:
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def is_ancestor_or_self(a: DeweyLabel, b: DeweyLabel) -> bool:
@@ -120,9 +94,7 @@ def is_ancestor_or_self(a: DeweyLabel, b: DeweyLabel) -> bool:
 
 
 def format_label(label: DeweyLabel) -> str:
-    if not label.components:
-        return "ε"
-    return ".".join(str(c) for c in label.components)
+    return ".".join(map(str, label)) if label else "ε"
 
 
 def parse_label(text: str) -> DeweyLabel:
@@ -162,13 +134,13 @@ def _encode_component(value: int, out: bytearray) -> None:
 def encode(label: DeweyLabel) -> bytes:
     """Concatenated component encodings; ordered like `compare`."""
     out = bytearray()
-    for c in label.components:
+    for c in label:
         _encode_component(c, out)
     return bytes(out)
 
 
 def encoded_len(label: DeweyLabel) -> int:
-    return sum(encoded_component_len(c) for c in label.components)
+    return sum(map(encoded_component_len, label))
 
 
 def decode(data: bytes) -> DeweyLabel:

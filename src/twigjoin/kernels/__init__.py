@@ -1,20 +1,22 @@
-"""Kernel backends.
+"""Kernel backends, and the jump search over a label list.
 
-``numba`` compiles the scalar kernels of :mod:`twigjoin.kernels._impl`
+``numba`` compiles the scalar merge of :mod:`twigjoin.kernels._impl`
 with ``@njit``.  ``numpy`` runs the vectorized merge of
 :mod:`twigjoin.kernels._vector`, which retraces the scalar merge's
-cursors exactly, and the scalar ``jump_scan`` uncompiled.  Results and
-counters are identical on both.  Both stay importable side by side so
-they can be compared on identical inputs; the ``TWIGJOIN_KERNELS``
-environment variable picks which one evaluators use by default.
+cursors exactly.  Results and counters are identical on both.  Both
+stay importable side by side so they can be compared on identical
+inputs; the ``TWIGJOIN_KERNELS`` environment variable picks which one
+evaluators use by default.
 
 A backend's ``multiway_merge`` takes stacked label rows and a prefix
-length, like ``jump_scan``: it ranks the prefixes once in numpy
-(:func:`prefix_ranks`) and runs the merge on the ranks, which returns
-each run of equal prefixes as row ranges, not the joined tuples.  The
-query engine passes one key column (plen 1): each row's ancestor's
-document position, so the ranking is a one-column sort; the label-list
-APIs pass label rows.
+length: it ranks the prefixes once in numpy (:func:`prefix_ranks`) and
+runs the merge on the ranks, which returns each run of equal prefixes
+as row ranges, not the joined tuples.  The query engine passes one key
+column (plen 1): each row's ancestor's document position, so the
+ranking is a one-column sort; the label-list APIs pass label rows.
+
+:func:`jump_scan` is plain Python on both backends: it compares a few
+rows' prefixes as lists, in the labels' own lexicographic order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ BACKEND_NAMES = ("numba", "numpy")
 @dataclass(frozen=True)
 class Backend:
     name: str
-    jump_scan: Callable
+    jump_scan: Callable  # the same jump_scan on every backend
     multiway_merge: Callable
 
 
@@ -72,9 +74,45 @@ def _on_ranks(merge: Callable) -> Callable:
     return multiway_merge
 
 
+def jump_scan(rows, lo, hi, bound, plen) -> tuple[int, np.ndarray]:
+    """First position in ``rows[lo:hi]`` whose ``plen``-prefix orders
+    strictly after ``bound`` (``hi`` if none), and the positions read to
+    find it, in probe order: ``lo``, then a gallop, then a binary search.
+
+    ``rows`` are labels zero-padded on the right to a common width (real
+    components are >= 1, so padding keeps their order).  No position is
+    read twice.
+    """
+    bound = list(bound)
+    read: list[int] = []
+
+    def after(r: int) -> bool:
+        read.append(r)
+        return rows[r, :plen].tolist() > bound
+
+    if lo >= hi:
+        return hi, np.array(read, dtype=np.int64)
+    if after(lo):
+        return lo, np.array(read, dtype=np.int64)
+    low, high, step = lo, hi, 1  # rows[low] <= bound throughout
+    while low + step < high:
+        if after(low + step):
+            high = low + step
+            break
+        low += step
+        step <<= 1
+    while low + 1 < high:  # rows[low] <= bound < rows[high]
+        mid = (low + high) >> 1
+        if after(mid):
+            high = mid
+        else:
+            low = mid
+    return high, np.array(read, dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _numpy_backend() -> Backend:
-    return Backend("numpy", _impl.jump_scan, _on_ranks(_vector.multiway_merge))
+    return Backend("numpy", jump_scan, _on_ranks(_vector.multiway_merge))
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +122,7 @@ def _numba_backend() -> Backend:
     except ImportError:
         return _numpy_backend()
     jit = numba.njit(cache=True)
-    return Backend("numba", jit(_impl.jump_scan), _on_ranks(jit(_impl.multiway_merge)))
+    return Backend("numba", jump_scan, _on_ranks(jit(_impl.multiway_merge)))
 
 
 def default_backend_name() -> str:

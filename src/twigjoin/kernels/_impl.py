@@ -1,24 +1,17 @@
-"""Merge-join kernels over sorted label lists.
+"""The scalar merge-join kernel over sorted key lists.
 
-Both functions are written in the subset of Python/numpy that numba's
-nopython mode accepts, and they call nothing else in the package: the
-comparison and the galloping search are inlined at every use site
-because an njit-wrapped copy of one function cannot call the plain
-interpreted copy of another.  The numba backend compiles them; the
-numpy backend runs ``jump_scan`` uncompiled and, in place of
-``multiway_merge``, the vectorized merge of
-:mod:`twigjoin.kernels._vector`, which the tests hold to this one.
+``multiway_merge`` is written in the subset of Python/numpy that numba's
+nopython mode accepts, and it calls nothing else in the package, so
+its galloping search is written out inline.  The numba backend
+compiles it; the numpy backend runs, in its place, the vectorized merge
+of :mod:`twigjoin.kernels._vector`, which the tests hold to this one.
 
 Conventions:
 
-* ``multiway_merge`` reads one int64 key per label, the dense rank of
-  the label's join prefix among all rows of the call: keys compare
-  exactly as the prefixes do, so every comparison is one scalar test.
-  It emits the runs of keys that every list holds, never the tuples
-  they join;
-* ``jump_scan`` reads labels as rows of a 2-D int64 array, zero-padded
-  on the right to a common width (real components are always >= 1),
-  and compares their leading ``plen`` components;
+* the kernel reads one int64 key per label, the dense rank of the
+  label's join prefix among all rows of the call: keys compare exactly
+  as the prefixes do, so every comparison is one scalar test.  It emits
+  the runs of keys that every list holds, never the tuples they join;
 * ``touched`` is a uint8 flag array parallel to the rows; the kernel
   sets an entry to 1 whenever it materializes that row.
 """
@@ -26,71 +19,6 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
-
-
-def jump_scan(rows, lo, hi, bound, plen, touched):
-    """Find the first position in ``rows[lo:hi]`` whose ``plen``-prefix
-    orders strictly after ``bound``.
-
-    Returns ``(pos, reads)`` where ``pos == hi`` means no such row.
-    Runs a galloping phase followed by a binary search; every probed
-    row counts one read.
-    """
-    reads = 0
-    if lo >= hi:
-        return hi, reads
-
-    # First row may already satisfy the bound.
-    reads += 1
-    touched[lo] = 1
-    gt = False
-    for c in range(plen):
-        a = rows[lo, c]
-        b = bound[c]
-        if a != b:
-            gt = a > b
-            break
-    if gt:
-        return lo, reads
-
-    # Gallop: rows[low] <= bound throughout; stop once a probe exceeds.
-    low = lo
-    high = hi
-    step = 1
-    while low + step < high:
-        r = low + step
-        reads += 1
-        touched[r] = 1
-        gt = False
-        for c in range(plen):
-            a = rows[r, c]
-            b = bound[c]
-            if a != b:
-                gt = a > b
-                break
-        if gt:
-            high = r
-            break
-        low = r
-        step <<= 1
-
-    # Binary search on (low, high): rows[low] <= bound < rows[high].
-    while low + 1 < high:
-        mid = (low + high) >> 1
-        reads += 1
-        touched[mid] = 1
-        gt = False
-        for c in range(plen):
-            a = rows[mid, c]
-            b = bound[c]
-            if a != b:
-                gt = a > b
-                break
-        if gt:
-            high = mid
-        else:
-            low = mid
-    return high, reads
 
 
 def multiway_merge(keys, offsets, use_jump, touched, reads_out):

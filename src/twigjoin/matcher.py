@@ -47,7 +47,7 @@ import numpy as np
 
 from .dewey import DeweyLabel
 from .dt import DataTable, DTSchema, build_dt_schema
-from .kernels import Backend, get_backend, lexsort, runs
+from .kernels import Backend, get_backend, jump_scan, lexsort, runs
 from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
@@ -176,7 +176,7 @@ def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
     labels = list(src)
     if not all(prev < cur for prev, cur in zip(labels, labels[1:])):
         raise ValueError("label list must be strictly sorted")
-    return NodeList(_stack([np.array([lab.components], np.int64) for lab in labels])[0])
+    return NodeList(_stack([np.array([lab], np.int64) for lab in labels])[0])
 
 
 @dataclass
@@ -186,34 +186,28 @@ class Cursor:
 
 
 def jump(
-    cursor: Cursor,
-    level: int,
-    bound: DeweyLabel | Sequence[int],
-    metrics: Metrics | None = None,
-    backend: Backend | str | None = None,
+    cursor: Cursor, level: int, bound: Sequence[int], metrics: Metrics | None = None
 ) -> Cursor:
-    """Smallest position past cursor whose level-prefix exceeds bound.
+    """First position at or past the cursor whose level-prefix orders after bound.
 
-    Galloping plus binary search; counts one jump and every probed row
-    as a read.
+    Galloping plus binary search (kernels.jump_scan); counts one jump
+    and every probed row as a read.
     """
-    comps = bound.components if isinstance(bound, DeweyLabel) else tuple(bound)
-    if len(comps) != level:
+    bound = tuple(bound)
+    if len(bound) != level:
         raise ValueError(f"bound must have exactly {level} components")
     rows = cursor.list.rows
     if level > rows.shape[1]:
         raise ValueError("level exceeds the list's label level")
-    be = get_backend(backend)
-    touched = np.zeros(len(rows), dtype=np.uint8)
-    bound_arr = np.asarray(comps, dtype=np.int64)
-    pos, reads = be.jump_scan(rows, cursor.position, len(rows), bound_arr, level, touched)
+    if not 0 <= cursor.position <= len(rows):
+        raise ValueError(f"cursor position {cursor.position} outside 0..{len(rows)}")
+    pos, read = jump_scan(rows, cursor.position, len(rows), bound, level)
     if metrics is not None:
         metrics.jumps += 1
-        metrics.nodes_read += int(reads)
+        metrics.nodes_read += len(read)
         ext = cursor.list.extent
         if ext is not None:
-            local = np.flatnonzero(touched)
-            metrics.credit(ext.first + local, ext.byte_lens[local])
+            metrics.credit(ext.first + read, ext.byte_lens[read])
     return Cursor(cursor.list, int(pos))
 
 

@@ -82,16 +82,15 @@ class MaterializedDoc:
         Every extent is read in full; with a Metrics this charges the
         rebuild like the full scan it is.
         """
-        items: list[tuple[tuple[int, ...], str]] = []
+        items: list[tuple[DeweyLabel, str]] = []
         for gid, node in enumerate(pg.nodes):
             ext = pg.read_extent(gid)
             if metrics is not None:
                 metrics.nodes_read += len(ext)
                 metrics.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
-            items += [(tuple(row), node.tag) for row in ext.rows.tolist()]
+            items += [(DeweyLabel(row), node.tag) for row in ext.rows.tolist()]
         items.sort()
-        events = (NodeEvent(DeweyLabel(comps), tag) for comps, tag in items)
-        return cls.from_events(events)
+        return cls.from_events(NodeEvent(label, tag) for label, tag in items)
 
     def iter_nodes(self) -> Iterator[DocNode]:
         stack = [self.root]
@@ -113,22 +112,22 @@ def naive_match(doc: MaterializedDoc, twig: TwigPattern) -> list[MatchTuple]:
     """Ground truth by direct embedding enumeration, memoized per
     (twig node, document node)."""
     leaf_index = {id(n): i for i, n in enumerate(twig.leaves())}
-    memo: dict[tuple[int, tuple[int, ...]], list[dict[int, tuple[int, ...]]]] = {}
+    memo: dict[tuple[int, DeweyLabel], list[dict[int, DeweyLabel]]] = {}
 
-    def embeddings(tnode, dnode: DocNode) -> list[dict[int, tuple[int, ...]]]:
+    def embeddings(tnode, dnode: DocNode) -> list[dict[int, DeweyLabel]]:
         if not test_matches(tnode.test, dnode.tag):
             return []
-        key = (id(tnode), dnode.label.components)
+        key = (id(tnode), dnode.label)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if tnode.is_leaf():
-            result = [{leaf_index[id(tnode)]: dnode.label.components}]
+            result = [{leaf_index[id(tnode)]: dnode.label}]
         else:
-            per_child: list[list[dict[int, tuple[int, ...]]]] = []
+            per_child: list[list[dict[int, DeweyLabel]]] = []
             for c in tnode.children:
                 cands = dnode.children if c.axis == "child" else _descendants(dnode)
-                merged: list[dict[int, tuple[int, ...]]] = []
+                merged: list[dict[int, DeweyLabel]] = []
                 for m in cands:
                     merged.extend(embeddings(c, m))
                 if not merged:
@@ -138,7 +137,7 @@ def naive_match(doc: MaterializedDoc, twig: TwigPattern) -> list[MatchTuple]:
             result = []
             if per_child:
                 for combo in product(*per_child):
-                    assign: dict[int, tuple[int, ...]] = {}
+                    assign: dict[int, DeweyLabel] = {}
                     for part in combo:
                         assign.update(part)
                     result.append(assign)
@@ -151,14 +150,11 @@ def naive_match(doc: MaterializedDoc, twig: TwigPattern) -> list[MatchTuple]:
     else:
         root_cands = doc.iter_nodes()
 
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    seen: set[tuple[DeweyLabel, ...]] = set()
     for dnode in root_cands:
         for assign in embeddings(twig.root, dnode):
             seen.add(tuple(assign[i] for i in range(len(leaf_index))))
-    out = [
-        MatchTuple(tuple(DeweyLabel(c) for c in key)) for key in sorted(seen)
-    ]
-    return out
+    return [MatchTuple(key) for key in sorted(seen)]
 
 
 def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> set[int]:

@@ -132,20 +132,20 @@ def _unsound(comps, off, order, bound, parent, sib) -> np.ndarray:
     return np.concatenate(bad)
 
 
-def _rejection(k: int, labels: Sequence[tuple[int, ...]], depth: np.ndarray,
+def _rejection(k: int, labels: Sequence[DeweyLabel], depth: np.ndarray,
                parent: np.ndarray | None, sib: np.ndarray | None) -> str:
     """Why event k breaks document order, for a stream sound before k:
     the first of these rules that holds."""
-    label = DeweyLabel(labels[k])
+    label = labels[k]
     above = depth[k - 1] if k else -1
     if depth[k] > above + 1:
         return f"orphan event at {label}: no parent on stack"
-    if 0 < depth[k] <= above and labels[sib[k]] >= labels[k]:
-        return f"event at {label} is not sorted after {DeweyLabel(labels[sib[k]])}"
+    if 0 < depth[k] <= above and labels[sib[k]] >= label:
+        return f"event at {label} is not sorted after {labels[sib[k]]}"
     if depth[k] == 0:
         return "second root element in event stream"
-    if labels[k][:-1] != labels[parent[k]]:
-        return f"event at {label} does not extend {DeweyLabel(labels[parent[k]])}"
+    if label[:-1] != labels[parent[k]]:
+        return f"event at {label} does not extend {labels[parent[k]]}"
     raise AssertionError("unreachable")
 
 
@@ -220,10 +220,10 @@ class PathGuide:
         sibling (whole labels compared), second root, does not extend its
         parent's label.
         """
-        labels: list[tuple[int, ...]] = []  # per event, its components
+        labels: list[DeweyLabel] = []  # per event, its label
         names: list[str] = []  # per event, its tag
         for ev in events:
-            labels.append(ev.label.components)
+            labels.append(ev.label)
             names.append(ev.tag)
         if not labels:
             raise GuideError("empty event stream")

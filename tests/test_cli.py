@@ -179,13 +179,13 @@ def test_count_and_lines_build_no_labels(idx_path, monkeypatch, capsys):
     loaded = index_io.load(idx_path)  # decoding the index builds labels
     monkeypatch.setattr(index_io, "load", lambda path: loaded)
     built = []
-    init = DeweyLabel.__init__
+    new = DeweyLabel.__new__
 
-    def counting_init(self, components=()):
+    def counting_new(cls, components=()):
         built.append(components)
-        init(self, components)
+        return new(cls, components)
 
-    monkeypatch.setattr(DeweyLabel, "__init__", counting_init)
+    monkeypatch.setattr(DeweyLabel, "__new__", counting_new)
     for q in ("//A[./B]", "//B[./C][./A]", "//A//B"):
         assert main(["query", idx_path, q, "--count"]) == 0
         assert int(capsys.readouterr().out) > 0

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -66,8 +68,39 @@ def test_child_is_a_whole_label():
 
 def test_immutability():
     lab = parse_label("1.2")
-    with pytest.raises(AttributeError):
-        lab.components = (9,)
+    for name in ("components", "level", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lab, name, (9,))
+    assert lab == (1, 2)
+
+
+def test_label_is_its_component_tuple():
+    rng = random.Random(5)
+    labs = [DeweyLabel(tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))))
+            for _ in range(200)]
+    for lab in labs:
+        comps = tuple(lab)
+        assert lab == comps and comps == lab and hash(lab) == hash(comps)
+        assert lab.components is lab
+        assert len(lab) == lab.level
+        assert bool(lab) == (lab != EPSILON)  # only the root is falsy
+    assert sorted(labs) == sorted(labs, key=tuple)
+    for a, b in zip(labs, labs[1:]):
+        ta, tb = tuple(a), tuple(b)
+        assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
+    assert DeweyLabel((1, 2)) == (1, 2) and {DeweyLabel((1, 2)): 0}[(1, 2)] == 0
+
+
+@pytest.mark.parametrize("lab", [EPSILON, parse_label("3"), parse_label("1.20.7")])
+def test_pickle_and_deepcopy_keep_the_type(lab):
+    for got in (pickle.loads(pickle.dumps(lab)), copy.deepcopy(lab), copy.copy(lab)):
+        assert type(got) is DeweyLabel and got == lab
+
+
+@pytest.mark.parametrize("comps", [(0,), (1, -2), (1, 2.0), ("1",), (1, None)])
+def test_bad_component_raises_label_error(comps):
+    with pytest.raises(LabelError):
+        DeweyLabel(comps)
 
 
 def test_prefix_and_ancestor():

@@ -14,16 +14,18 @@ from twigjoin.kernels import (
     _on_ranks,
     default_backend_name,
     get_backend,
+    jump_scan,
     prefix_ranks,
 )
 from twigjoin.matcher import ResultLimitError, _cross, evaluate
 from twigjoin.path_guide import PathGuide
 
 from conftest import gen_doc, mixed_query
+from frozen_jump import jump_scan as frozen_jump
 from frozen_merge import multiway_merge as frozen_merge
 
 # the scalar merge, uncompiled: the source numba compiles
-SCALAR = Backend("scalar", _impl.jump_scan, _on_ranks(_impl.multiway_merge))
+SCALAR = Backend("scalar", jump_scan, _on_ranks(_impl.multiway_merge))
 
 both_backends = pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 
@@ -327,33 +329,55 @@ def test_jump_scan_against_linear_oracle(backend_name):
         lo = rng.randint(0, len(rows))
         hi = rng.randint(lo, len(rows))
         bound = np.array([rng.randint(0, 4) for _ in range(plen)], dtype=np.int64)
-        touched = np.zeros(len(rows), dtype=np.uint8)
-        pos, reads = be.jump_scan(rows, lo, hi, bound, plen, touched)
+        pos, read = be.jump_scan(rows, lo, hi, bound, plen)
         assert pos == jump_oracle(rows, lo, hi, bound, plen)
         if lo >= hi:
-            assert reads == 0
+            assert len(read) == 0
         else:
-            assert 1 <= reads <= (hi - lo)
-            assert touched[:lo].sum() == 0 and touched[hi:].sum() == 0
+            assert 1 <= len(read) <= (hi - lo)
+            assert lo <= read.min() and read.max() < hi
 
 
 @both_backends
 def test_jump_scan_first_row_hit(backend_name):
     be = get_backend(backend_name)
     rows = np.array([[5, 1], [6, 2]], dtype=np.int64)
-    touched = np.zeros(2, dtype=np.uint8)
-    pos, reads = be.jump_scan(rows, 0, 2, np.array([4, 9], dtype=np.int64), 2, touched)
-    assert (pos, reads) == (0, 1)
-    assert touched.tolist() == [1, 0]
+    pos, read = be.jump_scan(rows, 0, 2, np.array([4, 9], dtype=np.int64), 2)
+    assert pos == 0 and read.tolist() == [0]
 
 
 @both_backends
 def test_jump_scan_no_hit(backend_name):
     be = get_backend(backend_name)
     rows = np.array([[1], [2], [3]], dtype=np.int64)
-    touched = np.zeros(3, dtype=np.uint8)
-    pos, _ = be.jump_scan(rows, 0, 3, np.array([7], dtype=np.int64), 1, touched)
+    pos, _ = be.jump_scan(rows, 0, 3, np.array([7], dtype=np.int64), 1)
     assert pos == 3
+
+
+def test_jump_scan_repeats_the_frozen_column_kernel():
+    # the list comparison must retrace the column-by-column kernel
+    # exactly: same position, and the same rows read, each once
+    rng = random.Random(33)
+    cases = 0
+    while cases < 10_000:
+        width = rng.randint(1, 5)
+        labels = {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, width)))
+                  for _ in range(rng.randint(0, 14))}
+        rows = np.zeros((len(labels), width), dtype=np.int64)
+        for i, lab in enumerate(sorted(labels)):
+            rows[i, : len(lab)] = lab
+        plen = rng.randint(0, width)
+        bound = np.array([rng.randint(0, 4) for _ in range(plen)], dtype=np.int64)
+        for lo in range(len(rows) + 1):
+            for hi in range(lo, len(rows) + 1):
+                touched = np.zeros(len(rows), dtype=np.uint8)
+                want_pos, want_reads = frozen_jump(rows, lo, hi, bound, plen, touched)
+                pos, read = jump_scan(rows, lo, hi, bound, plen)
+                assert read.dtype == np.int64
+                assert (pos, len(read)) == (want_pos, want_reads), (rows, lo, hi, bound)
+                assert len(set(read.tolist())) == len(read)
+                assert sorted(read.tolist()) == np.flatnonzero(touched).tolist()
+                cases += 1
 
 
 def test_env_flag_selects_default(monkeypatch):

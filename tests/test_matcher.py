@@ -191,6 +191,10 @@ def test_jump_validates_bound_and_level():
         jump(Cursor(nl), 2, L("1"))
     with pytest.raises(ValueError, match="level"):
         jump(Cursor(nl), 3, (1, 1, 1))
+    nl = as_node_list(labs("1.1", "1.2", "2.1"))
+    for position in (-1, 5):  # a position outside 0..len(list) reads nothing
+        with pytest.raises(ValueError, match=f"position {position} outside 0..3"):
+            jump(Cursor(nl, position), 1, (1,))
 
 
 def test_jump_counts_work():
@@ -209,6 +213,15 @@ def test_jump_meters_extent_bytes():
     jump(Cursor(as_node_list(ext)), 1, (12,), metrics=met)
     assert met.bytes_scanned > 0
     assert met.bytes_scanned <= int(ext.byte_lens.sum())
+
+
+def test_jump_from_the_end_of_an_extent_reads_nothing():
+    pg = PathGuide.build_from_xml(b"<A>" + b"<B/>" * 30 + b"</A>")
+    ext = pg.read_extent(1)
+    met = Metrics()
+    got = jump(Cursor(as_node_list(ext), len(ext)), 1, (12,), metrics=met)
+    assert got.position == len(ext)
+    assert (met.jumps, met.nodes_read, met.bytes_scanned) == (1, 0, 0)
 
 
 def test_credit_counts_each_row_once():
