@@ -34,7 +34,6 @@ from .matcher import (
     as_node_list,
     evaluate,
     jump,
-    match_multiway,
     match_proc,
 )
 from .metrics import Metrics
@@ -88,7 +87,6 @@ __all__ = [
     "NodeList",
     "as_node_list",
     "jump",
-    "match_multiway",
     "match_proc",
     "MatchTuple",
     "ResultSet",

@@ -18,7 +18,6 @@ import numpy as np
 from . import index_io
 from .document import GeneratorConfig, IngestError, generate
 from .dt import explain
-from .kernels import BACKEND_NAMES
 from .matcher import MatchTuple, ResultLimitError, evaluate
 from .metrics import Metrics
 from .oracle import MaterializedDoc, leaf_scan_match, naive_match
@@ -65,8 +64,6 @@ def _build_parser() -> _Parser:
                          help="print distinct top-JP witness labels instead")
     p_query.add_argument("--no-jump", action="store_true",
                          help="disable jump skipping in the merge")
-    p_query.add_argument("--kernels", choices=BACKEND_NAMES,
-                         help="merge kernel backend override")
     p_query.add_argument("--max-results", type=_row_count, metavar="N",
                          help="fail (exit 2) before holding more than N result "
                               "or partial-match rows (dt engine)")
@@ -88,7 +85,6 @@ def _build_parser() -> _Parser:
                        help="synthesize the standard sweep for this index")
     p_bench.add_argument("--engines", default="dt,leafscan",
                          help="comma-separated engine list")
-    p_bench.add_argument("--kernels", choices=BACKEND_NAMES)
     p_bench.add_argument("--no-jump", action="store_true")
     return p
 
@@ -129,10 +125,7 @@ def _cmd_query(args) -> int:
     twig = parse(args.query)
 
     if args.engine == "dt":
-        rs, met = evaluate(
-            pg, twig, use_jump=not args.no_jump, backend=args.kernels,
-            max_results=args.max_results,
-        )
+        rs, met = evaluate(pg, twig, use_jump=not args.no_jump, max_results=args.max_results)
         if args.explain:
             print("no DT required" if rs.plan is None else explain(rs.plan, pg))
         if args.project == "jp":
@@ -209,6 +202,8 @@ def _cmd_bench(args) -> int:
     idx = index_io.load(args.index)
     pg = idx.guide
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    if not engines:
+        raise _CliUsage("--engines names no engine")
     for e in engines:
         if e not in ENGINES:
             raise _CliUsage(f"unknown engine name: {e!r}")
@@ -229,9 +224,7 @@ def _cmd_bench(args) -> int:
     def run(engine: str, text: str) -> Metrics:
         twig = parse(text)
         if engine == "dt":
-            _, met = evaluate(
-                pg, twig, use_jump=not args.no_jump, backend=args.kernels
-            )
+            _, met = evaluate(pg, twig, use_jump=not args.no_jump)
         elif engine == "leafscan":
             _, met = leaf_scan_match(pg, twig)
         else:

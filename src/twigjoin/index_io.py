@@ -7,7 +7,7 @@ Layout (little-endian):
     stats   u64 node_count, u32 max_depth
     guide   u32 guide node count, then per node in id order:
             u32 parent (0xFFFFFFFF for the root), u16 depth,
-            u16 tag byte length, tag (UTF-8)
+            u16 tag byte length, tag (UTF-8): at most MAX_TAG_BYTES
     extents per node in id order:
             u32 label count, u64 byte length,
             concatenated encoded labels (dewey's per-component code)
@@ -45,6 +45,7 @@ from .path_guide import _LEN_BINS, GuideError, PathGuide
 MAGIC = b"TWIGIDX1"
 FORMAT_VERSION = 1
 _NO_PARENT = 0xFFFFFFFF
+MAX_TAG_BYTES = 0xFFFF  # a tag's UTF-8 length is stored as a u16
 CHUNK_BYTES = 1 << 14  # encoded extent bytes per codec chunk
 _STATS = struct.Struct("<IQI")
 _NODE = struct.Struct("<IHH")
@@ -55,7 +56,8 @@ _MARK = np.array(_CLASS_MARK, dtype=np.uint8)
 
 
 class IndexFormatError(ValueError):
-    """Malformed, truncated or corrupted index bytes."""
+    """Malformed, truncated or corrupted index bytes, or a guide the
+    format cannot hold."""
 
 
 @dataclass
@@ -86,6 +88,12 @@ def to_bytes(index: Index) -> bytes:
     head += _STATS.pack(FORMAT_VERSION, index.node_count, index.max_depth)
     head += struct.pack("<I", len(pg))
     names = [tag.encode("utf-8") for tag in pg.tag_names]
+    lens = np.array([len(name) for name in names], dtype=np.int64)[pg.tags]
+    over = np.flatnonzero(lens > MAX_TAG_BYTES)
+    if len(over):
+        g = int(over[0])
+        raise IndexFormatError(f"guide node {g}: tag is {lens[g]} UTF-8 bytes, "
+                               f"over the format's {MAX_TAG_BYTES}")
     for parent, depth, t in zip(pg.parents.tolist(), pg.depths.tolist(), pg.tags.tolist()):
         head += _NODE.pack(_NO_PARENT if parent < 0 else parent, depth, len(names[t]))
         head += names[t]

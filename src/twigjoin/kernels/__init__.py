@@ -13,7 +13,8 @@ length: it ranks the prefixes once in numpy (:func:`prefix_ranks`) and
 runs the merge on the ranks, which returns each run of equal prefixes
 as row ranges, not the joined tuples.  The query engine passes one key
 column (plen 1): each row's ancestor's document position, so the
-ranking is a one-column sort; the label-list APIs pass label rows.
+ranking is a one-column sort.  Wider prefixes of zero-padded label rows
+rank the same way; the kernel tests merge those.
 
 :func:`jump_scan` is plain Python on both backends: it compares a few
 rows' prefixes as lists, in the labels' own lexicographic order.

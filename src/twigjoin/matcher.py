@@ -34,6 +34,10 @@ no object but the lines: a slice of answers is written as bytes into
 one matrix with whole-array steps, then decoded and split once.
 A fan-out that would exceed ``max_results`` rows raises
 ResultLimitError, counted from the runs before any tuple is built.
+
+The one label-list API is `jump`: a galloping search over a NodeList,
+a sorted list of labels (or an extent) as zero-padded rows.  The engine
+does not call it; its merges skip inside the kernel.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ class ResultSet:
 
 @dataclass
 class NodeList:
-    """A sorted label list the merge kernels can read.
+    """A sorted label list that jump can search.
 
     Extent-backed lists are metered (bytes and reads attributed to
     their guide node); plain label lists count reads only.  Rows are
@@ -165,18 +169,20 @@ class NodeList:
         return len(self.rows)
 
     def label_at(self, i: int) -> DeweyLabel:
-        return _row_labels(self.rows[i : i + 1])[0]
+        row = self.rows[i]
+        return DeweyLabel(row[row > 0].tolist())
 
 
-def as_node_list(src: ExtentList | NodeList | Sequence[DeweyLabel]) -> NodeList:
-    if isinstance(src, NodeList):
-        return src
+def as_node_list(src: ExtentList | Sequence[DeweyLabel]) -> NodeList:
     if isinstance(src, ExtentList):
         return NodeList(src.rows, src)
     labels = list(src)
     if not all(prev < cur for prev, cur in zip(labels, labels[1:])):
         raise ValueError("label list must be strictly sorted")
-    return NodeList(_stack([np.array([lab], np.int64) for lab in labels])[0])
+    rows = np.zeros((len(labels), max(map(len, labels), default=0)), np.int64)
+    for row, lab in zip(rows, labels):
+        row[: len(lab)] = lab
+    return NodeList(rows)
 
 
 @dataclass
@@ -211,37 +217,6 @@ def jump(
     return Cursor(cursor.list, int(pos))
 
 
-def _stack(arrays: list[np.ndarray], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays back to back, zero-padded to a common width, and their offsets."""
-    offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
-    stacked = np.zeros((offsets[-1], max([width] + [a.shape[1] for a in arrays])), dtype=np.int64)
-    for a, start in zip(arrays, offsets):
-        stacked[start : start + len(a), : a.shape[1]] = a
-    return stacked, offsets
-
-
-def _run_merge(
-    stacked: np.ndarray,
-    offsets: np.ndarray,
-    plen: int,
-    use_jump: bool,
-    backend: Backend,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Run the merge kernel on the lists stacked[offsets[j] : offsets[j + 1]].
-
-    Returns (first, stop, touched, reads, comps, jumps): per run of
-    equal plen-prefixes and per list, the run's first and one-past-last
-    position local to that list.
-    """
-    touched = np.zeros(max(len(stacked), 1), dtype=np.uint8)
-    reads = np.zeros(len(offsets) - 1, dtype=np.int64)
-    out, count, comps, jumps = backend.multiway_merge(
-        stacked, offsets, plen, use_jump, touched, reads
-    )
-    first, stop = np.hsplit(out[:count] - np.tile(offsets[:-1], 2), 2)
-    return first, stop, touched, reads, int(comps), int(jumps)
-
-
 def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row r in order, every tuple of range(sizes[r, j]) over the
     columns j, last column fastest: its owner row and its digits."""
@@ -254,50 +229,6 @@ def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         digits[:, j] = rest % radix
         rest //= radix
     return owner, digits
-
-
-def _eligible(rows: np.ndarray, level: int) -> np.ndarray:
-    """Positions whose label is at least `level` deep.
-
-    A shorter label has no prefix at that level, and its zero padding
-    must not be allowed to pose as one.
-    """
-    if rows.shape[1] < level:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero((rows[:, :level] > 0).all(axis=1))
-
-
-def match_multiway(
-    lists: Sequence[ExtentList | NodeList | Sequence[DeweyLabel]],
-    level: int,
-    metrics: Metrics | None = None,
-    use_jump: bool = True,
-    backend: Backend | str | None = None,
-) -> list[tuple[DeweyLabel, ...]]:
-    """All tuples (one label per list) with pairwise-equal level-prefixes.
-
-    Sorted by first component (in fact lexicographically), no
-    duplicates.
-    """
-    if not lists:
-        raise ValueError("match_multiway needs at least one list")
-    be = get_backend(backend)
-    nls = [as_node_list(src) for src in lists]
-    keeps = [_eligible(nl.rows, level) for nl in nls]
-    stacked, offsets = _stack([nl.rows[keep, :level] for nl, keep in zip(nls, keeps)], level)
-    first, stop, touched, reads, comps, jumps = _run_merge(stacked, offsets, level, use_jump, be)
-    if metrics is not None:
-        metrics.prefix_comparisons += comps
-        metrics.jumps += jumps
-        for j, nl in enumerate(nls):
-            metrics.nodes_read += int(reads[j])
-            if nl.extent is not None:
-                local = keeps[j][touched[offsets[j] : offsets[j + 1]] > 0]
-                metrics.credit(nl.extent.first + local, nl.extent.byte_lens[local])
-    run, digits = _cross(stop - first)
-    local = first[run] + digits
-    cols = [_row_labels(nl.rows[keep[local[:, j]]]) for j, (nl, keep) in enumerate(zip(nls, keeps))]
-    return list(zip(*cols))
 
 
 @dataclass
@@ -337,11 +268,6 @@ def _first_of_runs(pos: np.ndarray, ids: np.ndarray) -> np.ndarray:
     keys = pos[ids[:, (ids != ids[:1]).any(axis=0)]]  # constant columns order nothing
     order = lexsort(keys)
     return order[runs(keys[order])[0]]
-
-
-def _row_labels(rows: np.ndarray) -> list[DeweyLabel]:
-    """One label per zero-padded row."""
-    return [DeweyLabel(r[:d]) for r, d in zip(rows.tolist(), (rows > 0).sum(axis=1).tolist())]
 
 
 def match_proc(
@@ -389,12 +315,15 @@ def match_proc(
             # a row's key is the document position of its ancestor at level
             ancs = [pg.ancestors(inp.ids, inp.gids, level) for inp in inputs]
             offsets = np.cumsum([0] + [len(a) for a in ancs])
-            first, stop, touched, reads, comps, jumps = _run_merge(
-                pg.pos[np.concatenate(ancs)][:, None], offsets, 1, use_jump, be
-            )
+            keys = pg.pos[np.concatenate(ancs)][:, None]
+            touched = np.zeros(max(len(keys), 1), np.uint8)
+            reads = np.zeros(len(inputs), np.int64)
+            out, count, comps, jumps = be.multiway_merge(keys, offsets, 1, use_jump, touched, reads)
+            # per run of equal keys and per slot, its first and one-past-last row
+            first, stop = np.hsplit(out[:count] - np.tile(offsets[:-1], 2), 2)
             if metrics is not None:
-                metrics.prefix_comparisons += comps
-                metrics.jumps += jumps
+                metrics.prefix_comparisons += int(comps)
+                metrics.jumps += int(jumps)
                 for j, inp in enumerate(inputs):
                     if inp.metered:
                         metrics.nodes_read += int(reads[j])

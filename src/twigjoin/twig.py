@@ -22,6 +22,7 @@ CHILD = "child"
 DESCENDANT = "descendant"
 WILDCARD = "*"
 
+MAX_PATH_STEPS = 256  # steps on one root-to-leaf path: keeps every twig walk shallow
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789.-")
 
@@ -136,12 +137,15 @@ def _parse_test(s: str, i: int) -> tuple[str, int]:
     return s[i:j], j
 
 
-def _parse_step(s: str, i: int, axis: str) -> tuple[TwigNode, int]:
+def _parse_step(s: str, i: int, axis: str, depth: int) -> tuple[TwigNode, int]:
+    """The step at twig depth `depth` (the query's first step is 1)."""
+    if depth > MAX_PATH_STEPS:
+        raise QuerySyntaxError(f"a path of the query is longer than {MAX_PATH_STEPS} steps", i)
     test, i = _parse_test(s, i)
     node = TwigNode(axis, test)
     while i < len(s) and s[i] == "[":
         start = i
-        child, i = _parse_relpath(s, i + 1)
+        child, i = _parse_relpath(s, i + 1, depth + 1)
         if i >= len(s) or s[i] != "]":
             raise QuerySyntaxError("unterminated predicate", start)
         i += 1
@@ -149,15 +153,16 @@ def _parse_step(s: str, i: int, axis: str) -> tuple[TwigNode, int]:
     return node, i
 
 
-def _parse_relpath(s: str, i: int) -> tuple[TwigNode, int]:
+def _parse_relpath(s: str, i: int, depth: int) -> tuple[TwigNode, int]:
     if i >= len(s) or s[i] != ".":
         raise QuerySyntaxError("predicate must start with './' or './/'", i)
     axis, i = _parse_axis(s, i + 1)
-    root, i = _parse_step(s, i, axis)
+    root, i = _parse_step(s, i, axis, depth)
     tail = root
     while i < len(s) and s[i] == "/":
         axis, i = _parse_axis(s, i)
-        node, i = _parse_step(s, i, axis)
+        depth += 1
+        node, i = _parse_step(s, i, axis, depth)
         tail.children.append(node)
         tail = node
     return root, i
@@ -196,19 +201,21 @@ def parse(text: str) -> TwigPattern:
 
     Raises QuerySyntaxError (with a .position attribute) on malformed
     input, including a missing slash between a predicate and the next
-    trunk step.
+    trunk step, and at the first step past MAX_PATH_STEPS on any
+    root-to-leaf path.
     """
     s = text.strip()
     if not s:
         raise QuerySyntaxError("empty query", 0)
     axis, i = _parse_axis(s, 0)
-    root, i = _parse_step(s, i, axis)
-    tail = root
+    root, i = _parse_step(s, i, axis, 1)
+    tail, depth = root, 1
     while i < len(s):
         if s[i] != "/":
             raise QuerySyntaxError("expected '/' or '//'", i)
         axis, i = _parse_axis(s, i)
-        node, i = _parse_step(s, i, axis)
+        depth += 1
+        node, i = _parse_step(s, i, axis, depth)
         tail.children.append(node)
         tail = node
     root.children = _merge_siblings(root.children)

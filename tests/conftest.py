@@ -51,6 +51,17 @@ def fan_out_doc(n: int, depth: int = 4) -> bytes:
     return f"<R><B>{(chain('C') + chain('D')) * n}</B></R>".encode()
 
 
+def deep_query(shape: str, steps: int) -> str:
+    """A query of `steps` A steps on one path: a child-axis trunk, or
+    predicates nested one in the next."""
+    if shape == "trunk":
+        return "/A" * steps
+    return "//A" + "[./A" * (steps - 1) + "]" * (steps - 1)
+
+
+DEEP_SHAPES = ("trunk", "predicates")
+
+
 @contextmanager
 def spy_reads(pg: PathGuide):
     """Yield a list that collects the gid of every pg.read_extent call."""

@@ -21,11 +21,12 @@ import pytest
 from twigjoin import index_io
 from twigjoin.cli import main, synth_multi_branch, synth_single_branch
 from twigjoin.dewey import DeweyLabel
+from twigjoin.kernels import ENV_VAR
 from twigjoin.matcher import evaluate
 from twigjoin.path_guide import PathGuide
-from twigjoin.twig import parse
+from twigjoin.twig import MAX_PATH_STEPS, parse
 
-from conftest import fan_out_doc, gen_doc
+from conftest import DEEP_SHAPES, deep_query, fan_out_doc, gen_doc
 
 METRICS_RE = re.compile(r"^nodes_read=\d+, bytes_scanned=\d+, micros=\d+$")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -156,14 +157,17 @@ def test_engines_agree_on_result_lines(idx_path, capsys):
     assert seen["dt"]
 
 
-def test_query_flag_variants_agree(idx_path, capsys):
+def test_query_flag_variants_agree(idx_path, monkeypatch, capsys):
     q = "//A[./C]/B"
     assert main(["query", idx_path, q, "--count"]) == 0
     base = capsys.readouterr().out
-    for extra in (["--no-jump"], ["--kernels", "numpy"],
-                  ["--no-jump", "--kernels", "numba"]):
+    # TWIGJOIN_KERNELS is the one switch for the merge kernel
+    for kernels, extra in ((None, ["--no-jump"]), ("numpy", []), ("numba", ["--no-jump"])):
+        if kernels:
+            monkeypatch.setenv(ENV_VAR, kernels)
         assert main(["query", idx_path, q, "--count", *extra]) == 0
         assert capsys.readouterr().out == base
+    assert main(["query", idx_path, q, "--kernels", "numpy"]) == 1
 
 
 def test_project_jp_prints_witnesses(idx_path, guide, capsys):
@@ -297,6 +301,16 @@ def test_syntax_error_exits_1(idx_path, capsys):
     assert capsys.readouterr().err.startswith("query syntax error:")
 
 
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_query_past_the_step_bound_exits_1(idx_path, shape, capsys):
+    assert main(["query", idx_path, deep_query(shape, MAX_PATH_STEPS), "--count"]) == 0
+    capsys.readouterr()
+    assert main(["query", idx_path, deep_query(shape, MAX_PATH_STEPS + 1)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("query syntax error:") and f"{MAX_PATH_STEPS} steps" in out.err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
@@ -408,6 +422,15 @@ def test_bench_unknown_engine_exits_1(workdir, idx_path, capsys):
     assert main(["bench", idx_path, "--workload", str(wl),
                  "--engines", "dt,bogus"]) == 1
     assert "unknown engine" in capsys.readouterr().err
+
+
+def test_bench_without_engines_exits_1(workdir, idx_path, capsys):
+    wl = workdir / "one3.txt"
+    wl.write_text("//A\n")
+    assert main(["bench", idx_path, "--workload", str(wl), "--engines", " , "]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "names no engine" in out.err
 
 
 def test_bench_empty_workload_exits_2(workdir, idx_path, capsys):

@@ -12,6 +12,7 @@ from twigjoin.document import ingest
 from twigjoin.index_io import (
     FORMAT_VERSION,
     MAGIC,
+    MAX_TAG_BYTES,
     Index,
     IndexFormatError,
     from_bytes,
@@ -221,6 +222,23 @@ def test_non_utf8_tag_is_rejected(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     assert main(["query", str(path), "//A"]) == 2
+
+
+def test_tag_length_is_bounded_by_its_u16(tmp_path):
+    # the bound is on UTF-8 bytes: each é is two
+    fits = "B" + "é" * ((MAX_TAG_BYTES - 1) // 2)
+    pg = PathGuide.build_from_xml(f"<R><{fits}/></R>".encode())
+    data = to_bytes(Index.from_guide(pg))
+    assert from_bytes(data).guide.path_tags(1) == ("R", fits)
+    assert to_bytes(from_bytes(data)) == data
+    xml = tmp_path / "long.xml"
+    xml.write_bytes(f"<R><{'B' + fits}/></R>".encode())
+    pg = PathGuide.build_from_xml(xml.read_bytes())
+    with pytest.raises(IndexFormatError, match=f"guide node 1: tag is {MAX_TAG_BYTES + 1} UTF-8"):
+        to_bytes(Index.from_guide(pg))
+    out = tmp_path / "long.idx"
+    assert main(["index", str(xml), "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_bad_extent_encoding_detected():

@@ -6,14 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+import twigjoin
 from twigjoin.dewey import DeweyLabel, parse_label
-from twigjoin.document import GeneratorConfig, generate
+from twigjoin.document import GeneratorConfig, generate, ingest
 from twigjoin.dt import build_dt_schema, record_view
 from twigjoin.kernels import BACKEND_NAMES, Backend, get_backend
 from twigjoin.matcher import (
     Cursor,
     MatchTuple,
-    NodeList,
     ResultLimitError,
     ResultSet,
     _PRINT_SLICE,
@@ -21,15 +21,15 @@ from twigjoin.matcher import (
     as_node_list,
     evaluate,
     jump,
-    match_multiway,
     match_proc,
 )
 from twigjoin.metrics import Metrics
-from twigjoin.oracle import naive_match
+from twigjoin.oracle import MaterializedDoc, leaf_scan_match, naive_match
 from twigjoin.path_guide import PathGuide
-from twigjoin.twig import parse, split
+from twigjoin.twig import MAX_PATH_STEPS, parse, split
 
-from conftest import DOC_SEEDS, build_all, fan_out_doc, gen_doc, mixed_query, spy_reads
+from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, deep_query, fan_out_doc, gen_doc,
+                      mixed_query, spy_reads)
 from frozen_lines import lines as frozen_lines
 
 L = parse_label
@@ -39,25 +39,7 @@ def labs(*texts: str) -> list[DeweyLabel]:
     return [L(t) for t in texts]
 
 
-# ------------------------------------------------------------ merge fixture
-
-
-FIX_A = labs("1.1.1", "1.2.2.1", "1.3.2")
-FIX_B = labs("1.1.2", "1.2.9", "1.3.3.1")
-
-
-def test_pair_merge_fixture_level2():
-    got = match_multiway([FIX_A, FIX_B], 2)
-    assert got == [
-        (L("1.1.1"), L("1.1.2")),
-        (L("1.2.2.1"), L("1.2.9")),
-        (L("1.3.2"), L("1.3.3.1")),
-    ]
-
-
-@pytest.mark.parametrize("level,count", [(0, 9), (1, 9), (2, 3), (3, 0)])
-def test_pair_merge_fixture_other_levels(level, count):
-    assert len(match_multiway([FIX_A, FIX_B], level)) == count
+# ------------------------------------------------------------- label lists
 
 
 def test_jump_fixture():
@@ -65,9 +47,6 @@ def test_jump_fixture():
     nxt = jump(cur, 2, L("1.2"))
     assert nxt.position == 1
     assert cur.list.label_at(nxt.position) == L("1.3.3.1")
-
-
-# ------------------------------------------------------------------- inputs
 
 
 def test_as_node_list_validates_order():
@@ -81,6 +60,8 @@ def test_as_node_list_pads_ragged():
     nl = as_node_list(labs("1", "1.1", "2"))
     assert nl.rows.tolist() == [[1, 0], [1, 1], [2, 0]]
     assert [nl.label_at(i) for i in range(3)] == labs("1", "1.1", "2")
+    assert as_node_list([L("")]).label_at(0) == L("")  # the root's label is no columns
+    assert as_node_list([]).rows.shape == (0, 0)
 
 
 def test_node_list_from_extent_keeps_rows():
@@ -92,36 +73,12 @@ def test_node_list_from_extent_keeps_rows():
     assert nl.label_at(1) == L("2")
 
 
-def test_multiway_needs_a_list():
-    with pytest.raises(ValueError, match="at least one list"):
-        match_multiway([], 1)
-
-
-def test_short_labels_do_not_fake_prefixes():
-    # ⟨1⟩ has no level-2 prefix; zero padding must not match it
-    assert match_multiway([labs("1"), labs("1")], 2) == []
-    got = match_multiway([labs("1", "1.1.1"), labs("1.1.2")], 2)
-    assert got == [(L("1.1.1"), L("1.1.2"))]
-
-
-# ---------------------------------------------------------- merge vs oracle
-
-
-def brute_multiway(lists, level):
-    buckets = []
-    for labels in lists:
-        d = {}
-        for lab in labels:
-            if lab.level >= level:
-                d.setdefault(lab.components[:level], []).append(lab)
-        buckets.append(d)
-    shared = set(buckets[0])
-    for d in buckets[1:]:
-        shared &= set(d)
-    out = []
-    for p in sorted(shared):
-        out.extend(product(*(d[p] for d in buckets)))
-    return out
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition went would fail the import
+    namespace: dict = {}
+    exec("from twigjoin import *", namespace)
+    assert set(twigjoin.__all__) <= namespace.keys()
+    assert "match_multiway" not in namespace  # the engine has one join, match_proc
 
 
 def random_label_list(rng: random.Random, n: int) -> list[DeweyLabel]:
@@ -132,18 +89,6 @@ def random_label_list(rng: random.Random, n: int) -> list[DeweyLabel]:
         lvl = rng.randint(0, 4)
         pool.add(tuple(rng.randint(1, 3) for _ in range(lvl)))
     return [DeweyLabel(c) for c in sorted(pool)]
-
-
-@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-@pytest.mark.parametrize("use_jump", [True, False])
-def test_multiway_against_brute_force(backend_name, use_jump):
-    rng = random.Random(BACKEND_NAMES.index(backend_name) * 2 + int(use_jump))
-    for _ in range(150):
-        k = rng.randint(1, 4)
-        level = rng.randint(0, 3)
-        lists = [random_label_list(rng, rng.randint(1, 15)) for _ in range(k)]
-        got = match_multiway(lists, level, use_jump=use_jump, backend=backend_name)
-        assert got == brute_multiway(lists, level)
 
 
 def test_cross_against_itertools_product():
@@ -259,22 +204,28 @@ def test_full_scan_credits_exactly_the_extent(small_corpus):
 
 
 def test_jump_and_multiway_credit_only_their_extents():
-    # after the merge, a full credit of the same extents must add just
-    # the rows the merge left: a row credited elsewhere would show
+    # after a jump or a merge, a full credit of the extents it read must
+    # add just the rows it left: a row credited elsewhere would show
     pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/><C/><B/></A>" * 12 + b"</R>")
-    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
-    assert min(b.first, c.first) > 0
+    b = pg.read_extent(pg.nodes[1].children["B"])
+    assert b.first > 0
     met = Metrics()
     jump(Cursor(as_node_list(b)), 1, (7,), metrics=met)
     assert 0 < met.bytes_scanned < int(b.byte_lens.sum())
     met.credit(np.arange(b.first, b.first + len(b)), b.byte_lens)
     assert met.bytes_scanned == int(b.byte_lens.sum())
-    met = Metrics()
-    match_multiway([c, b], 1, metrics=met)
-    assert 0 < met.bytes_scanned
+    # only the last A has a C, so the merge jumps past the other A's B rows
+    pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/></A>" * 12 + b"<A><B/><C/></A></R>")
+    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
+    rs, met = evaluate(pg, "//A[./B]/C")
+    assert len(rs) == 1
+    assert set(rs.plan.tables[0].ends[:, 2].tolist()) == {b.gid, c.gid}
+    planned = int(b.byte_lens.sum() + c.byte_lens.sum())
+    assert met.jumps > 0
+    assert 0 < met.bytes_scanned < planned
     for ext in (b, c):
         met.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
-    assert met.bytes_scanned == int(b.byte_lens.sum() + c.byte_lens.sum())
+    assert met.bytes_scanned == planned
 
 
 # ----------------------------------------------------- full-pipeline checks
@@ -314,6 +265,19 @@ def test_evaluate_options_agree(small_corpus, backend_name, use_jump):
         assert [mt.leaf_labels for mt in rs.matches] == [
             mt.leaf_labels for mt in want
         ], q
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_queries_of_the_most_steps_evaluate(shape):
+    # in a chain of as many A's, the query reaches the deepest label
+    n = MAX_PATH_STEPS
+    events = list(ingest(b"<A>" * n + b"</A>" * n, depth_cap=n))
+    pg, doc = PathGuide.build(events), MaterializedDoc.from_events(events)
+    q = deep_query(shape, n)
+    rs, _ = evaluate(pg, q)
+    assert rs.lines() == [".".join(["1"] * (n - 1))]
+    for want in (naive_match(doc, parse(q)), leaf_scan_match(pg, parse(q))[0]):
+        assert [mt.leaf_labels for mt in want] == [mt.leaf_labels for mt in rs.matches]
 
 
 def test_results_are_sorted_and_distinct(small_corpus):

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from twigjoin.twig import (
     CHILD,
     DESCENDANT,
+    MAX_PATH_STEPS,
     QuerySyntaxError,
     Step,
     TwigNode,
@@ -19,7 +21,7 @@ from twigjoin.twig import (
     steps_to_str,
 )
 
-from conftest import random_query, random_steps, steps_to_regex
+from conftest import DEEP_SHAPES, deep_query, random_query, random_steps, steps_to_regex
 
 
 def branch_strs(q: str) -> list[str]:
@@ -129,6 +131,20 @@ def test_syntax_errors_carry_position(text, pos_of):
         assert exc.value.position == text.index(pos_of)
     else:
         assert 0 <= exc.value.position <= len(text)
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_paths_are_bounded_in_steps(shape):
+    t = parse(deep_query(shape, MAX_PATH_STEPS))
+    (branch,) = split(t).branches
+    assert len(branch.steps) == MAX_PATH_STEPS
+    assert print_query(parse(print_query(t))) == print_query(t)
+    # rejected at the first step past the bound, however deep the query
+    for steps in (MAX_PATH_STEPS + 1, 3000):
+        text = deep_query(shape, steps)
+        with pytest.raises(QuerySyntaxError, match=f"longer than {MAX_PATH_STEPS} steps") as exc:
+            parse(text)
+        assert exc.value.position == [m.start() for m in re.finditer("A", text)][MAX_PATH_STEPS]
 
 
 def test_names_allow_xml_ish_chars():
