@@ -9,23 +9,23 @@ Layout (little-endian):
             u32 parent (0xFFFFFFFF for the root), u16 depth,
             u16 tag byte length, tag (UTF-8): at most MAX_TAG_BYTES
     extents per node in id order:
-            u32 label count, u64 byte length,
-            concatenated encoded labels (dewey's per-component code)
+            u32 label count, u64 byte length, the labels in dewey's code
     footer  u32 CRC-32 of everything above
 
 Serialization is canonical: the same guide always produces the same
-bytes, so save/load/save round-trips are byte-identical.
+bytes, so save/load/save round-trips are byte-identical.  This module
+knows the layout only; the byte code is dewey's (encode_array and
+decode_array, whose first fault names a guide node here).
 
 The guide's store keeps the components in this file's order, so both
 directions work on one slice of it per chunk of whole extents holding
 about CHUNK_BYTES encoded bytes, and their temporaries stay bounded
-however large the index is.  Loading walks the extent headers first and
-rejects any extent whose labels could not fit its blob (every component
-takes at least one byte; the depth-0 root extent holds exactly one
-label), and any empty extent, before the store is allocated.  It then
-decodes each chunk into its slice: a byte below 0x80 is a one-byte
-component, so only the walk over the multi-byte lead candidates needs
-pointer doubling.  The store gets the checks of PathGuide.adopt_store.
+however large the index is.  Loading walks the extent headers, checks
+the node table (PathGuide.from_node_table), then rejects any extent
+whose labels could not fit its blob (every component takes at least one
+byte; the depth-0 root extent holds exactly one label), and any empty
+extent, before anything of size nodes x depth is allocated.  It then
+decodes each chunk into its slice; PathGuide.adopt_store checks the store.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .dewey import _CLASS_BASE, _CLASS_MARK, _MAX_COMPONENT, LabelError
-from .path_guide import _LEN_BINS, GuideError, PathGuide
+from .dewey import decode_array, encode_array
+from .path_guide import GuideError, PathGuide
 
 MAGIC = b"TWIGIDX1"
 FORMAT_VERSION = 1
@@ -51,8 +51,6 @@ _STATS = struct.Struct("<IQI")
 _NODE = struct.Struct("<IHH")
 _BLOB_LEN = struct.Struct("<Q")
 _EXTENT_HEAD = np.dtype([("count", "<u4"), ("blob_len", "<u8")])  # packed: 12 bytes
-_BASE = np.array(_CLASS_BASE, dtype=np.int64)
-_MARK = np.array(_CLASS_MARK, dtype=np.uint8)
 
 
 class IndexFormatError(ValueError):
@@ -99,85 +97,20 @@ def to_bytes(index: Index) -> bytes:
         head += names[t]
     counts = np.diff(pg.start)
     blob_lens = np.diff(np.concatenate([[0], np.cumsum(pg.byte_lens)])[pg.start])
-    # offset of each extent's header in the extent section
-    at = np.cumsum(blob_lens + _EXTENT_HEAD.itemsize) - blob_lens - _EXTENT_HEAD.itemsize
-    section = np.zeros(int(blob_lens.sum()) + _EXTENT_HEAD.itemsize * len(blob_lens), np.uint8)
+    crc, section = zlib.crc32(head), []
     for a, b in _chunks(blob_lens):
         heads = np.empty(b - a, dtype=_EXTENT_HEAD)
         heads["count"], heads["blob_len"] = counts[a:b], blob_lens[a:b]
-        section[(at[a:b, None] + np.arange(_EXTENT_HEAD.itemsize)).ravel()] = heads.view(np.uint8)
-        comps = pg.comps[pg.comp_start[a] : pg.comp_start[b]]
-        if comps.max(initial=0) > _MAX_COMPONENT:
-            raise LabelError(f"component {comps.max()} outside encodable range")
-        k = np.searchsorted(_LEN_BINS, comps, side="right")  # bytes - 1
-        # the chunk's blobs are back to back but for one header per extent
-        ext = np.repeat(np.arange(b - a) * _EXTENT_HEAD.itemsize, counts[a:b] * pg.depths[a:b])
-        pos = np.cumsum(k + 1) - (k + 1) + ext + (at[a] + _EXTENT_HEAD.itemsize)
-        rest = comps - _BASE[k]
-        for j in range(5):  # byte j of each component that has it
-            has = k >= j
-            section[pos[has] + j] = (rest[has] >> (8 * (k[has] - j))) & 0xFF
-        section[pos] |= _MARK[k]
-    crc = zlib.crc32(section, zlib.crc32(head)) & 0xFFFFFFFF
-    return b"".join((head, section.data, struct.pack("<I", crc)))
+        code, _ = encode_array(pg.comps[pg.comp_start[a] : pg.comp_start[b]])
+        at = np.cumsum(blob_lens[a:b]) - blob_lens[a:b]  # each blob's start in code
+        section.append(np.insert(code, np.repeat(at, _EXTENT_HEAD.itemsize), heads.view(np.uint8)))
+        crc = zlib.crc32(section[-1], crc)
+    return b"".join((head, *section, struct.pack("<I", crc & 0xFFFFFFFF)))
 
 
 def _need(n: int, pos: int, end: int) -> None:
     if pos + n > end:
         raise IndexFormatError(f"truncated index: need {n} bytes at offset {pos}, have {end - pos}")
-
-
-def _walk(nxt: np.ndarray) -> np.ndarray:
-    """Which of 0 .. m-1 the walk 0 -> nxt[0] -> ... visits, where
-    nxt[i] > i and m means off the end.  Pointer doubling: after round
-    r, the walk's first 2**r steps are marked."""
-    jump = np.append(nxt, len(nxt))
-    seen = np.zeros(len(jump), dtype=bool)
-    seen[0] = True
-    while not seen[-1]:
-        seen[jump[seen]] = True
-        jump = jump[jump]
-    return seen[:-1]
-
-
-def _components(buf: np.ndarray, bounds: np.ndarray, first_gid: int):
-    """Decode the blobs buf[bounds[e] : bounds[e + 1]] of guide nodes
-    first_gid + e, stored back to back and followed by 4 bytes of padding.
-    Returns every component in order and how many each blob holds.
-
-    Each byte is a component's lead or one of its continuation bytes.  A
-    lead below 0x80 is a whole component, so the walk from byte 0 steps
-    over those one by one and only the bytes >= 0x80 that it lands on are
-    multi-byte leads.
-    """
-    n = bounds[-1]
-    hi = np.flatnonzero(buf[:n] >= 0x80)
-    lead = buf[hi]
-    extra = 1 + (lead >= 0xC0).astype(np.int64) + (lead >= 0xE0) + (lead >= 0xF0)
-    if len(hi):
-        on = _walk(np.searchsorted(hi, hi + extra + 1))
-        hi, lead, extra = hi[on], lead[on], extra[on]
-    starts = np.ones(len(buf), dtype=bool)  # the padding absorbs a component cut short
-    value = (lead & (0x7F >> extra)).astype(np.int64)
-    for j in range(1, 5):
-        has = extra >= j
-        starts[hi[has] + j] = False
-        value[has] = (value[has] << 8) | buf[hi[has] + j]
-    at = np.flatnonzero(starts[:n])
-    comps = buf[at].astype(np.int64)
-    comps[np.searchsorted(at, hi)] = value + _BASE[extra]
-    blob_end = bounds[np.searchsorted(bounds, hi, side="right")]
-    bad = [(int(pos[0]), why) for pos, why in [
-        (hi[lead >= 0xF8], "invalid component lead byte"),
-        (hi[hi + extra >= blob_end], "truncated component"),
-        (at[comps == 0], "component value 0"),
-    ] if len(pos)]
-    if bad:  # the first one is the cause: the walk is off after it
-        pos, why = min(bad)
-        e = int(np.searchsorted(bounds, pos, side="right")) - 1
-        raise IndexFormatError(f"bad extent encoding for guide node {first_gid + e}: "
-                               f"{why} at offset {pos - bounds[e]} (byte 0x{buf[pos]:02x})")
-    return comps, np.diff(np.searchsorted(at, bounds))
 
 
 def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
@@ -191,10 +124,14 @@ def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
         lo = blob_at[a]
         span = raw[lo : blob_at[b - 1] + blob_lens[b - 1]]
         heads = ((blob_at[a + 1 : b] - lo - head.size)[:, None] + head).ravel()
-        buf = np.concatenate([np.delete(span, heads), np.zeros(4, dtype=np.uint8)])
-        bounds = np.zeros(b - a + 1, dtype=np.int64)
-        np.cumsum(blob_lens[a:b], out=bounds[1:])
-        chunk, per_blob = _components(buf, bounds, a)
+        blobs = np.delete(span, heads)
+        bounds = np.concatenate([[0], np.cumsum(blob_lens[a:b])])
+        chunk, per_blob, fault = decode_array(blobs, bounds)
+        if fault:
+            pos, why = fault
+            e = int(np.searchsorted(bounds, pos, side="right")) - 1
+            raise IndexFormatError(f"bad extent encoding for guide node {a + e}: "
+                                   f"{why} at offset {pos - bounds[e]} (byte 0x{blobs[pos]:02x})")
         wrong = np.flatnonzero(per_blob != counts[a:b] * depths[a:b])
         if len(wrong):
             g = a + wrong[0]
@@ -255,29 +192,23 @@ def from_bytes(data: bytes) -> Index:
     if pos != end:
         raise IndexFormatError(f"{end - pos} trailing bytes after extents")
     try:
-        pg = PathGuide.from_node_table(tags, parents)
-        bad = np.flatnonzero(np.array(stored_depths, dtype=np.int64) != pg.depths)
-        if len(bad):
-            raise GuideError(f"extent width mismatch for guide node {bad[0]}")
-    except GuideError as exc:
-        raise IndexFormatError(f"inconsistent guide tables: {exc}") from None
-    raw = np.frombuffer(body, dtype=np.uint8)
-    blob_at = np.array(heads, dtype=np.int64) + _EXTENT_HEAD.itemsize
-    fields = raw[blob_at[:, None] - np.arange(_EXTENT_HEAD.itemsize, 0, -1)].view(_EXTENT_HEAD)
-    counts, blob_lens = (fields[f][:, 0].astype(np.int64) for f in ("count", "blob_len"))
-    depths = pg.depths.astype(np.int64)
-    # a component takes a byte or more, the root's extent is its one label, no extent is empty
-    over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1))
-                          | (counts == 0))
-    if len(over):
-        g = over[0]
-        if counts[g] == 0:
-            raise IndexFormatError(f"extent of guide node {g} holds no labels")
-        raise IndexFormatError(
-            f"extent of guide node {g}: {counts[g]} labels of depth {depths[g]} "
-            f"cannot be held in {blob_lens[g]} bytes"
-        )
-    try:
+        pg = PathGuide.from_node_table(tags, parents, stored_depths)
+        raw = np.frombuffer(body, dtype=np.uint8)
+        blob_at = np.array(heads, dtype=np.int64) + _EXTENT_HEAD.itemsize
+        fields = raw[blob_at[:, None] - np.arange(_EXTENT_HEAD.itemsize, 0, -1)].view(_EXTENT_HEAD)
+        counts, blob_lens = (fields[f][:, 0].astype(np.int64) for f in ("count", "blob_len"))
+        depths = pg.depths.astype(np.int64)
+        # a component takes a byte or more, the root's extent is its one label, no extent is empty
+        over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1))
+                              | (counts == 0))
+        if len(over):
+            g = over[0]
+            if counts[g] == 0:
+                raise IndexFormatError(f"extent of guide node {g} holds no labels")
+            raise IndexFormatError(
+                f"extent of guide node {g}: {counts[g]} labels of depth {depths[g]} "
+                f"cannot be held in {blob_lens[g]} bytes"
+            )
         pg.adopt_store(_fill_store(raw, depths, counts, blob_at, blob_lens), counts)
     except GuideError as exc:
         raise IndexFormatError(f"inconsistent guide tables: {exc}") from None

@@ -3,9 +3,10 @@
 One guide node per distinct root-to-node tag path; the root guide node
 is the document element at depth 0.  The node table is three int32
 arrays, per guide node (gid) its parent (an earlier node; -1 for the
-root), tag id (tag_names[t] is tag t, tag_id the reverse) and depth,
-set and checked by _set_nodes.  GuideNode objects (nodes) are a view
-made on first use, for readers outside the query path.
+root), tag id (tag_names[t] is tag t, tag_id the reverse) and depth
+(its parent's plus one), set and checked by from_node_table.  GuideNode
+objects (nodes) are a view made on first use, for readers outside the
+query path.
 
 A node's extent holds the Dewey labels of all document nodes sharing
 its path, each of depths[g] components.  All extents live in one store,
@@ -13,14 +14,14 @@ built in one pass and laid out as in the index file: comps holds each
 extent as a dense len × depths[g] int64 block, strictly sorted, the
 blocks back to back in gid order from comp_start[g].  The extent of g
 is rows start[g] : start[g + 1], so a row's index is its global row id;
-byte_lens[i] is row i's encoded size.  Two more int64 arrays per row,
-never serialized, let a row id stand for its label: pos[i], row i's
-document position (label order is document order), and up[i], the row
-id of its parent label (-1 for the root); ancestors walks up to any
-level.  A guide loaded from tables or from an index file starts from
-its node table (from_node_table) and takes a filled store through
-adopt_store, which checks it and derives pos and up (_check_store).
-label_block reads labels out as padded rows.
+byte_lens[i] is row i's size in dewey's byte code (dewey.encoded_lens).
+Two more int64 arrays per row, never serialized, let a row id stand for
+its label: pos[i], row i's document position (label order is document
+order), and up[i], the row id of its parent label (-1 for the root);
+ancestors walks up to any level.  A guide loaded from tables or from an
+index file starts from its node table (from_node_table) and takes a
+filled store through adopt_store, which checks it and derives pos and
+up (_check_store).  label_block reads labels out as padded rows.
 
 build makes the guide from an event stream with array steps after one
 pass over the events (_shape, then the store) and rejects events out
@@ -33,9 +34,10 @@ guide node, first row id and length, with views of the store made only
 when read, so tests can spy on it to assert that guide-only phases
 touch no extents.
 
-Two int32 matrices derived from the node table (never serialized) serve
-planning: anc[g, d], the ancestor of g at depth d, and tag_paths[d, g],
-the tag id of anc[g, d] (both -1 below g); path_tags reads the latter.
+Two int32 matrices derived from the node table with the store (never
+serialized) serve planning: anc[g, d], the ancestor of g at depth d,
+and tag_paths[d, g], the tag id of anc[g, d] (both -1 below g);
+path_tags reads the latter.
 match_steps runs a step sequence over many guide nodes' tag paths at
 once; branch evaluation and DataTable fitting both use it, so no query
 phase walks guide nodes in Python.
@@ -50,18 +52,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dewey import _CLASS_BASE, _CLASS_CAP, DeweyLabel
+from .dewey import DeweyLabel, encoded_lens
 from .document import NodeEvent, ingest
 from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
 _NO_TAG = -2  # a test for a tag the guide lacks: equals no tag id and no padding
 _CHECK_EVENTS = 1 << 12  # events per step of build's label checks: bounds their temporaries
-# first value needing 2, 3, 4, 5 encoded bytes; the code is biased, so
-# each class starts where the previous one ends, not at a power of two
-_LEN_BINS = np.array(
-    [_CLASS_BASE[k] + _CLASS_CAP[k] for k in range(4)], dtype=np.int64
-)
 
 
 class GuideError(ValueError):
@@ -189,7 +186,7 @@ class ExtentList:
 
 class PathGuide:
     def __init__(self) -> None:
-        # the node table, set by _set_nodes
+        # the node table, set by from_node_table
         self.parents = self.tags = self.depths = np.empty(0, dtype=np.int32)
         self.tag_id: dict[str, int] = {}
         self.tag_names: list[str] = []
@@ -239,11 +236,11 @@ class PathGuide:
         del names
         order, bound, parent, sib, node, node_tag, node_parent = _shape(depth[:m], tid, len(tag_names))
         del tid
-        pg = cls()
-        pg._set_nodes([tag_names[t] for t in node_tag.tolist()], node_parent)
         pos = np.argsort(node, kind="stable")
-        counts = np.bincount(node, minlength=len(pg))
+        counts = np.bincount(node)  # every guide node has an event
         width = depth[pos]
+        pg = cls.from_node_table([tag_names[t] for t in node_tag.tolist()], node_parent,
+                                 width[np.cumsum(counts) - counts])
         off = np.empty(m, dtype=np.int64)  # per event, where its label starts in the store
         off[pos] = np.cumsum(width, dtype=np.int64) - width
         del node, width
@@ -273,57 +270,31 @@ class PathGuide:
         extent_rows: Sequence[np.ndarray],
     ) -> "PathGuide":
         """Rebuild from flat tables, checking them."""
-        pg = cls.from_node_table(tags, parents)
-        bad = np.flatnonzero([np.shape(rows)[1] for rows in extent_rows] != pg.depths)
-        if len(bad):
-            raise GuideError(f"extent width mismatch for guide node {bad[0]}")
+        pg = cls.from_node_table(tags, parents, [np.shape(rows)[1] for rows in extent_rows])
         comps = [np.asarray(rows, dtype=np.int64).ravel() for rows in extent_rows]
         pg.adopt_store(np.concatenate(comps or [np.zeros(0, np.int64)]), [*map(len, extent_rows)])
         return pg
 
     @classmethod
-    def from_node_table(cls, tags: Sequence[str], parents: Sequence[int]) -> "PathGuide":
-        """A guide with these nodes and no store yet; each parent must be
-        an earlier node (-1 for the root)."""
-        pg = cls()
-        pg._set_nodes(tags, parents)
-        return pg
-
-    def adopt_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
-        """Take a store filled outside build (from tables or an index file); check it."""
-        self._set_store(comps, counts)
-        self._check_store()
-
-    def _set_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
-        """Take the components and each extent's label count."""
-        counts = np.asarray(counts, dtype=np.int64)
-        self.comps, self.start = comps, np.concatenate([[0], np.cumsum(counts)])
-        self.comp_start = np.concatenate([[0], np.cumsum(counts * self.depths)])
-        width = np.repeat(self.depths, counts)  # a byte per component, and
-        big = [np.flatnonzero(comps >= b) for b in _LEN_BINS]  # one more per class boundary reached
-        row = np.searchsorted(np.cumsum(width, dtype=np.int64), np.concatenate(big), side="right")
-        self.byte_lens = np.bincount(row, minlength=len(width))
-        self.byte_lens += width
-        self.comps.flags.writeable = self.byte_lens.flags.writeable = False
-
-    def _set_nodes(self, tags: Sequence[str], parents: Sequence[int]) -> None:
-        """Take the node table, per node its tag and parent, and derive the
-        rest.  Raises GuideError at the first node whose parent is not an
-        earlier node, that is a second root, or whose tag an earlier
-        sibling has.
-
-        One pass per depth copies each parent's ancestor row into its
-        children's rows.  tag_paths is stored depth-major, so match_steps
-        works on long contiguous rows.
+    def from_node_table(cls, tags: Sequence[str], parents: Sequence[int],
+                        depths: Sequence[int]) -> "PathGuide":
+        """A guide with this node table, per node its tag, parent and
+        depth, and no store yet: nothing of size nodes x depth is made
+        before the store comes.  Raises GuideError at the first node whose
+        parent is not an earlier node, that is a second root, or whose tag
+        an earlier sibling has; then at the first node whose depth, the
+        width of its extent's labels, is not its parent's plus one (0 for
+        a root): the first whose depth differs from its distance to the root.
         """
-        self.tag_names = list(dict.fromkeys(tags))  # in order of first use
-        self.tag_id = {tag: i for i, tag in enumerate(self.tag_names)}
-        self.tags = np.array(list(map(self.tag_id.__getitem__, tags)), dtype=np.int32)
+        pg = cls()
+        pg.tag_names = list(dict.fromkeys(tags))  # in order of first use
+        pg.tag_id = {tag: i for i, tag in enumerate(pg.tag_names)}
+        pg.tags = np.array(list(map(pg.tag_id.__getitem__, tags)), dtype=np.int32)
         parents = np.asarray(parents, dtype=np.int64)
         late = (parents < _VIRTUAL) | (parents >= np.arange(len(parents)))
         second_root = (parents == _VIRTUAL) & (np.arange(len(parents)) > 0)
         dup = np.ones(len(parents), dtype=bool)  # a (parent, tag) pair seen before
-        dup[np.unique((parents + 1) * len(self.tag_names) + self.tags, return_index=True)[1]] = False
+        dup[np.unique((parents + 1) * len(pg.tag_names) + pg.tags, return_index=True)[1]] = False
         bad = late | second_root | dup
         if bad.any():
             g = int(np.argmax(bad))
@@ -332,16 +303,33 @@ class PathGuide:
             if second_root[g]:
                 raise GuideError("second root element in event stream")
             raise GuideError(f"duplicate child tag {tags[g]!r} under guide node {parents[g]}")
-        self.parents = parents.astype(np.int32)
-        self.depths = np.zeros(len(parents), dtype=np.int32)
-        up = parents
-        while (up >= 0).any():
-            self.depths += up >= 0
-            up = np.where(up >= 0, parents[up], _VIRTUAL)
-        self.anc = np.full((len(parents), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
+        depths = np.asarray(depths, dtype=np.int64)
+        wrong = np.flatnonzero(depths != np.where(parents >= 0, depths[parents] + 1, 0))
+        if len(wrong):
+            raise GuideError(f"extent width mismatch for guide node {wrong[0]}")
+        pg.parents, pg.depths = parents.astype(np.int32), depths.astype(np.int32)
+        return pg
+
+    def adopt_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
+        """Take a store filled outside build (from tables or an index file); check it."""
+        self._set_store(comps, counts)
+        self._check_store()
+
+    def _set_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
+        """Take the components and each extent's label count, and derive
+        the planning matrices from the node table, checked by now: one
+        pass per depth copies each parent's ancestor row into its
+        children's rows.  tag_paths is stored depth-major, so match_steps
+        works on long contiguous rows."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self.comps, self.start = comps, np.concatenate([[0], np.cumsum(counts)])
+        self.comp_start = np.concatenate([[0], np.cumsum(counts * self.depths)])
+        self.byte_lens = encoded_lens(comps, np.repeat(self.depths, counts))
+        self.comps.flags.writeable = self.byte_lens.flags.writeable = False
+        self.anc = np.full((len(self), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
         for d in range(self.anc.shape[1]):
             at = np.flatnonzero(self.depths == d)
-            self.anc[at, :d] = self.anc[parents[at], :d]
+            self.anc[at, :d] = self.anc[self.parents[at], :d]
             self.anc[at, d] = at
         self.tag_paths = np.where(self.anc >= 0, self.tags[self.anc], -1).T.copy()
 

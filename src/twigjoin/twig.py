@@ -199,15 +199,15 @@ def _merge_siblings(children: list[TwigNode]) -> list[TwigNode]:
 def parse(text: str) -> TwigPattern:
     """Parse query text into a twig pattern.
 
-    Raises QuerySyntaxError (with a .position attribute) on malformed
-    input, including a missing slash between a predicate and the next
-    trunk step, and at the first step past MAX_PATH_STEPS on any
-    root-to-leaf path.
+    Raises QuerySyntaxError, whose .position is the index of the
+    offending character in text, on malformed input, including a
+    missing slash between a predicate and the next trunk step, and at
+    the first step past MAX_PATH_STEPS on any root-to-leaf path.
     """
-    s = text.strip()
+    s = text.rstrip()  # positions index text itself: the leading blanks stay
     if not s:
         raise QuerySyntaxError("empty query", 0)
-    axis, i = _parse_axis(s, 0)
+    axis, i = _parse_axis(s, len(s) - len(s.lstrip()))
     root, i = _parse_step(s, i, axis, 1)
     tail, depth = root, 1
     while i < len(s):

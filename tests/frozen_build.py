@@ -1,7 +1,8 @@
 """PathGuide.build as it walked the events in a Python loop, before the
 build moved to array steps.  Kept verbatim as the oracle for the array
-build: on every event stream both must give the same node table and
-store, or raise GuideError with the same message.
+build, but for the node depths that PathGuide.from_node_table now
+takes: on every event stream both must give the same node table
+and store, or raise GuideError with the same message.
 """
 
 from array import array
@@ -16,7 +17,6 @@ _VIRTUAL = -1
 
 
 def build(events) -> PathGuide:
-    pg = PathGuide()
     node_of: dict[tuple[str, int], int] = {}  # (tag, parent gid) -> gid
     stack: list[tuple[DeweyLabel, int, int]] = []  # (label, gid, event), the last per depth
     gids = array("q")  # per event, its guide node
@@ -47,6 +47,10 @@ def build(events) -> PathGuide:
 
     if not node_of:
         raise GuideError("empty event stream")
+    depths: list[int] = []  # per guide node; a parent comes before its children
+    for _, parent_gid in node_of:
+        depths.append(depths[parent_gid] + 1 if parent_gid >= 0 else 0)
+    pg = PathGuide.from_node_table(*zip(*node_of), depths)
     # the store is gid-major: a stable sort by guide node takes each
     # row to its event, whose index is the row's document position
     gids = np.frombuffer(gids, np.int64)
@@ -54,7 +58,6 @@ def build(events) -> PathGuide:
     row = np.full(len(gids) + 1, -1, dtype=np.int64)  # row[-1] stands for no parent
     row[pg.pos] = np.arange(len(gids))
     pg.up = row[np.frombuffer(parents, np.int64)[pg.pos]]
-    pg._set_nodes(*zip(*node_of))
     counts = np.bincount(gids, minlength=len(pg))
     del gids, parents, row
     labels = np.fromiter(labels, dtype=object, count=len(labels))[pg.pos]  # row r: event pos[r]

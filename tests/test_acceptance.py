@@ -14,8 +14,10 @@ import io
 import random
 import sys
 import time
+from itertools import chain
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from twigjoin import index_io
@@ -25,8 +27,9 @@ from twigjoin.dewey import (
     DeweyLabel,
     child_label,
     compare,
-    decode,
-    encode,
+    decode_array,
+    encode_array,
+    encoded_lens,
     format_label,
     parse_label,
 )
@@ -215,14 +218,26 @@ def test_criterion_5_encoding_round_trip_and_order():
         labels.append(DeweyLabel(tuple(
             rng.randint(*spans[rng.randrange(5)]) for _ in range(lvl)
         )))
-    bad_rt = sum(1 for lab in labels if decode(encode(lab)) != lab)
-    by_bytes = sorted(labels, key=encode)
+    # one call each way through the array codec the index writes with
+    widths = np.fromiter(map(len, labels), np.int64, len(labels))
+    comps = np.fromiter(chain.from_iterable(labels), np.int64)
+    code, _ = encode_array(comps)
+    bounds = np.concatenate([[0], np.cumsum(encoded_lens(comps, widths))])
+    back, per_label, fault = decode_array(code, bounds)
+    if fault is None and np.array_equal(per_label, widths):
+        owner = np.repeat(np.arange(len(labels)), widths)
+        bad_rt = len(np.unique(owner[back != comps]))
+    else:
+        bad_rt = len(labels)
+    blob = code.tobytes()
+    encs = [blob[a:b] for a, b in zip(bounds.tolist(), bounds[1:].tolist())]
+    by_bytes = [labels[i] for i in sorted(range(len(labels)), key=encs.__getitem__)]
     by_comp = sorted(labels, key=lambda lab: lab.components)
     order_ok = by_bytes == by_comp
     sign_bad = 0
     for _ in range(10_000):
-        a, b = rng.choice(labels), rng.choice(labels)
-        ea, eb = encode(a), encode(b)
+        i, j = rng.randrange(len(labels)), rng.randrange(len(labels))
+        a, b, ea, eb = labels[i], labels[j], encs[i], encs[j]
         if ((compare(a, b) > 0) - (compare(a, b) < 0)) != ((ea > eb) - (ea < eb)):
             sign_bad += 1
     ok = bad_rt == 0 and order_ok and sign_bad == 0

@@ -1,7 +1,10 @@
 import copy
 import pickle
 import random
+import re
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from twigjoin.dewey import (
@@ -11,13 +14,16 @@ from twigjoin.dewey import (
     child_label,
     compare,
     decode,
+    decode_array,
     encode,
-    encoded_component_len,
-    encoded_len,
+    encode_array,
+    encoded_lens,
     format_label,
     is_ancestor_or_self,
     parse_label,
 )
+
+import frozen_codec
 
 # boundaries of the five component length classes
 _CLASS_EDGES = [
@@ -136,8 +142,10 @@ def test_format_parse_round_trip():
 
 
 def test_component_length_classes():
+    code, lens = encode_array([value for value, _ in _CLASS_EDGES])
+    assert lens.tolist() == [want for _, want in _CLASS_EDGES]
+    assert len(code) == sum(lens)
     for value, want in _CLASS_EDGES:
-        assert encoded_component_len(value) == want, value
         assert len(encode(DeweyLabel((value,)))) == want
 
 
@@ -149,16 +157,80 @@ def test_encode_decode_round_trip_boundaries():
 
 def test_encode_decode_round_trip_random():
     rng = random.Random(3)
+    labs = []
     for _ in range(2000):
         n = rng.randint(0, 8)
         comps = tuple(
             rng.choice((rng.randint(1, 200), rng.randint(1, 10**9)))
             for _ in range(n)
         )
-        lab = DeweyLabel(comps)
-        data = encode(lab)
-        assert decode(data) == lab
-        assert len(data) == encoded_len(lab)
+        labs.append(DeweyLabel(comps))
+    datas = [encode(lab) for lab in labs]
+    assert [decode(data) for data in datas] == labs
+    comps = np.fromiter(chain.from_iterable(labs), np.int64)
+    assert encoded_lens(comps, [*map(len, labs)]).tolist() == [*map(len, datas)]
+
+
+def _label_of_every_class(rng: random.Random) -> DeweyLabel:
+    """Components drawn from the class edges, _MAX_COMPONENT among them,
+    or from inside a random class."""
+    edges = [value for value, _ in _CLASS_EDGES]
+    spans = list(zip(edges[::2], edges[1::2]))
+    return DeweyLabel(tuple(
+        rng.choice(edges) if rng.random() < 0.3 else rng.randint(*rng.choice(spans))
+        for _ in range(rng.randint(0, 6))
+    ))
+
+
+def test_array_codec_writes_the_frozen_codec_bytes():
+    rng = random.Random(8)
+    labs = [_label_of_every_class(rng) for _ in range(3000)]
+    want = [frozen_codec.encode(lab) for lab in labs]
+    comps = np.fromiter(chain.from_iterable(labs), np.int64)
+    assert {frozen_codec.encoded_component_len(c) for c in comps.tolist()} == {1, 2, 3, 4, 5}
+    code, lens = encode_array(comps)
+    assert code.tobytes() == b"".join(want)
+    assert lens.tolist() == [frozen_codec.encoded_component_len(c) for c in comps.tolist()]
+    assert encoded_lens(comps, [*map(len, labs)]).tolist() == [*map(len, want)]
+    bounds = np.cumsum([0, *map(len, want)])
+    back, per_blob, fault = decode_array(code, bounds)
+    assert fault is None
+    assert back.tolist() == comps.tolist() and per_blob.tolist() == [*map(len, labs)]
+    for lab, data in zip(labs[:300], want):
+        assert encode(lab) == data and decode(data) == lab
+
+
+def _frozen_verdict(data: bytes):
+    """The frozen decoder's label, or the offset at which it rejects data."""
+    try:
+        return frozen_codec.decode(data), None
+    except LabelError as exc:
+        return None, int(re.search(r"at offset (\d+)", str(exc))[1])
+
+
+def test_single_byte_edits_are_judged_like_the_frozen_codec():
+    # every value at every byte of short blobs of every class, and every
+    # blob cut short: the same label, or a fault at the same offset
+    labs = [(1,), (127, 128), (16511,), (16512, 1), (2113664,), (270549120, 2),
+            (frozen_codec._MAX_COMPONENT,), (5, 16512, 3)]
+    rejected = 0
+    for blob in (frozen_codec.encode(DeweyLabel(lab)) for lab in labs):
+        edits = [blob[:cut] for cut in range(len(blob))]
+        edits += [blob[:i] + bytes([v]) + blob[i + 1:]
+                  for i in range(len(blob)) for v in range(256)]
+        for data in edits:
+            want, at = _frozen_verdict(data)
+            buf = np.frombuffer(data, np.uint8)
+            comps, per_blob, fault = decode_array(buf, np.array([0, len(data)]))
+            if want is None:
+                rejected += 1
+                assert fault is not None and fault[0] == at, data
+                with pytest.raises(LabelError, match=f"at offset {at} "):
+                    decode(data)
+            else:
+                assert fault is None and comps.tolist() == list(want), data
+                assert per_blob.tolist() == [len(want)] and decode(data) == want
+    assert rejected > 1000
 
 
 def test_encoding_preserves_order():
@@ -178,8 +250,12 @@ def test_encoding_preserves_order():
 
 
 def test_component_out_of_range():
-    with pytest.raises(LabelError):
-        encode(DeweyLabel((34630287488,)))
+    for comps in ((34630287488,), (2**70,)):
+        with pytest.raises(LabelError):
+            encode(DeweyLabel(comps))
+    for comps in ([3, 0], [-1], [1, 34630287488]):
+        with pytest.raises(LabelError, match=f"component {comps[-1]} outside"):
+            encode_array(comps)
 
 
 def test_decode_rejects_bad_lead_byte():

@@ -27,6 +27,7 @@ from twigjoin.path_guide import GuideError, PathGuide
 
 from twigjoin.twig import parse, split
 
+import frozen_codec
 from conftest import gen_doc, mixed_query
 
 
@@ -209,6 +210,43 @@ def test_parent_that_is_not_earlier_is_rejected(tmp_path, parent):
     assert main(["query", str(path), "//A"]) == 2
 
 
+def _rewired(data: bytes, agree: bool) -> bytes:
+    """The index of depth-1 guide nodes with each node from 2 on made the
+    child of the node before it, CRC resealed.  The stored depths stay 1,
+    or are made to agree with the new parents."""
+    payload = bytearray(data[:-4])
+    pos = len(MAGIC) + struct.calcsize("<IQI")
+    (n,) = struct.unpack_from("<I", payload, pos)
+    pos += 4
+    for g in range(n):
+        if g > 1:
+            struct.pack_into("<IH", payload, pos, g - 1, g if agree else 1)
+        pos += struct.calcsize("<IHH") + struct.unpack_from("<IHH", payload, pos)[2]
+    return reseal(bytes(payload))
+
+
+@pytest.mark.parametrize("agree,error", [
+    (False, "inconsistent guide tables: extent width mismatch for guide node 2"),
+    (True, "extent of guide node 2: 1 labels of depth 2 cannot be held in 1 bytes"),
+], ids=["depths-kept", "depths-agree"])
+@pytest.mark.parametrize("n", [1000, 2000, 3000])
+def test_rewired_parents_are_rejected_in_memory_linear_in_the_file(n, agree, error):
+    # n depth-1 guide nodes whose parents, rewired, form a chain n deep:
+    # node by depth matrices derived from those parents would take
+    # memory quadratic in the file's size
+    tables = [np.zeros((1, 0), np.int64)] + [np.array([[g]]) for g in range(1, n + 1)]
+    pg = PathGuide.from_tables(["R"] + [f"T{g}" for g in range(n)], [-1] + [0] * n, tables)
+    bad = _rewired(to_bytes(Index.from_guide(pg)), agree)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError, match=f"^{error}$"):
+            from_bytes(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(bad) + 256 * 2**10
+
+
 def test_non_utf8_tag_is_rejected(tmp_path):
     p = bytearray()
     p += MAGIC
@@ -374,7 +412,7 @@ def test_wrong_header_stats_are_rejected(sample, field, value):
 
 
 def _per_extent_bytes(pg: PathGuide) -> bytes:
-    """The index of pg as the per-label encoder writes it."""
+    """The index of pg as the frozen per-label encoder writes it."""
     out = bytearray(MAGIC)
     out += struct.pack("<IQI", FORMAT_VERSION, int(pg.start[-1]), int(pg.depths.max(initial=0)))
     out += struct.pack("<I", len(pg.nodes))
@@ -383,14 +421,14 @@ def _per_extent_bytes(pg: PathGuide) -> bytes:
         out += struct.pack("<IHH", 0xFFFFFFFF if node.parent < 0 else node.parent,
                            node.depth, len(tag)) + tag
     for ext in pg.extents:
-        blob = b"".join(dewey.encode(dewey.DeweyLabel(row)) for row in ext.rows.tolist())
+        blob = b"".join(frozen_codec.encode(dewey.DeweyLabel(row)) for row in ext.rows.tolist())
         out += struct.pack("<IQ", len(ext), len(blob)) + blob
     return reseal(bytes(out))
 
 
 def _per_extent_load(data: bytes) -> PathGuide:
     """The guide the per-extent loader gives for a CRC-valid index: one
-    dewey.decode per extent blob, then from_tables.  Raises
+    frozen_codec.decode per extent blob, then from_tables.  Raises
     IndexFormatError where that loader did."""
     try:
         pos = len(MAGIC) + struct.calcsize("<IQI")
@@ -408,7 +446,7 @@ def _per_extent_load(data: bytes) -> PathGuide:
             blob = data[pos + 12 : pos + 12 + blob_len]
             if len(blob) < blob_len:
                 raise IndexFormatError("truncated")
-            comps = dewey.decode(blob).components
+            comps = frozen_codec.decode(blob).components
             if len(comps) != count * depths[gid]:
                 raise IndexFormatError("components do not form labels")
             if depths[gid] == 0 and count != 1:  # rejected by from_tables, after allocating
@@ -579,7 +617,7 @@ def test_empty_extent_is_rejected_before_the_store_is_allocated(tmp_path):
     # 5,000 depth-1 labels beside a 200-deep chain of empty guide nodes:
     # a 14 KB file whose store would be 5,001 x 200 int64 (8 MB)
     depth = 200
-    blob = b"".join(dewey.encode(dewey.DeweyLabel((i,))) for i in range(1, 5001))
+    blob = b"".join(frozen_codec.encode(dewey.DeweyLabel((i,))) for i in range(1, 5001))
     p = bytearray(MAGIC) + struct.pack("<IQI", FORMAT_VERSION, 5001, depth)
     p += struct.pack("<I", 2 + depth)
     p += struct.pack("<IHH", 0xFFFFFFFF, 0, 1) + b"R" + struct.pack("<IHH", 0, 1, 1) + b"A"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twigjoin.dewey import DeweyLabel, encoded_len
+from twigjoin.dewey import DeweyLabel
 from twigjoin.document import GeneratorConfig, NodeEvent, generate, ingest
 from twigjoin.index_io import Index, from_bytes, to_bytes
 from twigjoin.kernels import prefix_ranks
@@ -12,6 +12,7 @@ from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
 from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
+import frozen_codec
 from frozen_build import build as frozen_build
 
 
@@ -266,14 +267,15 @@ def test_byte_lens_agree_with_label_codec():
     rows = np.array(sorted((a, b) for a in edge for b in edge), dtype=np.int64)
     pg = PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1],
                                [np.zeros((1, 0), np.int64), np.array(edge)[:, None], rows])
-    want = [encoded_len(DeweyLabel(tuple(map(int, r)))) for e in pg.extents for r in e.rows]
+    want = [frozen_codec.encoded_len(DeweyLabel(tuple(map(int, r))))
+            for e in pg.extents for r in e.rows]
     assert pg.byte_lens.tolist() == want
 
 
 def test_byte_lens_on_built_guide(guides):
     for _, pg in guides:
         for ext in pg.extents:
-            want = [encoded_len(DeweyLabel(row)) for row in ext.rows.tolist()]
+            want = [frozen_codec.encoded_len(DeweyLabel(row)) for row in ext.rows.tolist()]
             assert ext.byte_lens.tolist() == want
 
 

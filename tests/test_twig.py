@@ -121,6 +121,10 @@ def test_merge_is_recursive():
         ("//A[.B]", "B"),
         ("//A[./B]C", "C"),
         ("//A$", "$"),
+        (" //A$", "$"),
+        ("  A/B", "A"),
+        ("\t //A[./B]C ", "C"),
+        (" \n//A[.B]", "B"),
     ],
 )
 def test_syntax_errors_carry_position(text, pos_of):
