@@ -11,18 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import index_io
 from .document import GeneratorConfig, IngestError, generate
 from .dt import explain
-from .matcher import MatchTuple, ResultLimitError, evaluate
+from .matcher import MatchTuple, ResultLimitError, ResultSet, evaluate
 from .metrics import Metrics
 from .oracle import MaterializedDoc, leaf_scan_match, naive_match
 from .path_guide import GuideError, PathGuide
-from .twig import QuerySyntaxError, parse
+from .twig import QuerySyntaxError, TwigPattern, parse
 
 ENGINES = ("dt", "leafscan", "naive")
 
@@ -58,8 +57,7 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--explain", action="store_true",
                          help="print the DT plan the query ran on (dt engine)")
     p_query.add_argument("--count", action="store_true",
-                         help="print only the match count")
-    p_query.add_argument("--format", choices=("dotted", "count"), default="dotted")
+                         help="print only the number of lines the query would list")
     p_query.add_argument("--project", choices=("jp",),
                          help="print distinct top-JP witness labels instead")
     p_query.add_argument("--no-jump", action="store_true",
@@ -102,45 +100,42 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _print_results(args, count: int, lines: Callable[[], list[str]]) -> None:
-    if args.count or args.format == "count":
-        print(count)
-    else:
-        sys.stdout.writelines(line + "\n" for line in lines())
-
-
-def _leaf_lines(results: list[MatchTuple]) -> list[str]:
-    return ["\t".join(str(lab) for lab in mt.leaf_labels) for mt in results]
+def _run(engine: str, pg: PathGuide, twig: TwigPattern, no_jump: bool,
+         max_results: int | None) -> tuple[ResultSet | list[MatchTuple], Metrics]:
+    """One query on one engine: its answers and Metrics.  Only dt reads
+    no_jump and max_results; naive rebuilds the document first, charged
+    as the full scan it is."""
+    if engine == "dt":
+        return evaluate(pg, twig, use_jump=not no_jump, max_results=max_results)
+    if engine == "leafscan":
+        return leaf_scan_match(pg, twig)
+    met = Metrics()
+    with met.timed():
+        doc = MaterializedDoc.from_guide(pg, met)
+        results = naive_match(doc, twig)
+    return results, met
 
 
 def _cmd_query(args) -> int:
-    if args.explain and args.engine != "dt":
-        raise _CliUsage("--explain requires --engine dt")
-    if args.project and args.engine != "dt":
-        raise _CliUsage("--project jp requires --engine dt")
-    if args.max_results is not None and args.engine != "dt":
-        raise _CliUsage("--max-results requires --engine dt")
-    idx = index_io.load(args.index)
-    pg = idx.guide
-    twig = parse(args.query)
-
-    if args.engine == "dt":
-        rs, met = evaluate(pg, twig, use_jump=not args.no_jump, max_results=args.max_results)
-        if args.explain:
-            print("no DT required" if rs.plan is None else explain(rs.plan, pg))
-        if args.project == "jp":
-            _print_results(args, len(rs), lambda: [str(lab) for lab in rs.top_jp_labels])
-        else:
-            _print_results(args, len(rs), rs.lines)
-    elif args.engine == "leafscan":
-        results, met = leaf_scan_match(pg, twig)
-        _print_results(args, len(results), lambda: _leaf_lines(results))
+    for flag, given in (("--explain", args.explain), ("--project jp", args.project),
+                        ("--max-results", args.max_results is not None)):
+        if given and args.engine != "dt":
+            raise _CliUsage(f"{flag} requires --engine dt")
+    pg = index_io.load(args.index).guide
+    answers, met = _run(args.engine, pg, parse(args.query), args.no_jump, args.max_results)
+    if args.explain:
+        print("no DT required" if answers.plan is None else explain(answers.plan, pg))
+    # the rows listed, and a function that prints them as lines
+    if args.project == "jp":
+        listed, lines = answers.tops, lambda: [str(lab) for lab in answers.top_jp_labels]
+    elif args.engine == "dt":
+        listed, lines = answers, answers.lines
     else:
-        met = Metrics()
-        with met.timed():
-            doc = MaterializedDoc.from_guide(pg, met)
-            results = naive_match(doc, twig)
-        _print_results(args, len(results), lambda: _leaf_lines(results))
+        listed, lines = answers, lambda: ["\t".join(map(str, mt.leaf_labels)) for mt in answers]
+    if args.count:
+        print(len(listed))
+    else:
+        sys.stdout.writelines(line + "\n" for line in lines())
     print(met.format_line(), file=sys.stderr)
     return 0
 
@@ -221,24 +216,12 @@ def _cmd_bench(args) -> int:
         if not workload:
             raise ValueError(f"workload file {args.workload} has no queries")
 
-    def run(engine: str, text: str) -> Metrics:
-        twig = parse(text)
-        if engine == "dt":
-            _, met = evaluate(pg, twig, use_jump=not args.no_jump)
-        elif engine == "leafscan":
-            _, met = leaf_scan_match(pg, twig)
-        else:
-            met = Metrics()
-            with met.timed():
-                doc = MaterializedDoc.from_guide(pg, met)
-                naive_match(doc, twig)
-        return met
-
     print("name,query,engine,nodes_read,bytes_scanned,micros")
     for name, text in workload:
+        twig = parse(text)
         for engine in engines:
-            run(engine, text)  # warm-up, excluded from timing
-            met = run(engine, text)
+            _run(engine, pg, twig, args.no_jump, None)  # warm-up, excluded from timing
+            _, met = _run(engine, pg, twig, args.no_jump, None)
             print(
                 f"{name},{text},{engine},"
                 f"{met.nodes_read},{met.bytes_scanned},{met.micros}"
@@ -247,30 +230,18 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    commands = {"index": _cmd_index, "query": _cmd_query, "gen": _cmd_gen, "bench": _cmd_bench}
     try:
-        args = parser.parse_args(argv)
-    except _CliUsage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "index":
-            return _cmd_index(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_bench(args)
+        args = _build_parser().parse_args(argv)
+        return commands[args.command](args)
     except _CliUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except QuerySyntaxError as exc:
         print(f"query syntax error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, GuideError, index_io.IndexFormatError, ResultLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (IngestError, GuideError, index_io.IndexFormatError, ResultLimitError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

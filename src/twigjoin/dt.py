@@ -1,12 +1,12 @@
 """DataTables: the search plan compiled from guide-level evaluation.
 
 A DataTable belongs to one JP and holds one record per JP guide node g
-that can witness it.  Per slot (branch end or nested child JP), the
-record lists every guide node that fits under g; at evaluation time
-any choice of one end per slot means "merge these extent lists on
-equality of their prefixes at g's depth", the record's level.  Both are
-arrays (DataTable); record_view gives them as tuples.  A DTSchema
-chains the tables deepest-JP-first.
+that can witness it.  Slot i is the JP's child group jp.groups[i]; per
+slot (branch end or nested child JP), the record lists every guide node
+that fits under g; at evaluation time any choice of one end per slot
+means "merge these extent lists on equality of their prefixes at g's
+depth", the record's level.  Both are arrays (DataTable); record_view
+gives them as tuples.  A DTSchema chains the tables deepest-JP-first.
 
 An end e sits in slot i of the record for g only when all three hold:
 
@@ -30,21 +30,13 @@ a mask over the guide nodes the JP's trunk matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .path_guide import PathGuide
-from .twig import Decomposition, JPDescriptor, Step, jp_order, steps_to_str
-
-
-@dataclass(frozen=True)
-class SlotSpec:
-    kind: str  # "leaf" | "nested"
-    steps: tuple[Step, ...]  # steps below the JP down to the slot target
-    leaf_id: int | None = None  # branch id for leaf slots
-    child_table: int | None = None  # DTSchema table index for nested slots
+from .twig import Decomposition, JPDescriptor, jp_order, steps_to_str
 
 
 @dataclass
@@ -53,8 +45,8 @@ class DataTable:
     (JP guide node, slot, end) row per end of a record, sorted and
     distinct, so a record's ends are one run of rows, slot by slot."""
 
-    jp: JPDescriptor
-    slots: tuple[SlotSpec, ...]
+    jp: JPDescriptor  # slot i is jp.groups[i]
+    children: tuple[int | None, ...]  # per slot, its child JP's table; None for a leaf
     records: np.ndarray  # (records,) int64
     ends: np.ndarray  # (ends, 3) int64
 
@@ -72,19 +64,17 @@ def build_dt(
     pg: PathGuide,
     branch_results: Sequence[Sequence[int]],
     jp: JPDescriptor,
+    children: Sequence[int | None],
 ) -> DataTable:
     """Group branch end candidates under every matching JP guide node.
 
     branch_results[i] holds the candidate GuideIds for slot i, in the
-    order of jp.groups.  One record per JP guide node under which every
-    slot keeps at least one candidate.
+    order of jp.groups, and children[i] the table index of a JP group's
+    child table (None for a leaf group).  One record per JP guide node
+    under which every slot keeps at least one candidate.
     """
-    if len(branch_results) != len(jp.groups):
+    if not len(branch_results) == len(children) == len(jp.groups):
         raise ValueError("one candidate list per JP child group required")
-    # group kind "jp" becomes slot kind "nested": the slot consumes a
-    # table, not the twig node itself
-    slots = tuple(SlotSpec("leaf" if g.kind == "leaf" else "nested", g.steps, g.leaf_id)
-                  for g in jp.groups)
     m = len(jp.groups)
     jp_mask = pg.branch_mask(jp.trunk_steps)
     # one (g, slot, end) triple per end fitting JP guide node g; an end
@@ -106,7 +96,7 @@ def build_dt(
     new_run[1:] = (g[1:] != g[:-1]) | (slot[1:] != slot[:-1])
     jps, n_slots = np.unique(g[new_run], return_counts=True)
     full = n_slots == m
-    return DataTable(jp, slots, jps[full], rows[full[np.searchsorted(jps, g)]])
+    return DataTable(jp, tuple(children), jps[full], rows[full[np.searchsorted(jps, g)]])
 
 
 def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
@@ -114,7 +104,7 @@ def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
     its JP guide node) and its JP guide node, all as ints."""
     ends: dict[int, list[list[int]]] = {}
     for g, slot, end in table.ends.tolist():
-        ends.setdefault(g, [[] for _ in table.slots])[slot].append(end)
+        ends.setdefault(g, [[] for _ in table.children])[slot].append(end)
     return [(tuple(map(tuple, ends[g])), pg.depths.item(g), g) for g in table.records.tolist()]
 
 
@@ -131,21 +121,16 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
     table_of: dict[int, int] = {}  # id(twig node) -> table index
     for jp in jp_order(d):
         results: list[Sequence[int]] = []
-        links: list[int | None] = []
+        children: list[int | None] = []
         for group in jp.groups:
             if group.kind == "leaf":
                 results.append(pg.eval_single_branch(d.branches[group.leaf_id]))
-                links.append(None)
+                children.append(None)
             else:
-                child_idx = table_of[id(group.jp_node)]
-                results.append(tables[child_idx].records)
-                links.append(child_idx)
-        table = build_dt(pg, results, jp)
-        table.slots = tuple(
-            replace(slot, child_table=link) for slot, link in zip(table.slots, links)
-        )
+                children.append(table_of[id(group.jp_node)])
+                results.append(tables[children[-1]].records)
         table_of[id(jp.node)] = len(tables)
-        tables.append(table)
+        tables.append(build_dt(pg, results, jp, children))
     return DTSchema(tables)
 
 
@@ -162,12 +147,12 @@ def explain(schema: DTSchema, pg: PathGuide, max_records: int = 50) -> str:
             f"DT {ti + 1} @ {jp.node.test} "
             f"(twig depth {jp.depth}, pattern {steps_to_str(jp.trunk_steps)})"
         )
-        for si, slot in enumerate(table.slots):
-            if slot.kind == "leaf":
-                target = f"branch {slot.leaf_id}"
+        for si, (group, child) in enumerate(zip(jp.groups, table.children)):
+            if child is None:
+                target = f"leaf -> branch {group.leaf_id}"
             else:
-                target = f"DT {slot.child_table + 1}"
-            lines.append(f"  slot {si}: {slot.kind} -> {target}, tail {steps_to_str(slot.steps)}")
+                target = f"nested -> DT {child + 1}"
+            lines.append(f"  slot {si}: {target}, tail {steps_to_str(group.steps)}")
         lines.append(f"  records: {len(table.records)}")
         for ends, level, jp_guide in record_view(table, pg)[:max_records]:
             ends = ", ".join(" | ".join(map(path_str, slot)) for slot in ends)

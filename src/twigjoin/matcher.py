@@ -287,7 +287,7 @@ def match_proc(
     """
     be = get_backend(backend)
     # an entry holds a row id per leaf, then per table its witness
-    n_leaves = sum(s.kind == "leaf" for t in schema.tables for s in t.slots)
+    n_leaves = sum(c is None for t in schema.tables for c in t.children)
     n_tables = len(schema.tables)
     if schema.is_empty:
         return ResultSet(pg, np.zeros((0, n_leaves), np.int64),
@@ -302,14 +302,14 @@ def match_proc(
         for level in np.unique(pg.depths[table.records]).tolist():
             here = table.ends[ends_level == level]
             inputs = []
-            for si, slot in enumerate(table.slots):
+            for si, (group, child) in enumerate(zip(table.jp.groups, table.children)):
                 named = here[here[:, 1] == si, 2]  # distinct: an end fits one node per level
-                if slot.kind == "leaf":
+                if child is None:
                     ids, gids = _union(pg, [pg.read_extent(g) for g in named.tolist()])
                     inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
-                                         np.ones(len(ids), np.int64), slot.leaf_id, True))
+                                         np.ones(len(ids), np.int64), group.leaf_id, True))
                 else:  # the child table's witnesses under the named JP guide nodes
-                    c = done[slot.child_table]
+                    c = done[child]
                     k = np.isin(c.gids, named)
                     inputs.append(_Input(c.ids[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
             # a row's key is the document position of its ancestor at level

@@ -12,8 +12,10 @@ scans; the joins run on labels already in memory.
 
 Both share no planning or matching code with the DataTable engine:
 paths are tested one tag tuple at a time with twig.steps_match, not
-with the guide's array step matcher, so a fault in either shows up as
-a disagreement.
+with the guide's array step matcher, and guide paths and ancestors are
+walked up the node table (parents, tags), not read off the planner's
+matrices (anc, tag_paths), so a fault in either shows up as a
+disagreement.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ class MaterializedDoc:
         rebuild like the full scan it is.
         """
         items: list[tuple[DeweyLabel, str]] = []
-        for gid, node in enumerate(pg.nodes):
+        for gid, tag in enumerate(map(pg.tag_names.__getitem__, pg.tags.tolist())):
             ext = pg.read_extent(gid)
             if metrics is not None:
                 metrics.nodes_read += len(ext)
                 metrics.credit(np.arange(ext.first, ext.first + len(ext)), ext.byte_lens)
-            items += [(DeweyLabel(row), node.tag) for row in ext.rows.tolist()]
+            items += [(DeweyLabel(row), tag) for row in ext.rows.tolist()]
         items.sort()
         return cls.from_events(NodeEvent(label, tag) for label, tag in items)
 
@@ -157,10 +159,14 @@ def naive_match(doc: MaterializedDoc, twig: TwigPattern) -> list[MatchTuple]:
     return [MatchTuple(key) for key in sorted(seen)]
 
 
-def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> set[int]:
-    """JP depths d such that gid's path below d matches the tail steps."""
+def _admissible_depths(pg: PathGuide, gid: int, tail: tuple[Step, ...]) -> dict[int, int]:
+    """Per JP depth d such that gid's path below d matches the tail steps,
+    gid's guide ancestor at d."""
+    up = [gid]  # gid and its ancestors, walked up the parents
+    while pg.parents.item(up[-1]) >= 0:
+        up.append(pg.parents.item(up[-1]))
     path = pg.path_tags(gid)
-    return {d for d in range(len(path)) if steps_match(tail, path[d + 1 :])}
+    return {d: up[-1 - d] for d in range(len(path)) if steps_match(tail, path[d + 1 :])}
 
 
 # A candidate item carried through the leaf-scan joins: the label it
@@ -210,34 +216,32 @@ def leaf_scan_match(
                 else:
                     git = streams[id(group.jp_node)]
                 group_items.append(git)
-            buckets: dict[tuple[int, tuple[int, ...]], list[list[_Item]]] = {}
+            buckets: dict[tuple[int, tuple[int, ...], int], list[list[_Item]]] = {}
             m = len(jp.groups)
             trunk_ok: dict[int, bool] = {}
             for gi, git in enumerate(group_items):
                 tail = jp.groups[gi].steps
-                adm_cache: dict[int, set[int]] = {}
+                adm_cache: dict[int, dict[int, int]] = {}
                 for comps, g, leaves in git:
                     adm = adm_cache.get(g)
                     if adm is None:
                         adm = _admissible_depths(pg, g, tail)
                         adm_cache[g] = adm
-                    for lev in adm:
-                        w = int(pg.anc[g, lev])
+                    for lev, w in adm.items():
                         ok = trunk_ok.get(w)
                         if ok is None:
                             ok = steps_match(jp.trunk_steps, pg.path_tags(w))
                             trunk_ok[w] = ok
                         if not ok:
                             continue
-                        key = (lev, comps[:lev])
+                        key = (lev, comps[:lev], w)  # w follows from the prefix
                         buckets.setdefault(key, [[] for _ in range(m)])[gi].append(
                             (comps, g, leaves)
                         )
             out_items: list[_Item] = []
-            for (lev, prefix), lists in sorted(buckets.items()):
+            for (lev, prefix, witness_gid), lists in sorted(buckets.items()):
                 if any(not lst for lst in lists):
                     continue
-                witness_gid = int(pg.anc[lists[0][0][1], lev])
                 dedup: dict[tuple, _Item] = {}
                 for combo in product(*lists):
                     leaves: dict[int, tuple[int, ...]] = {}

@@ -4,9 +4,9 @@ One guide node per distinct root-to-node tag path; the root guide node
 is the document element at depth 0.  The node table is three int32
 arrays, per guide node (gid) its parent (an earlier node; -1 for the
 root), tag id (tag_names[t] is tag t, tag_id the reverse) and depth
-(its parent's plus one), set and checked by from_node_table.  GuideNode
-objects (nodes) are a view made on first use, for readers outside the
-query path.
+(its parent's plus one), set and checked by from_node_table.  nodes
+gives its rows as GuideNode tuples, made on first use, for readers
+outside the query path.
 
 A node's extent holds the Dewey labels of all document nodes sharing
 its path, each of depths[g] components.  All extents live in one store,
@@ -36,8 +36,8 @@ touch no extents.
 
 Two int32 matrices derived from the node table with the store (never
 serialized) serve planning: anc[g, d], the ancestor of g at depth d,
-and tag_paths[d, g], the tag id of anc[g, d] (both -1 below g);
-path_tags reads the latter.
+and tag_paths[d, g], the tag id of anc[g, d] (both -1 below g).
+path_tags reads neither: it walks up the node table.
 match_steps runs a step sequence over many guide nodes' tag paths at
 once; branch evaluation and DataTable fitting both use it, so no query
 phase walks guide nodes in Python.
@@ -45,10 +45,9 @@ phase walks guide nodes in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, count
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,14 +145,13 @@ def _rejection(k: int, labels: Sequence[DeweyLabel], depth: np.ndarray,
     raise AssertionError("unreachable")
 
 
-@dataclass(slots=True)
-class GuideNode:
+class GuideNode(NamedTuple):
+    """One row of the node table."""
+
     gid: int
     tag: str
     parent: int  # -1 for the root
     depth: int  # Dewey level of the labels in this node's extent
-    path: tuple[str, ...]  # tags from the document element down to here
-    children: dict[str, int] = field(default_factory=dict)
 
 
 class ExtentList:
@@ -396,14 +394,11 @@ class PathGuide:
 
     @cached_property
     def nodes(self) -> list[GuideNode]:
-        """The node table as GuideNode objects, in gid order, made on first
+        """The node table's rows as GuideNodes, in gid order, made on first
         use for readers outside the query path."""
-        table = zip(self.tags.tolist(), self.parents.tolist(), self.depths.tolist())
-        nodes = [GuideNode(g, self.tag_names[t], p, d, self.path_tags(g))
-                 for g, (t, p, d) in enumerate(table)]
-        for node in nodes[1:]:
-            nodes[node.parent].children[node.tag] = node.gid
-        return nodes
+        tags = map(self.tag_names.__getitem__, self.tags.tolist())
+        return list(map(GuideNode._make, zip(count(), tags, self.parents.tolist(),
+                                              self.depths.tolist())))
 
     def _extent(self, gid: int) -> ExtentList:
         return ExtentList(self, gid, self.start.item(gid), self.start.item(gid + 1))
@@ -418,9 +413,13 @@ class PathGuide:
         return [self._extent(g) for g in range(len(self))]
 
     def path_tags(self, gid: int) -> tuple[str, ...]:
-        """The tags from the document element down to guide node gid."""
-        return tuple(map(self.tag_names.__getitem__,
-                         self.tag_paths[: self.depths[gid] + 1, gid].tolist()))
+        """The tags from the document element down to guide node gid, read
+        up the node table's parents."""
+        path = []
+        while gid >= 0:
+            path.append(self.tag_names[self.tags.item(gid)])
+            gid = self.parents.item(gid)
+        return tuple(reversed(path))
 
     def label_block(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct rows of ids as labels zero-padded in one int64 block, their

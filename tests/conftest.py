@@ -13,6 +13,7 @@ import random
 import re
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from twigjoin.document import GeneratorConfig, generate, ingest
@@ -118,17 +119,23 @@ def random_query(rng: random.Random, max_leaves: int = 5, max_jps: int = 3) -> s
             return text
 
 
+def children(pg: PathGuide, g: int) -> dict[str, int]:
+    """The children of guide node g, by tag, in gid order."""
+    kids = np.flatnonzero(pg.parents == g).tolist()
+    return {pg.tag_names[pg.tags[k]]: k for k in kids}
+
+
 def _gid_at(pg: PathGuide, path: tuple, depth: int) -> int:
     g = 0
     for tag in path[1 : depth + 1]:
-        g = pg.nodes[g].children[tag]
+        g = children(pg, g)[tag]
     return g
 
 
 def anchored_query(rng: random.Random, pg: PathGuide,
                    max_leaves: int = 5, max_jps: int = 3) -> str:
     while True:
-        path = rng.choice(pg.nodes).path
+        path = pg.path_tags(rng.choice(range(len(pg))))
         k = rng.randint(1, min(4, len(path)))
         idxs = sorted(rng.sample(range(len(path)), k))
         parts = []
@@ -142,14 +149,13 @@ def anchored_query(rng: random.Random, pg: PathGuide,
         for j, (axis, test) in enumerate(parts):
             text += axis + test
             if rng.random() < 0.45:
-                node = pg.nodes[_gid_at(pg, path, idxs[j])]
-                if node.children:
-                    n_preds = 2 if len(node.children) > 1 and rng.random() < 0.35 else 1
-                    for ctag in rng.sample(sorted(node.children),
-                                           min(n_preds, len(node.children))):
+                kids = children(pg, _gid_at(pg, path, idxs[j]))
+                if kids:
+                    n_preds = 2 if len(kids) > 1 and rng.random() < 0.35 else 1
+                    for ctag in rng.sample(sorted(kids), min(n_preds, len(kids))):
                         sub_axis = "./" if rng.random() < 0.7 else ".//"
                         sub_tail = ""
-                        grand = pg.nodes[node.children[ctag]].children
+                        grand = children(pg, kids[ctag])
                         if grand and rng.random() < 0.4:
                             sub_tail = ("/" if rng.random() < 0.7 else "//") \
                                 + rng.choice(sorted(grand))

@@ -102,8 +102,8 @@ def sweep():
                         e
                         for t in schema.tables
                         for ends, _, _ in record_view(t, pg)
-                        for i, s in enumerate(t.slots)
-                        if s.kind == "leaf"
+                        for i, child in enumerate(t.children)
+                        if child is None
                         for e in ends[i]
                     }
                     if not reads <= allowed:

@@ -26,7 +26,7 @@ from twigjoin.matcher import evaluate
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import MAX_PATH_STEPS, parse
 
-from conftest import DEEP_SHAPES, deep_query, fan_out_doc, gen_doc
+from conftest import DEEP_SHAPES, children, deep_query, fan_out_doc, gen_doc
 
 METRICS_RE = re.compile(r"^nodes_read=\d+, bytes_scanned=\d+, micros=\d+$")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -123,14 +123,6 @@ def test_query_count_matches_library(idx_path, guide, capsys):
     assert int(out) == len(rs.matches)
 
 
-def test_query_format_count_agrees_with_count_flag(idx_path, capsys):
-    q = "//B[./C]/A"
-    assert main(["query", idx_path, q, "--count"]) == 0
-    by_flag = capsys.readouterr().out
-    assert main(["query", idx_path, q, "--format", "count"]) == 0
-    assert capsys.readouterr().out == by_flag
-
-
 def test_query_empty_result_counts_zero(idx_path, capsys):
     assert main(["query", idx_path, "//Z[./A]/B", "--count"]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -167,7 +159,9 @@ def test_query_flag_variants_agree(idx_path, monkeypatch, capsys):
             monkeypatch.setenv(ENV_VAR, kernels)
         assert main(["query", idx_path, q, "--count", *extra]) == 0
         assert capsys.readouterr().out == base
+    # removed flags are usage errors: --count is the one way to count
     assert main(["query", idx_path, q, "--kernels", "numpy"]) == 1
+    assert main(["query", idx_path, q, "--format", "count"]) == 1
 
 
 def test_project_jp_prints_witnesses(idx_path, guide, capsys):
@@ -177,6 +171,22 @@ def test_project_jp_prints_witnesses(idx_path, guide, capsys):
     rs, _ = evaluate(guide, parse(q))
     assert lines == [str(lab) for lab in rs.top_jp_labels]
     assert lines
+
+
+def test_count_counts_what_the_query_lists(idx_path, capsys):
+    # --count prints how many lines the command lists: with --project jp
+    # the witnesses, not the answers, and none without a join point
+    def out(*argv: str) -> str:
+        assert main(["query", idx_path, *argv]) == 0
+        return capsys.readouterr().out
+
+    differ = 0
+    for q in ("//A[./B]/C", "//B[./C][./A]", "//A//B"):
+        for project in ([], ["--project", "jp"]):
+            assert int(out(q, *project, "--count")) == len(out(q, *project).splitlines())
+        differ += out(q, "--count") != out(q, "--project", "jp", "--count")
+    assert out("//A//B", "--project", "jp", "--count") == "0\n"
+    assert differ == 3
 
 
 def test_count_and_lines_build_no_labels(idx_path, monkeypatch, capsys):
@@ -390,19 +400,20 @@ def test_bench_auto_multi_branch(idx_path, capsys):
 
 def _reference_sweeps(pg) -> tuple[list, list]:
     """The --auto sweeps by a loop over the guide's nodes."""
-    deepest = max(pg.nodes, key=lambda n: (n.depth, -n.gid))
-    sb = [(f"sb{k}", "//" + "//".join(deepest.path[-k:]))
-          for k in range(2, min(9, len(deepest.path)) + 1)]
+    deepest = pg.path_tags(max(pg.nodes, key=lambda n: (n.depth, -n.gid)).gid)
+    sb = [(f"sb{k}", "//" + "//".join(deepest[-k:]))
+          for k in range(2, min(9, len(deepest)) + 1)]
     size = lambda g: len(pg.extents[g])  # noqa: E731
     best = None
     for node in pg.nodes:
-        if len(node.children) >= 5:
-            kids = sorted(node.children.values(), key=lambda g: (-size(g), g))[:5]
+        kids = children(pg, node.gid)
+        if len(kids) >= 5:
+            kids = sorted(kids.values(), key=lambda g: (-size(g), g))[:5]
             score = (size(node.gid), sum(map(size, kids)))
             if best is None or score > best[0]:
                 best = (score, node, [pg.nodes[g].tag for g in kids])
     _, node, tags = best
-    trunk = "/" + "/".join(node.path)
+    trunk = "/" + "/".join(pg.path_tags(node.gid))
     return sb, [(f"mb{b}", trunk + "".join(f"[./{t}]" for t in tags[:b])) for b in range(2, 6)]
 
 

@@ -33,7 +33,7 @@ def test_single_jp_one_record():
     schema = schema_for(pg, "//A[.//B]//C//D")
     assert len(schema.tables) == 1
     table = schema.tables[0]
-    assert tuple(s.kind for s in table.slots) == ("leaf", "leaf")
+    assert table.children == (None, None)
     assert recs(pg, table) == {((1, 3), 0, 0)}
     assert not schema.is_empty
 
@@ -111,9 +111,9 @@ def test_three_branch_two_table_plan():
     deep, top = schema.tables
     assert deep.jp.node.test == "B"
     assert top.jp.node.test == "A"
-    assert tuple(s.kind for s in deep.slots) == ("leaf", "leaf")
-    assert tuple(s.kind for s in top.slots) == ("nested", "leaf")
-    assert [slot.child_table for slot in top.slots] == [0, None]
+    assert deep.children == (None, None)
+    assert top.children == (0, None)
+    assert [g.kind for g in top.jp.groups] == ["jp", "leaf"]
     # nested slot candidates are the deep table's JP guide nodes
     nested_ends = {e for ends, _, _ in record_view(top, pg) for e in ends[0]}
     assert nested_ends <= {jp_guide for _, _, jp_guide in record_view(deep, pg)}
@@ -129,7 +129,9 @@ def test_build_dt_arity_check():
     pg = PathGuide.build_from_xml(b"<A><B/><C/></A>")
     (jp,) = split(parse("//A[./B]/C")).jps
     with pytest.raises(ValueError, match="candidate list"):
-        build_dt(pg, [[1]], jp)
+        build_dt(pg, [[1]], jp, [None, None])
+    with pytest.raises(ValueError, match="candidate list"):
+        build_dt(pg, [[1], [2]], jp, [None])
 
 
 def test_build_reads_no_extents():
@@ -148,12 +150,12 @@ def _ancestors(pg: PathGuide, gid: int) -> set[int]:
     g = gid
     while g != -1:
         out.add(g)
-        g = pg.nodes[g].parent
+        g = int(pg.parents[g])
     return out
 
 
 def _path_str(pg: PathGuide, gid: int) -> str:
-    return "".join(pg.nodes[gid].path)
+    return "".join(pg.path_tags(gid))
 
 
 def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
@@ -168,15 +170,15 @@ def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
             if group.kind == "leaf":
                 pat = steps_to_regex(d.branches[group.leaf_id].steps)
                 slot_cands.append(
-                    [g for g in range(len(pg.nodes)) if pat.match(_path_str(pg, g))]
+                    [g for g in range(len(pg)) if pat.match(_path_str(pg, g))]
                 )
             else:
                 slot_cands.append(sorted(built[id(group.jp_node)]))
         records: set[tuple] = set()
-        for g in range(len(pg.nodes)):
+        for g in range(len(pg)):
             if not trunk.match(_path_str(pg, g)):
                 continue
-            depth = pg.nodes[g].depth
+            depth = int(pg.depths[g])
             filtered = []
             for group, cands in zip(jp.groups, slot_cands):
                 tail = steps_to_regex(group.steps)
@@ -184,7 +186,7 @@ def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
                     e
                     for e in cands
                     if g in _ancestors(pg, e)
-                    and tail.match("".join(pg.nodes[e].path[depth + 1 :]))
+                    and tail.match("".join(pg.path_tags(e)[depth + 1 :]))
                 ]
                 filtered.append(keep)
             for combo in product(*filtered):
@@ -230,11 +232,13 @@ def test_schema_structural_invariants():
             order = jp_order(d)
             assert [t.jp for t in schema.tables] == order
             for ti, table in enumerate(schema.tables):
-                assert len(table.slots) == len(table.jp.groups)
-                assert tuple(s.kind for s in table.slots) == tuple(
-                    "leaf" if g.kind == "leaf" else "nested"
-                    for g in table.jp.groups
-                )
+                assert len(table.children) == len(table.jp.groups)
+                for group, child in zip(table.jp.groups, table.children):
+                    # a JP group's child table is built earlier, for that JP
+                    assert (child is None) == (group.kind == "leaf")
+                    if child is not None:
+                        assert child < ti
+                        assert schema.tables[child].jp.node is group.jp_node
                 rows = table.ends
                 assert rows.shape[1] == 3
                 # ends rows are sorted and distinct
@@ -242,21 +246,18 @@ def test_schema_structural_invariants():
                 assert (np.diff(rows, axis=0) != 0).any(axis=1).all()
                 # every record has an end in every slot, and no other row
                 assert np.array_equal(np.unique(rows[:, 0]), table.records)
-                for si in range(len(table.slots)):
+                for si in range(len(table.children)):
                     assert np.array_equal(np.unique(rows[rows[:, 1] == si, 0]), table.records)
                 # every end sits below its JP guide node
                 g = rows[:, 0]
                 assert (pg.anc[rows[:, 2], pg.depths[g]] == g).all()
                 for ends, level, jp_guide in record_view(table, pg):
-                    assert len(ends) == len(table.slots)
-                    assert pg.nodes[jp_guide].depth == level
+                    assert len(ends) == len(table.children)
+                    assert pg.depths[jp_guide] == level
                     for slot_ends in ends:
                         assert slot_ends and list(slot_ends) == sorted(set(slot_ends))
                         for e in slot_ends:
                             assert pg.anc[e, pg.depths[jp_guide]] == jp_guide
-                for slot in table.slots:
-                    if slot.kind == "nested":
-                        assert slot.child_table < ti  # consumed table built earlier
 
 
 # ------------------------------------------------------------------ explain

@@ -28,7 +28,7 @@ from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import parse, split
 
 import frozen_codec
-from conftest import gen_doc, mixed_query
+from conftest import children, gen_doc, mixed_query
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +53,8 @@ def test_round_trip_bytes_identical(sample):
 def test_round_trip_structure(sample):
     xml, pg, idx, data = sample
     clone = from_bytes(data).guide
-    assert [n.tag for n in clone.nodes] == [n.tag for n in pg.nodes]
-    assert [n.parent for n in clone.nodes] == [n.parent for n in pg.nodes]
-    assert [n.path for n in clone.nodes] == [n.path for n in pg.nodes]
+    assert clone.nodes == pg.nodes
+    assert [*map(clone.path_tags, range(len(clone)))] == [*map(pg.path_tags, range(len(pg)))]
     for a, b in zip(clone.extents, pg.extents):
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.byte_lens, b.byte_lens)
@@ -107,7 +106,8 @@ def test_reloaded_guide_plans_identically(sample):
             assert clone.eval_single_branch(branch) == pg.eval_single_branch(branch)
         if d.jps:
             built, loaded = build_dt_schema(pg, d), build_dt_schema(clone, d)
-            assert [t.slots for t in loaded.tables] == [t.slots for t in built.tables]
+            assert [(t.jp, t.children) for t in loaded.tables] == [
+                (t.jp, t.children) for t in built.tables]
             for a, b in zip(loaded.tables, built.tables):
                 assert np.array_equal(a.records, b.records)
                 assert np.array_equal(a.ends, b.ends)
@@ -201,7 +201,7 @@ def _with_parent(data: bytes, gid: int, parent: int) -> bytes:
 @pytest.mark.parametrize("parent", [3, 1], ids=["forward", "self"])
 def test_parent_that_is_not_earlier_is_rejected(tmp_path, parent):
     pg = PathGuide.build_from_xml(b"<R><A><C/></A><B/></R>")
-    assert [n.path[-1] for n in pg.nodes] == ["R", "A", "C", "B"]
+    assert [n.tag for n in pg.nodes] == ["R", "A", "C", "B"]
     data = _with_parent(to_bytes(Index.from_guide(pg)), 1, parent)
     with pytest.raises(IndexFormatError, match=f"parent {parent} is not an earlier node"):
         from_bytes(data)
@@ -321,7 +321,7 @@ def test_unsorted_extent_is_rejected(tmp_path):
     # reversing R/A/C makes //A[./B]/C find 1 of its 3 matches if loaded
     xml = b"<R>" + b"<A><B/><C/></A>" * 3 + b"</R>"
     pg = PathGuide.build_from_xml(xml)
-    gid = pg.nodes[pg.nodes[1].children["C"]].gid
+    gid = children(pg, 1)["C"]
     data = _resealed_with_rows(pg, gid, pg.extents[gid].rows[::-1].copy())
     with pytest.raises(IndexFormatError, match=f"guide node {gid} is not sorted"):
         from_bytes(data)
@@ -334,7 +334,7 @@ def test_label_outside_its_parent_extent_is_rejected(tmp_path):
     # with R/A/C rewritten to [1.2, 3.2], //A/C would answer 3.2 on dt
     # and leafscan alike if loaded, though no A has the label 3
     pg = PathGuide.build_from_xml(b"<R><A><B/><C/></A><A><B/><C/></A></R>")
-    gid = pg.nodes[1].children["C"]
+    gid = children(pg, 1)["C"]
     data = _resealed_with_rows(pg, gid, np.array([[1, 2], [3, 2]]))
     with pytest.raises(IndexFormatError,
                        match=f"label 3.2 of guide node {gid} has no parent label in guide node 1"):

@@ -28,8 +28,8 @@ from twigjoin.oracle import MaterializedDoc, leaf_scan_match, naive_match
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import MAX_PATH_STEPS, parse, split
 
-from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, deep_query, fan_out_doc, gen_doc,
-                      mixed_query, spy_reads)
+from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, children, deep_query, fan_out_doc,
+                      gen_doc, mixed_query, spy_reads)
 from frozen_lines import lines as frozen_lines
 
 L = parse_label
@@ -187,7 +187,7 @@ def test_row_touched_by_two_merges_credits_its_bytes_once():
     # the inner table merges B with C under each A, the outer one
     # merges those witnesses with B again: every B row is read by both
     pg = PathGuide.build_from_xml(b"<R><A><B/><B/><C/></A><A><B/><C/></A></R>")
-    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
+    b, c = (pg.read_extent(children(pg, 1)[t]) for t in "BC")
     rs, met = evaluate(pg, "//R[./A[./B]/C]//B")
     assert len(rs.plan.tables) == 2
     assert met.nodes_read == 2 * len(b) + len(c)
@@ -198,7 +198,7 @@ def test_full_scan_credits_exactly_the_extent(small_corpus):
     for _, pg, _ in small_corpus[:4]:
         for node in pg.nodes[1:]:
             ext = pg.read_extent(node.gid)
-            _, met = evaluate(pg, "/" + "/".join(node.path))
+            _, met = evaluate(pg, "/" + "/".join(pg.path_tags(node.gid)))
             assert met.nodes_read == len(ext)
             assert met.bytes_scanned == int(ext.byte_lens.sum())
 
@@ -207,7 +207,7 @@ def test_jump_and_multiway_credit_only_their_extents():
     # after a jump or a merge, a full credit of the extents it read must
     # add just the rows it left: a row credited elsewhere would show
     pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/><C/><B/></A>" * 12 + b"</R>")
-    b = pg.read_extent(pg.nodes[1].children["B"])
+    b = pg.read_extent(children(pg, 1)["B"])
     assert b.first > 0
     met = Metrics()
     jump(Cursor(as_node_list(b)), 1, (7,), metrics=met)
@@ -216,7 +216,7 @@ def test_jump_and_multiway_credit_only_their_extents():
     assert met.bytes_scanned == int(b.byte_lens.sum())
     # only the last A has a C, so the merge jumps past the other A's B rows
     pg = PathGuide.build_from_xml(b"<R>" + b"<A><B/></A>" * 12 + b"<A><B/><C/></A></R>")
-    b, c = (pg.read_extent(pg.nodes[1].children[t]) for t in "BC")
+    b, c = (pg.read_extent(children(pg, 1)[t]) for t in "BC")
     rs, met = evaluate(pg, "//A[./B]/C")
     assert len(rs) == 1
     assert set(rs.plan.tables[0].ends[:, 2].tolist()) == {b.gid, c.gid}
@@ -350,8 +350,8 @@ def test_jp_query_reads_only_planned_extents(small_corpus):
                 e
                 for table in schema.tables
                 for ends, _, _ in record_view(table, pg)
-                for si, slot in enumerate(table.slots)
-                if slot.kind == "leaf"
+                for si, child in enumerate(table.children)
+                if child is None
                 for e in ends[si]
             }
             with spy_reads(pg) as reads:

@@ -11,7 +11,7 @@ from twigjoin.kernels import prefix_ranks
 from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
-from conftest import DOC_SEEDS, gen_doc, random_steps, spy_reads, steps_to_regex
+from conftest import DOC_SEEDS, children, gen_doc, random_steps, spy_reads, steps_to_regex
 import frozen_codec
 from frozen_build import build as frozen_build
 
@@ -38,8 +38,9 @@ def test_one_node_per_distinct_path(guides):
             del stack[e.label.level :]
             stack.append(e.tag)
             paths.add(tuple(stack))
-        assert {n.path for n in pg.nodes} == paths
-        assert len({n.path for n in pg.nodes}) == len(pg.nodes)
+        got = [pg.path_tags(g) for g in range(len(pg))]
+        assert set(got) == paths
+        assert len(set(got)) == len(pg)
 
 
 def test_extents_partition_document(guides):
@@ -68,8 +69,12 @@ def test_tree_invariants(guides):
             parent = pg.nodes[node.parent]
             assert parent.gid < node.gid
             assert node.depth == parent.depth + 1
-            assert node.path == parent.path + (node.tag,)
-            assert parent.children[node.tag] == node.gid
+            assert pg.path_tags(node.gid) == pg.path_tags(parent.gid) + (node.tag,)
+            assert children(pg, parent.gid)[node.tag] == node.gid
+        # the nodes are the node table's rows, and nothing more
+        assert pg.nodes == [(g, pg.tag_names[t], p, d) for g, (t, p, d)
+                            in enumerate(zip(pg.tags.tolist(), pg.parents.tolist(),
+                                             pg.depths.tolist()))]
         for node in pg.nodes:
             assert pg.parents[node.gid] == node.parent
             assert pg.tag_names[pg.tags[node.gid]] == node.tag
@@ -100,7 +105,7 @@ def test_ancestor_helpers(guides):
 def test_eval_single_branch_matches_regex_oracle(guides):
     rng = random.Random(77)
     for _, pg in guides:
-        strings = {n.gid: "".join(n.path) for n in pg.nodes}
+        strings = {g: "".join(pg.path_tags(g)) for g in range(len(pg))}
         for _ in range(120):
             steps = random_steps(rng, rng.randint(1, 5))
             got = set(pg.eval_single_branch(steps))
@@ -111,7 +116,7 @@ def test_eval_single_branch_matches_regex_oracle(guides):
 
 def test_eval_single_branch_queries():
     pg = PathGuide.build_from_xml(b"<A><B><C/></B><B><D/></B><C/></A>")
-    by_path = {"".join(n.path): n.gid for n in pg.nodes}
+    by_path = {"".join(pg.path_tags(g)): g for g in range(len(pg))}
     assert by_path == {"A": 0, "AB": 1, "ABC": 2, "ABD": 3, "AC": 4}
 
     def run(q: str) -> list[int]:
@@ -140,7 +145,7 @@ def matrix_oracle(pg: PathGuide, steps, ends) -> np.ndarray:
     """match_steps cell by cell: steps_match on every suffix of each path."""
     out = np.zeros((pg.anc.shape[1] + 1, len(ends)), dtype=bool)
     for i, e in enumerate(ends):
-        path = pg.nodes[e].path
+        path = pg.path_tags(e)
         for x in range(len(path) + 1):
             out[x, i] = steps_match(steps, path[x:])
     return out
@@ -155,13 +160,14 @@ def test_derived_arrays_agree_with_nodes(guides):
         names = list(pg.tag_id)
         for n in pg.nodes:
             pad = [-1] * (width - n.depth - 1)
+            chain = parent_chain(pg, n.gid)
             assert pg.depths[n.gid] == n.depth
             assert names[pg.tags[n.gid]] == n.tag
-            assert pg.anc[n.gid].tolist() == parent_chain(pg, n.gid) + pad
+            assert pg.anc[n.gid].tolist() == chain + pad
             tag_path = pg.tag_paths[:, n.gid].tolist()
-            assert [names[t] for t in tag_path[: n.depth + 1]] == list(n.path)
+            assert tag_path[: n.depth + 1] == pg.tags[chain].tolist()
             assert tag_path[n.depth + 1 :] == pad
-            assert pg.path_tags(n.gid) == n.path
+            assert pg.path_tags(n.gid) == tuple(names[t] for t in pg.tags[chain].tolist())
 
 
 def test_row_order_and_ancestor_keys(guides):
@@ -216,7 +222,7 @@ def test_match_steps_agrees_with_steps_match(guides):
 )
 def test_step_matcher_edge_cases(xml, expect):
     pg = PathGuide.build_from_xml(xml)
-    strings = {n.gid: "".join(n.path) for n in pg.nodes}
+    strings = {g: "".join(pg.path_tags(g)) for g in range(len(pg))}
     ends = np.arange(len(pg))
     assert not pg.branch_mask(()).any() and pg.eval_single_branch(()) == []
     for q, want in expect.items():
@@ -240,7 +246,7 @@ def test_eval_single_branch_on_a_large_guide():
     # linear reference: steps_match once per guide node and sequence
     pg = PathGuide.build_from_xml(gen_doc(seed=0, target=4000, max_depth=12))
     assert len(pg) >= 2500
-    paths = [n.path for n in pg.nodes]
+    paths = [pg.path_tags(g) for g in range(len(pg))]
     rng = random.Random(13)
     hits = 0
     for _ in range(100):
@@ -418,7 +424,7 @@ def test_from_tables_round_trip(guides):
             [n.parent for n in pg.nodes],
             [e.rows for e in pg.extents],
         )
-        assert [n.path for n in clone.nodes] == [n.path for n in pg.nodes]
+        assert clone.nodes == pg.nodes
         for a, b in zip(clone.extents, pg.extents):
             assert np.array_equal(a.rows, b.rows)
             assert np.array_equal(a.byte_lens, b.byte_lens)
