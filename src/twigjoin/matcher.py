@@ -30,8 +30,9 @@ The answer stays row ids too (late materialization): a ResultSet holds
 the guide and the row ids of its leaves, witnesses and top witnesses,
 and reads labels from the store only when it prints or builds
 DeweyLabel/MatchTuple objects, once per distinct row.  Printing makes
-no object but the lines: a slice of answers is written as bytes into
-one matrix with whole-array steps, then decoded and split once.
+no object but the lines: a slice of answers reads its components from
+the store in place, writes each three-digit group with one lookup in a
+small digit table, and is decoded and split once.
 A fan-out that would exceed ``max_results`` rows raises
 ResultLimitError, counted from the runs before any tuple is built.
 
@@ -57,6 +58,20 @@ from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
 
 _PRINT_SLICE = 2048  # answers lines() prints at once: bounds its byte matrices
+_GROUP = 1000  # lines() writes a component as groups of three digits
+
+
+def _digit_table(last: bool) -> np.ndarray:
+    """Three-digit group v's 4 bytes as one uint32: at v without its
+    leading zeros (no text for 0), at v + 1000 with them; "." ends a last
+    group, a zero byte starts an upper one."""
+    groups = [str(v).rjust(3, "\0") for v in range(1, _GROUP)]
+    groups += [str(v).zfill(3) for v in range(_GROUP)]
+    texts = ["\0" * 4] + [g + "." if last else "\0" + g for g in groups]
+    return np.frombuffer("".join(texts).encode(), np.uint32)
+
+
+_DIGITS = (_digit_table(last=False), _digit_table(last=True))  # 16 KB
 
 
 @dataclass(frozen=True)
@@ -115,34 +130,31 @@ class ResultSet:
         """One tab-separated line of dotted leaf labels per answer; the
         root's empty label prints as ε.
 
-        A slice of answers is printed into one byte matrix: each distinct
-        row's label once, a slot per component (its digits after zero
-        bytes, then "."), its last "." made a tab; a line is its columns'
-        rows side by side, its last tab made a newline.  The nonzero
-        bytes are the slice's text, decoded and split once.
+        A slice of answers is printed into one matrix, a slot per
+        component of its labels read in place (PathGuide.label_rows); a
+        slot is as many three-digit groups as the slice's widest component
+        needs, each written with one lookup in _DIGITS.  A label's last "."
+        becomes a tab, a line's last tab a newline; the nonzero bytes are
+        the slice's text, decoded and split once.
         """
         out: list[str] = []
         for s in range(0, len(self), _PRINT_SLICE):
             leaves = self.leaves[s : s + _PRINT_SLICE]
-            block, depth, at = self.pg.label_block(leaves.ravel())
-            rows, d = block.shape
-            m = len(str(block.max(initial=0)))  # digits of the widest component
-            w = max(d * (m + 1), 3)  # room for "ε\t"
-            text = np.zeros((rows, w), np.uint8)
-            slots = text[:, : d * (m + 1)].reshape(rows, d, m + 1)
-            real = block > 0
-            slots[:, :, m] = real * ord(".")
-            for p in reversed(range(m)):
-                block, digit = np.divmod(block, 10)
-                slots[:, :, p] = real * (digit + ord("0"))
-                real = block > 0
-            text[depth == 0, :2] = tuple("ε".encode())
-            tab = np.where(depth > 0, depth * (m + 1) - 1, 2)
-            text[np.arange(rows), tab] = ord("\t")
-            k = leaves.shape[1]
-            line = text[at].reshape(len(leaves), k * w)
-            line[np.arange(len(leaves)), (k - 1) * w + tab[at[k - 1 :: k]]] = ord("\n")
-            out += line[line > 0][:-1].tobytes().decode().split("\n")
+            comps, depth = self.pg.label_rows(leaves.ravel())
+            labels, d = comps.shape
+            g = (len(str(comps.max(initial=0))) + 2) // 3  # groups per slot
+            text = np.zeros((labels, max(d, 1), g), np.uint32)  # room for "ε\t"
+            for j in range(g - 1, 0, -1):  # the lower groups, last first
+                comps, low = np.divmod(comps, _GROUP)
+                text[:, :d, j] = _DIGITS[j == g - 1][np.where(comps > 0, low + _GROUP, low)]
+            text[:, :d, 0] = _DIGITS[g == 1][comps]
+            raw = text.view(np.uint8).reshape(labels, -1)
+            raw[depth == 0, :2] = tuple("ε".encode())
+            tab = np.where(depth > 0, depth * 4 * g - 1, 2) + np.arange(0, raw.size, raw.shape[1])
+            raw = raw.ravel()
+            raw[tab] = ord("\t")
+            raw[tab[leaves.shape[1] - 1 :: leaves.shape[1]]] = ord("\n")
+            out += raw.tobytes().translate(None, b"\0")[:-1].decode().split("\n")
         return out
 
     def _labels(self, ids: np.ndarray) -> list[DeweyLabel]:

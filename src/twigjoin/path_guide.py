@@ -21,7 +21,7 @@ order), and up[i], the row id of its parent label (-1 for the root);
 ancestors walks up to any level.  A guide loaded from tables or from an
 index file starts from its node table (from_node_table) and takes a
 filled store through adopt_store, which checks it and derives pos and
-up (_check_store).  label_block reads labels out as padded rows.
+up (_check_store).  label_rows and label_block read labels as padded rows.
 
 build makes the guide from an event stream with array steps after one
 pass over the events (_shape, then the store) and rejects events out
@@ -421,16 +421,21 @@ class PathGuide:
             gid = self.parents.item(gid)
         return tuple(reversed(path))
 
+    def label_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The label of each row id zero-padded in one int64 block, and its
+        depth: row id -> guide node -> first component, then one take."""
+        gids = np.searchsorted(self.start, ids, side="right") - 1
+        depth = self.depths[gids]
+        cols = np.arange(depth.max(initial=0))
+        first = self.comp_start[gids] + (ids - self.start[gids]) * depth
+        block = self.comps.take(first[:, None] + cols, mode="clip")
+        return np.where(cols < depth[:, None], block, 0), depth
+
     def label_block(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct rows of ids as labels zero-padded in one int64 block, their
         depths, and each id's row in the block."""
         rows, at = np.unique(ids, return_inverse=True)
-        gids = np.searchsorted(self.start, rows, side="right") - 1
-        depth = self.depths[gids]
-        cols = np.arange(depth.max(initial=0))
-        first = self.comp_start[gids] + (rows - self.start[gids]) * depth
-        block = self.comps.take(first[:, None] + cols, mode="clip")
-        return np.where(cols < depth[:, None], block, 0), depth, at
+        return *self.label_rows(rows), at
 
     def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
         """Row id of each row's ancestor-or-self label at depth level, for

@@ -16,6 +16,7 @@ from twigjoin.matcher import (
     MatchTuple,
     ResultLimitError,
     ResultSet,
+    _DIGITS,
     _PRINT_SLICE,
     _cross,
     as_node_list,
@@ -26,10 +27,10 @@ from twigjoin.matcher import (
 from twigjoin.metrics import Metrics
 from twigjoin.oracle import MaterializedDoc, leaf_scan_match, naive_match
 from twigjoin.path_guide import PathGuide
-from twigjoin.twig import MAX_PATH_STEPS, parse, split
+from twigjoin.twig import MAX_PATH_STEPS, QuerySyntaxError, parse, split
 
 from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, children, deep_query, fan_out_doc,
-                      gen_doc, mixed_query, spy_reads)
+                      gen_doc, mixed_query, random_query, spy_reads)
 from frozen_lines import lines as frozen_lines
 
 L = parse_label
@@ -484,6 +485,58 @@ def test_lines_repeat_the_frozen_formatter():
                     leaves[rng.random(n) < 0.2, col] = 0
                 rs = ResultSet(pg, leaves, np.zeros((n, 0), np.int64), np.zeros(0, np.int64))
                 assert rs.lines() == frozen_lines(rs), (k, n)
+
+
+@pytest.mark.parametrize("widest", [9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 10**9 + 1])
+def test_lines_at_every_slot_width(widest):
+    # a guide whose widest component is `widest`, with it in every print
+    # slice, so that each slice prints at the width it sets; slices of
+    # one answer to one more than a print slice, and slices of nothing
+    # but the root's empty label
+    comps = sorted(c for c in {1, 2, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000,
+                               widest // 2 + 1, widest} if c <= widest)
+    pg = PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1],
+                               [np.zeros((1, 0), np.int64), [[c] for c in comps],
+                                [[a, b] for a in comps for b in comps]])
+    assert pg.comps.max() == widest
+    assert sum(t.nbytes for t in _DIGITS) < 100_000  # the digit tables stay small
+    rng = np.random.default_rng(widest)
+    for k, n in product((1, 2, 3), (1, 2, _PRINT_SLICE - 1, _PRINT_SLICE, _PRINT_SLICE + 1)):
+        leaves = rng.integers(0, pg.start[-1], size=(n, k))
+        leaves[rng.random(n) < 0.2, 0] = 0
+        leaves[::_PRINT_SLICE, k - 1] = pg.start[1] + len(comps) - 1  # the label [widest]
+        rs = ResultSet(pg, leaves, np.zeros((n, 0), np.int64), np.zeros(0, np.int64))
+        assert rs.lines() == frozen_lines(rs), (k, n)
+        rs.leaves = np.zeros((n, k), np.int64)
+        assert rs.lines() == frozen_lines(rs) == ["\t".join(["ε"] * k)] * n, (k, n)
+
+
+def test_random_query_text_prints_or_raises_value_error():
+    # seeded query texts, random twigs with up to three characters of the
+    # query alphabet inserted, deleted or replaced, through parse, a
+    # bounded evaluate and lines(): bad text raises a ValueError, a
+    # syntax error points into the text, and every answer prints as the
+    # frozen formatter and the leaf-scan reference print it
+    pg = PathGuide.build_from_xml(gen_doc(DOC_SEEDS[1], target=80))
+    rng = random.Random(2023)
+    answered = 0
+    for _ in range(2_000):
+        text = random_query(rng, max_leaves=4)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(["", rng.choice("/[].* ABCDEFa1$")]) + text[i + rng.randint(0, 1):]
+        try:
+            rs, _ = evaluate(pg, text, max_results=100_000)
+        except QuerySyntaxError as err:
+            assert 0 <= err.position <= len(text), text
+            continue
+        except ValueError:
+            continue
+        ref, _ = leaf_scan_match(pg, parse(text))
+        want = ["\t".join(map(str, mt.leaf_labels)) for mt in ref]
+        assert rs.lines() == frozen_lines(rs) == want, text
+        answered += len(rs) > 0
+    assert answered >= 400, answered
 
 
 def test_lines_allocate_within_their_bound():
