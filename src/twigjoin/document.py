@@ -63,8 +63,9 @@ def ingest(
     labels: list[DeweyLabel] = []
     counts: list[int] = []
     depth_err: list[str] = []
-    # NodeEvent(label, tag) without the named tuple's Python-level __new__
-    new_event = tuple.__new__
+    # NodeEvent(label, tag) and a child's DeweyLabel without their
+    # Python-level constructors: n below is always 1 or more
+    new_event = new_label = tuple.__new__
     emit, push, push_count = pending.append, labels.append, counts.append
     pop, pop_count = labels.pop, counts.pop
 
@@ -77,7 +78,7 @@ def ingest(
         if labels:
             n = counts[-1] + 1
             counts[-1] = n
-            label = labels[-1].child(n)
+            label = new_label(DeweyLabel, (*labels[-1], n))
         else:
             label = EPSILON
         emit(new_event(NodeEvent, (label, tag)))

@@ -20,19 +20,28 @@ decode_array, whose first fault names a guide node here).
 The guide's store keeps the components in this file's order, so both
 directions work on one slice of it per chunk of whole extents holding
 about CHUNK_BYTES encoded bytes, and their temporaries stay bounded
-however large the index is.  Loading walks the extent headers, checks
-the node table (PathGuide.from_node_table), then rejects any extent
-whose labels could not fit its blob (every component takes at least one
-byte; the depth-0 root extent holds exactly one label), and any empty
-extent, before anything of size nodes x depth is allocated.  It then
-decodes each chunk into its slice; PathGuide.adopt_store checks the store.
+however large the index is.
+
+Loading reads the node records, then the extent headers, in two steps
+each.  A walk reads only each record's length field (a tag's u16, a
+blob's u64) and notes where each record starts; then one fancy index
+gathers the fixed fields (parent and depth, count and blob length) from
+those offsets as arrays.  Each distinct tag byte string is decoded once.
+Faults are raised in file order with the texts a record-by-record reader
+gives: a record header or payload cut short, at any length, is
+"truncated index: need n bytes"; a tag that is not UTF-8 comes before
+any cut after it.  The loader then checks the node table
+(PathGuide.from_node_table) and rejects any extent whose labels could
+not fit its blob (every component takes at least one byte; the depth-0
+root extent holds exactly one label), and any empty extent, before
+anything of size nodes x depth is allocated.  It then decodes each chunk
+into its slice; PathGuide.adopt_store checks the store.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
@@ -49,6 +58,8 @@ MAX_TAG_BYTES = 0xFFFF  # a tag's UTF-8 length is stored as a u16
 CHUNK_BYTES = 1 << 14  # encoded extent bytes per codec chunk
 _STATS = struct.Struct("<IQI")
 _NODE = struct.Struct("<IHH")
+_NODE_FIELDS = np.dtype([("parent", "<u4"), ("depth", "<u2")])  # packed: the first 6 bytes
+_TAG_LEN = struct.Struct("<H")
 _BLOB_LEN = struct.Struct("<Q")
 _EXTENT_HEAD = np.dtype([("count", "<u4"), ("blob_len", "<u8")])  # packed: 12 bytes
 
@@ -143,7 +154,76 @@ def _fill_store(raw: np.ndarray, depths: np.ndarray, counts: np.ndarray,
     return comps
 
 
+def _walk(data: bytes, pos: int, end: int, n: int, size: int,
+          field: struct.Struct) -> tuple[list[int], int]:
+    """Where each of the n records from pos starts, and the offset after the
+    last one walked.  A record is a size-byte header ending in its payload's
+    length (field), then the payload.  The walk stops after the first record
+    whose payload runs past end, or at the first header that does; it reads
+    nothing but the lengths, and checks nothing else."""
+    last = end - size  # the last offset a whole header starts at
+    starts = [0] * min(n, (end - pos) // size)  # at most this many headers fit
+    unpack, at = field.unpack_from, size - field.size
+    for k in range(len(starts)):
+        if pos > last:
+            del starts[k:]
+            break
+        starts[k] = pos
+        pos += size + unpack(data, pos + at)[0]
+    return starts, pos
+
+
+def _gather(data: bytes, starts: np.ndarray, fields: np.dtype) -> np.ndarray:
+    """The fields of the records that start at these offsets of data."""
+    at = starts[:, None] + np.arange(fields.itemsize)
+    return np.frombuffer(data, dtype=np.uint8)[at].view(fields)[:, 0]
+
+
+def _check_cut(starts: list[int], pos: int, end: int, n: int, size: int) -> None:
+    """Raise the first cut of a walk: its last payload, or then a header."""
+    if pos > end:
+        _need(pos - starts[-1] - size, starts[-1] + size, end)
+    if len(starts) < n:
+        _need(size, pos, end)
+
+
+def _read_nodes(data: bytes, pos: int, end: int,
+                n: int) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """The n node records from pos: their tags, parents and depths, and
+    the offset after them.  Each distinct tag is decoded once, and a tag
+    that is not UTF-8 is a fault before any cut after it."""
+    starts, pos = _walk(data, pos, end, n, _NODE.size, _TAG_LEN)
+    whole = len(starts) - (pos > end)  # a tag cut short is not decoded
+    ends = starts[1 : whole + 1] + [pos]
+    raw_tags = [data[a + _NODE.size : b] for a, b in zip(starts[:whole], ends)]
+    names = dict.fromkeys(raw_tags)  # in order of first use
+    for name in names:
+        try:
+            names[name] = str(name, "utf-8")
+        except UnicodeDecodeError as exc:
+            g = raw_tags.index(name)
+            raise IndexFormatError(f"guide node {g}: tag is not UTF-8: {exc}") from None
+    _check_cut(starts, pos, end, n, _NODE.size)
+    fields = _gather(data, np.array(starts, dtype=np.int64), _NODE_FIELDS)
+    parents = fields["parent"].astype(np.int64)
+    parents[parents == _NO_PARENT] = -1
+    return list(map(names.__getitem__, raw_tags)), parents, fields["depth"], pos
+
+
+def _read_extent_heads(data: bytes, pos: int, end: int,
+                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The n extent headers from pos: per extent its label count, where its
+    blob starts and its blob length; and the offset after the last blob."""
+    starts, pos = _walk(data, pos, end, n, _EXTENT_HEAD.itemsize, _BLOB_LEN)
+    _check_cut(starts, pos, end, n, _EXTENT_HEAD.itemsize)
+    heads = np.array(starts, dtype=np.int64)
+    fields = _gather(data, heads, _EXTENT_HEAD)
+    counts, blob_lens = (fields[f].astype(np.int64) for f in ("count", "blob_len"))
+    return counts, heads + _EXTENT_HEAD.itemsize, blob_lens, pos
+
+
 def from_bytes(data: bytes) -> Index:
+    data = bytes(data)  # the same object when it is bytes already
     if len(data) < len(MAGIC) + 4:
         raise IndexFormatError("index too short for a header")
     body = memoryview(data)[:-4]
@@ -162,41 +242,13 @@ def from_bytes(data: bytes) -> Index:
         raise IndexFormatError(f"unsupported format version {version}")
     pos = len(MAGIC) + _STATS.size
     (n_guide,) = struct.unpack_from("<I", body, pos)
-    pos += 4
-    parents: list[int] = []
-    tags: list[str] = []
-    stored_depths: list[int] = []
-    for g in range(n_guide):
-        _need(_NODE.size, pos, end)
-        parent, depth, tag_len = _NODE.unpack_from(body, pos)
-        pos += _NODE.size
-        _need(tag_len, pos, end)
-        try:
-            tags.append(str(body[pos : pos + tag_len], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"guide node {g}: tag is not UTF-8: {exc}") from None
-        pos += tag_len
-        parents.append(-1 if parent == _NO_PARENT else parent)
-        stored_depths.append(depth)
-    # keep only the header offsets here and gather the fields below: three
-    # arrays grown side by side left frag's peak RSS about 8 MB higher in
-    # most benchmark runs
-    heads = array("q")
-    for _ in range(n_guide):
-        _need(_EXTENT_HEAD.itemsize, pos, end)
-        heads.append(pos)
-        (blob_len,) = _BLOB_LEN.unpack_from(body, pos + 4)
-        pos += _EXTENT_HEAD.itemsize
-        _need(blob_len, pos, end)
-        pos += blob_len
+    tags, parents, stored_depths, pos = _read_nodes(data, pos + 4, end, n_guide)
+    counts, blob_at, blob_lens, pos = _read_extent_heads(data, pos, end, n_guide)
     if pos != end:
         raise IndexFormatError(f"{end - pos} trailing bytes after extents")
     try:
         pg = PathGuide.from_node_table(tags, parents, stored_depths)
         raw = np.frombuffer(body, dtype=np.uint8)
-        blob_at = np.array(heads, dtype=np.int64) + _EXTENT_HEAD.itemsize
-        fields = raw[blob_at[:, None] - np.arange(_EXTENT_HEAD.itemsize, 0, -1)].view(_EXTENT_HEAD)
-        counts, blob_lens = (fields[f][:, 0].astype(np.int64) for f in ("count", "blob_len"))
         depths = pg.depths.astype(np.int64)
         # a component takes a byte or more, the root's extent is its one label, no extent is empty
         over = np.flatnonzero((counts * depths > blob_lens) | ((depths == 0) & (counts != 1))

@@ -343,6 +343,15 @@ def test_corrupt_index_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_out_of_memory_exits_2(idx_path, capsys, monkeypatch):
+    def exhausted(data):
+        raise MemoryError
+
+    monkeypatch.setattr(index_io, "from_bytes", exhausted)
+    assert main(["query", idx_path, "//A"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 # --- bench ---
 
 

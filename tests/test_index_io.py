@@ -1,4 +1,6 @@
+import collections
 import random
+import re
 import struct
 import tracemalloc
 import zlib
@@ -28,6 +30,7 @@ from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import parse, split
 
 import frozen_codec
+import frozen_load
 from conftest import children, gen_doc, mixed_query
 
 
@@ -678,3 +681,123 @@ def test_loaded_store_is_laid_out_like_a_built_one(sample):
             arr = getattr(guide, name)
             assert arr.dtype == np.int64 and arr.flags.c_contiguous, name
             assert arr.flags.owndata and not arr.flags.writeable, name
+
+
+# --- the loader against the frozen per-node loader, on seeded mutants ---
+
+
+def _fuzz_indexes() -> list[bytes]:
+    """Small indexes of a generated document, of multi-byte UTF-8 tags, of
+    a chain, and of components at the byte code's class boundaries."""
+    edges = np.array([1, 127, 128, 16511, 16512, dewey._MAX_COMPONENT], dtype=np.int64)[:, None]
+    guides = [
+        PathGuide.build_from_xml(gen_doc(seed=41, target=120)),
+        PathGuide.build_from_xml("<R><é><データ/><B/><データ/></é><ü><データ><C/></データ></ü></R>"
+                                 .encode()),
+        PathGuide.build_from_xml(b"<R><A><B><C><D/></C></B></A></R>"),
+        PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1], [np.zeros((1, 0), np.int64), edges,
+                                                            np.hstack([edges, edges[::-1]])]),
+    ]
+    return [to_bytes(Index.from_guide(pg)) for pg in guides]
+
+
+def _record_offsets(data: bytes) -> tuple[list[int], list[int]]:
+    """The offsets of each node record and each extent header."""
+    heads = _extent_offsets(data)
+    nodes = [len(MAGIC) + struct.calcsize("<IQI") + 4]
+    for _ in heads[1:]:
+        nodes.append(nodes[-1] + 8 + struct.unpack_from("<H", data, nodes[-1] + 6)[0])
+    return nodes, heads
+
+
+def _mutant(rng: random.Random, data: bytes, nodes: list[int],
+            heads: list[int]) -> tuple[str, bytes]:
+    """One seeded mutation of a valid index, its checksum resealed."""
+    p, n = bytearray(data[:-4]), len(nodes)
+    spans = list(zip(heads, heads[1:] + [len(p)]))  # each extent: header and blob
+    g = rng.randrange(n)
+    kind = rng.choice(["flip", "word", "cut", "splice", "insert", "chain", "depth", "count",
+                       "swap", "dup", "n_guide", "utf8_cut", "blob_len"])
+    if kind == "flip":
+        p[rng.randrange(len(p))] ^= 1 << rng.randrange(8)
+    elif kind == "word":
+        at = rng.randrange(len(p) - 3)
+        word = rng.choice([0, 1, 0xFFFF, 0xFFFFFFFF, rng.getrandbits(32)])
+        p[at : at + 4] = word.to_bytes(4, "little")
+    elif kind == "cut":
+        del p[rng.randrange(len(p)) :]
+    elif kind == "splice":
+        a = rng.randrange(len(p))
+        del p[a : a + rng.randint(1, 24)]
+    elif kind == "insert":
+        a = rng.randrange(len(p) + 1)
+        p[a:a] = bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 12)))
+    elif kind == "chain":  # parents from node g on rewired into one chain
+        for k in range(max(g, 1), n):
+            p[nodes[k] : nodes[k] + 4] = (k - 1).to_bytes(4, "little")
+    elif kind == "depth":
+        p[nodes[g] + 4 : nodes[g] + 6] = rng.choice([0, 1, 2, 7, 0xFFFF]).to_bytes(2, "little")
+    elif kind == "count":
+        count = rng.choice([0, 1, 2, rng.getrandbits(8), rng.getrandbits(32)])
+        p[heads[g] : heads[g] + 4] = count.to_bytes(4, "little")
+    elif kind == "swap":
+        a, b = rng.sample(range(n), 2)
+        ext = [bytes(p[x:y]) for x, y in spans]
+        ext[a], ext[b] = ext[b], ext[a]
+        p[heads[0] :] = b"".join(ext)
+    elif kind == "dup":
+        end = nodes[g + 1] if g + 1 < n else heads[0]
+        p[end:end] = p[nodes[g] : end]
+    elif kind == "n_guide":
+        p[nodes[0] - 4 : nodes[0]] = ((n + rng.choice([-1, 1])) % 2**32).to_bytes(4, "little")
+    elif kind == "utf8_cut":  # a tag byte no UTF-8 text holds, then a cut further on
+        at = rng.randrange(nodes[g] + 8, nodes[g + 1] if g + 1 < n else heads[0])
+        p[at] = rng.choice([0x80, 0xC0, 0xFE, 0xFF])
+        del p[rng.randrange(at + 1, len(p)) :]
+    else:  # a blob length whose next offset is past the end of int64
+        blob_len = rng.choice([2**63 - heads[g] - 12, 2**63 - 1, 2**63, 2**64 - 1])
+        p[heads[g] + 4 : heads[g] + 12] = blob_len.to_bytes(8, "little")
+    return kind, reseal(bytes(p))
+
+
+_GUIDE_FIELDS = ("parents", "tags", "depths", "comps", "start", "byte_lens", "pos", "up")
+
+
+def _outcome(load, data: bytes) -> tuple:
+    """The loader's error, type and text, or what it loaded."""
+    try:
+        index = load(data)
+    except Exception as exc:  # noqa: BLE001 - any fault must be the same fault
+        return type(exc).__name__, str(exc)
+    pg = index.guide
+    arrays = ((getattr(pg, f).dtype.str, getattr(pg, f).tolist()) for f in _GUIDE_FIELDS)
+    return "loaded", pg.tag_names, to_bytes(index), *arrays
+
+
+def _fault_class(outcome: tuple) -> str:
+    """What a mutant's outcome was, at the grain the coverage check needs."""
+    if outcome[0] == "loaded":
+        return "loaded"
+    cut = re.match(r"truncated index: need (\d+) bytes", outcome[1])
+    if cut:
+        need = int(cut[1])
+        if need in (8, 12):
+            return f"need {need}"
+        return "need past int64" if need > 2**62 else "need payload"
+    return "utf8" if "tag is not UTF-8" in outcome[1] else outcome[1].split(":")[0]
+
+
+def test_seeded_mutants_load_as_the_frozen_loader_loads_them():
+    rng = random.Random(24)
+    seen = collections.Counter()
+    for data in _fuzz_indexes():
+        nodes, heads = _record_offsets(data)
+        for _ in range(2000):
+            kind, bad = _mutant(rng, data, nodes, heads)
+            want = _outcome(frozen_load.from_bytes, bad)
+            assert _outcome(from_bytes, bad) == want, (kind, bad.hex())
+            seen[kind, _fault_class(want)] += 1
+    # a cut node header, a UTF-8 fault before a later cut and a next
+    # offset past int64: the faults a walk over the offsets can misplace
+    for case in [("cut", "need 8"), ("utf8_cut", "utf8"), ("blob_len", "need past int64")]:
+        assert seen[case] >= 5, case
