@@ -153,28 +153,30 @@ def generate(config: GeneratorConfig) -> GeneratedDoc:
     rng = random.Random(config.seed)
     alphabet = list(config.tag_alphabet)
     parts: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+    choice, randint, emit = rng.choice, rng.randint, parts.append
+    target, max_depth, max_fanout = config.target_node_count, config.max_depth, config.max_fanout
+    # per open element, its tag and the children it has left to draw: two
+    # stacks in place of recursion, so any max_depth works
+    tags: list[str] = []
+    left: list[int] = []
     count = 0
-
-    def emit(depth: int) -> None:
-        nonlocal count
-        tag = rng.choice(alphabet)
+    while True:  # draw an element, one level under the open ones
+        tag = choice(alphabet)
         count += 1
-        n_children = 0
-        if depth < config.max_depth:
-            n_children = rng.randint(0, config.max_fanout)
-        kept = 0
-        for _ in range(n_children):
-            if count >= config.target_node_count:
+        n_children = randint(0, max_fanout) if len(tags) + 1 < max_depth else 0
+        if n_children and count < target:
+            emit(f"<{tag}>")
+            tags.append(tag)
+            left.append(n_children - 1)
+            continue
+        emit(f"<{tag}/>")
+        while tags:  # close the open elements that draw no further child
+            if left[-1] and count < target:
+                left[-1] -= 1
                 break
-            if kept == 0:
-                parts.append(f"<{tag}>")
-            kept += 1
-            emit(depth + 1)
-        if kept:
-            parts.append(f"</{tag}>")
+            emit(f"</{tags.pop()}>")
+            left.pop()
         else:
-            parts.append(f"<{tag}/>")
-
-    emit(1)
+            break
     parts.append("\n")
     return GeneratedDoc("".join(parts).encode("utf-8"), count)

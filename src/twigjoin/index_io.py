@@ -57,8 +57,7 @@ _NO_PARENT = 0xFFFFFFFF
 MAX_TAG_BYTES = 0xFFFF  # a tag's UTF-8 length is stored as a u16
 CHUNK_BYTES = 1 << 14  # encoded extent bytes per codec chunk
 _STATS = struct.Struct("<IQI")
-_NODE = struct.Struct("<IHH")
-_NODE_FIELDS = np.dtype([("parent", "<u4"), ("depth", "<u2")])  # packed: the first 6 bytes
+_NODE = np.dtype([("parent", "<u4"), ("depth", "<u2"), ("tag_len", "<u2")])  # packed: 8 bytes
 _TAG_LEN = struct.Struct("<H")
 _BLOB_LEN = struct.Struct("<Q")
 _EXTENT_HEAD = np.dtype([("count", "<u4"), ("blob_len", "<u8")])  # packed: 12 bytes
@@ -97,15 +96,26 @@ def to_bytes(index: Index) -> bytes:
     head += _STATS.pack(FORMAT_VERSION, index.node_count, index.max_depth)
     head += struct.pack("<I", len(pg))
     names = [tag.encode("utf-8") for tag in pg.tag_names]
-    lens = np.array([len(name) for name in names], dtype=np.int64)[pg.tags]
+    name_lens = np.array([len(name) for name in names], dtype=np.int64)
+    lens = name_lens[pg.tags]
     over = np.flatnonzero(lens > MAX_TAG_BYTES)
     if len(over):
         g = int(over[0])
         raise IndexFormatError(f"guide node {g}: tag is {lens[g]} UTF-8 bytes, "
                                f"over the format's {MAX_TAG_BYTES}")
-    for parent, depth, t in zip(pg.parents.tolist(), pg.depths.tolist(), pg.tags.tolist()):
-        head += _NODE.pack(_NO_PARENT if parent < 0 else parent, depth, len(names[t]))
-        head += names[t]
+    nodes = np.empty(len(pg), dtype=_NODE)
+    nodes["parent"] = np.where(pg.parents < 0, _NO_PARENT, pg.parents)
+    nodes["depth"], nodes["tag_len"] = pg.depths, lens
+    size = lens + _NODE.itemsize  # a node record: its fields, then its tag
+    at = np.cumsum(size) - size
+    table = np.empty(size.sum(), np.uint8)
+    table[(at[:, None] + np.arange(_NODE.itemsize)).ravel()] = nodes.view(np.uint8)
+    # each tag's bytes, gathered from the distinct names
+    name_at = (np.cumsum(name_lens) - name_lens)[pg.tags]
+    src = np.arange(lens.sum()) + np.repeat(name_at - np.cumsum(lens) + lens, lens)
+    table[src + np.repeat(at + _NODE.itemsize - name_at, lens)] = \
+        np.frombuffer(b"".join(names), np.uint8)[src]
+    head += table.tobytes()
     counts = np.diff(pg.start)
     blob_lens = np.diff(np.concatenate([[0], np.cumsum(pg.byte_lens)])[pg.start])
     crc, section = zlib.crc32(head), []
@@ -192,10 +202,10 @@ def _read_nodes(data: bytes, pos: int, end: int,
     """The n node records from pos: their tags, parents and depths, and
     the offset after them.  Each distinct tag is decoded once, and a tag
     that is not UTF-8 is a fault before any cut after it."""
-    starts, pos = _walk(data, pos, end, n, _NODE.size, _TAG_LEN)
+    starts, pos = _walk(data, pos, end, n, _NODE.itemsize, _TAG_LEN)
     whole = len(starts) - (pos > end)  # a tag cut short is not decoded
     ends = starts[1 : whole + 1] + [pos]
-    raw_tags = [data[a + _NODE.size : b] for a, b in zip(starts[:whole], ends)]
+    raw_tags = [data[a + _NODE.itemsize : b] for a, b in zip(starts[:whole], ends)]
     names = dict.fromkeys(raw_tags)  # in order of first use
     for name in names:
         try:
@@ -203,8 +213,8 @@ def _read_nodes(data: bytes, pos: int, end: int,
         except UnicodeDecodeError as exc:
             g = raw_tags.index(name)
             raise IndexFormatError(f"guide node {g}: tag is not UTF-8: {exc}") from None
-    _check_cut(starts, pos, end, n, _NODE.size)
-    fields = _gather(data, np.array(starts, dtype=np.int64), _NODE_FIELDS)
+    _check_cut(starts, pos, end, n, _NODE.itemsize)
+    fields = _gather(data, np.array(starts, dtype=np.int64), _NODE)
     parents = fields["parent"].astype(np.int64)
     parents[parents == _NO_PARENT] = -1
     return list(map(names.__getitem__, raw_tags)), parents, fields["depth"], pos

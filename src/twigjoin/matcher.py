@@ -15,16 +15,22 @@ keys.  A partial match is one row of an int64 entry matrix shared by
 the whole query: per twig leaf a row id, per table its witness's row
 id, and -1 outside the subtree of the slot that made it.  Every input
 row owns a block of entries (an extent row one, itself; a witness those
-beneath it): a run fans out into row tuples, a row tuple into the cross
-product of its rows' blocks, by index arithmetic; slots fill disjoint
-columns.  A finished table, sorted by witness, is the next table's
-nested input.
+beneath it), and a slot's entries are numbered in the order of its rows.
+A run fans out once, into the cross product of its slots' entries, in
+leaf order: slot by slot (a JP's slots hold its leaves in twig order),
+and within a slot in the order of its entries.  An entry's number is its
+block row for an extent, and maps to its witness's block by a
+searchsorted for a nested slot; slots fill disjoint columns.  A finished
+table, sorted by witness, is the next table's nested input.
 
 Deduplication is per witness, keyed by the leaf assignment.
 Deduplicating across witnesses would be wrong: the same leaf assignment
 under two different witnesses must stay visible to a parent record that
 references only one of them.  The answer keeps each assignment once,
-under its shallowest top witness.
+under its shallowest top witness.  The plan shows before any extent is
+read where a dedup is needed (match_proc): only where the witnesses
+that feed a table, or the answer, can nest, which the tables' levels
+show.  Elsewhere the fan-out emits each level sorted and distinct.
 
 The answer stays row ids too (late materialization): a ResultSet holds
 the guide and the row ids of its leaves, witnesses and top witnesses,
@@ -236,10 +242,11 @@ def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(sizes)), per)
     rest = np.arange(len(owner)) - np.repeat(np.cumsum(per) - per, per)
     digits = np.empty((len(owner), sizes.shape[1]), dtype=np.int64)
-    for j in reversed(range(sizes.shape[1])):
+    for j in range(sizes.shape[1] - 1, 0, -1):
         radix = sizes[owner, j]
         digits[:, j] = rest % radix
         rest //= radix
+    digits[:, 0] = rest  # below sizes[owner, 0] already
     return owner, digits
 
 
@@ -296,6 +303,26 @@ def match_proc(
     are the distinct JP prefixes of the top table that joined at least
     one answer.  Raises ResultLimitError before a table's entries would
     exceed max_results rows; the answers are at most the top table's.
+
+    Which sorts are needed follows from the plan.  A table's levels are
+    its records' depths, and its witnesses at a level are the data nodes
+    at that depth: two of them are disjoint subtrees, and every leaf of
+    an entry lies in its witness's subtree.
+    - Every nested child of the table has one level, or it has no nested
+      slot.  Then each level's block is sorted by (witness, leaves) and
+      has no repeat within a witness: runs come out in witness order;
+      in a run, extent rows are distinct and in document order, and a
+      nested slot's child witnesses are disjoint and in document order,
+      so its entries order by child witness first, then by the child's
+      sorted, distinct leaves.  Witnesses of two levels differ in depth,
+      so a table of one level needs no sort, and one of several levels
+      only a stable sort of its blocks by witness.
+    - Some nested child has several levels.  Its witnesses can nest, so
+      one assignment can come from a witness and from its ancestor: the
+      table sorts by (witness, leaves) and keeps the first of each.
+    The answer needs the same dedup by leaves only when the top table
+    has several levels; with one, its witnesses are disjoint and its
+    block is already sorted by leaves and distinct.
     """
     be = get_backend(backend)
     # an entry holds a row id per leaf, then per table its witness
@@ -305,13 +332,17 @@ def match_proc(
         return ResultSet(pg, np.zeros((0, n_leaves), np.int64),
                          np.zeros((0, n_tables), np.int64), np.zeros(0, np.int64), schema)
 
+    # a table's levels are its records' depths; per level, one witness depth
+    levels = [np.unique(pg.depths[t.records]).tolist() for t in schema.tables]
+
     def run_table(ti: int, table: DataTable) -> _Input:
-        """Merge the table level by level; its entries, grouped by witness."""
+        """Merge the table level by level; its entries, sorted by witness
+        and leaves, each (witness, leaves) once."""
         wcol = n_leaves + ti
         ends_level = pg.depths[table.ends[:, 0]]  # a record's level is its JP's depth
         blocks = []
         entries = 0
-        for level in np.unique(pg.depths[table.records]).tolist():
+        for level in levels[ti]:
             here = table.ends[ends_level == level]
             inputs = []
             for si, (group, child) in enumerate(zip(table.jp.groups, table.children)):
@@ -341,29 +372,34 @@ def match_proc(
                         metrics.nodes_read += int(reads[j])
                         ids = inp.ids[touched[offsets[j] : offsets[j + 1]] > 0]
                         metrics.credit(ids, pg.byte_lens[ids])
-            # a run owns, per slot, the entries of its rows; it yields
-            # their product across slots, counted before any is built
+            # a run owns, per slot, the entries of its rows: the ordinals
+            # owned[j][first] up to owned[j][stop]; it yields their product
+            # across slots, counted before any is built
             owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
-            entries += int(np.prod([o[stop[:, j]] - o[first[:, j]]
-                                    for j, o in enumerate(owned)], axis=0).sum())
+            sizes = np.stack([o[stop[:, j]] - o[first[:, j]] for j, o in enumerate(owned)], axis=1)
+            entries += int(sizes.prod(axis=1).sum())
             if max_results is not None and entries > max_results:
                 raise ResultLimitError(entries, max_results)
-            # runs fan out into row tuples, row tuples into entries; slots
-            # fill disjoint columns, -1 elsewhere
-            run, digits = _cross(stop - first)
-            rows = first[run] + digits
-            tup, digits = _cross(np.stack([inp.counts[rows[:, j]]
-                                           for j, inp in enumerate(inputs)], axis=1))
-            out = np.full((len(tup), n_leaves + n_tables), -1, dtype=np.int64)
+            # runs fan out into entries in leaf order; slots fill disjoint
+            # columns, -1 elsewhere
+            run, digits = _cross(sizes)
+            out = np.full((len(run), n_leaves + n_tables), -1, dtype=np.int64)
             for j, inp in enumerate(inputs):
-                part = inp.block[inp.starts[rows[tup, j]] + digits[:, j]]
+                e = owned[j][first[run, j]] + digits[:, j]  # for an extent, its block row
+                if not inp.metered:  # a witness's entry: find its row, then its block row
+                    r = np.searchsorted(owned[j], e, "right") - 1
+                    e += inp.starts[r] - owned[j][r]
+                part = inp.block[e]
                 cols = out[:, inp.col : inp.col + part.shape[1]]
                 np.maximum(cols, part, out=cols)
-            run = run[tup]
             out[:, wcol] = ancs[0][first[run, 0]]
             blocks.append(out)
         block = np.concatenate(blocks)
-        block = block[_first_of_runs(pg.pos, block[:, [wcol, *range(n_leaves)]])]
+        if any(len(levels[c]) > 1 for c in table.children if c is not None):
+            # a child's witnesses can nest, so its entries can repeat
+            block = block[_first_of_runs(pg.pos, block[:, [wcol, *range(n_leaves)]])]
+        elif len(blocks) > 1:  # each level's block is sorted and distinct already
+            block = block[np.argsort(pg.pos[block[:, wcol]], kind="stable")]
         first, counts = runs(block[:, wcol : wcol + 1])
         wids = block[first, wcol]  # a witness's guide node is the extent it lies in
         return _Input(wids, np.searchsorted(pg.start, wids, "right") - 1, block, first, counts)
@@ -373,8 +409,9 @@ def match_proc(
         done.append(run_table(ti, table))
     top = done.pop()
     del done  # release the inner tables' entry matrices
-    # top is sorted by witness, so each assignment keeps its shallowest
-    final = top.block[_first_of_runs(pg.pos, top.block[:, :n_leaves])]
+    final = top.block
+    if len(levels[-1]) > 1:  # top witnesses can nest; sorted by witness, each assignment keeps its shallowest
+        final = final[_first_of_runs(pg.pos, final[:, :n_leaves])]
     return ResultSet(pg, final[:, :n_leaves], final[:, n_leaves:], top.ids, schema)
 
 

@@ -77,6 +77,16 @@ def test_gen_deterministic(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_gen_deeper_than_the_interpreter_recursion_limit(tmp_path, capsys):
+    out = tmp_path / "g.xml"
+    assert main(["gen", "-o", str(out), "--max-depth", "5000", "--max-fanout", "3000",
+                 "--target-nodes", "20000"]) == 0
+    assert capsys.readouterr().out == "nodes: 20000\n"
+    xml = out.read_bytes()
+    # the declaration, then 4,999 open elements above the first leaf
+    assert xml[: xml.index(b"/>")].count(b"<") == 5_001
+
+
 def test_gen_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "g.xml"
     assert main(["gen", "-o", str(out), "--max-depth", "0"]) == 2

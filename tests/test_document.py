@@ -11,6 +11,7 @@ from twigjoin.document import (
 )
 
 from conftest import DOC_SEEDS, gen_doc
+from frozen_generate import generate as frozen_generate
 
 
 def events(xml: bytes, **kw):
@@ -164,6 +165,20 @@ def test_generate_target_overshoot_bounded():
     cfg = GeneratorConfig(max_depth=12, seed=3, target_node_count=1000)
     doc = generate(cfg)
     assert 1000 <= doc.node_count <= 1000 + cfg.max_depth
+
+
+@pytest.mark.parametrize("cfg", [
+    GeneratorConfig(seed=7, target_node_count=100_000),  # the frag corpus
+    *(GeneratorConfig(seed=7 + i, target_node_count=n)  # the ingest documents
+      for i, n in enumerate((5_000, 10_000, 20_000))),
+    GeneratorConfig(max_depth=1, seed=0, target_node_count=100),
+    GeneratorConfig(max_depth=8, max_fanout=5, seed=2, target_node_count=100),
+    GeneratorConfig(max_depth=3, max_fanout=1, seed=4, target_node_count=1),
+    GeneratorConfig(max_depth=300, max_fanout=2, seed=9, target_node_count=900,
+                    tag_alphabet=("a", "bc", "d")),
+], ids=lambda cfg: f"seed{cfg.seed}-d{cfg.max_depth}-f{cfg.max_fanout}-n{cfg.target_node_count}")
+def test_generate_repeats_the_recursive_generator(cfg):
+    assert generate(cfg) == frozen_generate(cfg)
 
 
 def test_generate_validation():

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -31,6 +32,7 @@ from twigjoin.twig import MAX_PATH_STEPS, QuerySyntaxError, parse, split
 
 from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, children, deep_query, fan_out_doc,
                       gen_doc, mixed_query, random_query, spy_reads)
+import frozen_match
 from frozen_lines import lines as frozen_lines
 
 L = parse_label
@@ -584,6 +586,84 @@ def test_max_results_fails_before_the_fan_out():
     assert len(evaluate(pg, "//C", max_results=n)[0]) == n
 
 
+def random_plans(seed: int, docs: int, per_doc: int):
+    """(pg, query, schema) for seeded random twigs with a non-empty plan,
+    on generated documents whose tags recur at many depths."""
+    rng = random.Random(seed)
+    for _ in range(docs):
+        cfg = GeneratorConfig(max_depth=rng.choice((4, 6, 8)), max_fanout=rng.choice((3, 5, 8)),
+                              seed=rng.randrange(1 << 30),
+                              target_node_count=rng.choice((60, 120, 250)))
+        pg = PathGuide.build_from_xml(generate(cfg).xml)
+        for _ in range(per_doc):
+            q = mixed_query(rng, pg)
+            d = split(parse(q))
+            if d.jps and not (schema := build_dt_schema(pg, d)).is_empty:
+                yield pg, q, schema
+
+
+def outcome(proc, schema, pg, max_results=None):
+    """Answers, witness rows, top witnesses and the four counters, or the
+    rows a ResultLimitError names."""
+    m = Metrics()
+    try:
+        rs = proc(schema, pg, metrics=m, max_results=max_results)
+    except ResultLimitError as err:
+        return err.rows
+    return (rs.leaves.tolist(), rs.jps.tolist(), rs.tops.tolist(),
+            m.nodes_read, m.bytes_scanned, m.prefix_comparisons, m.jumps)
+
+
+def sort_case(schema, pg, ti: int) -> str:
+    """How table ti's entries get sorted: a nested child of several levels
+    can repeat entries; else several levels merge by witness; else none."""
+    levels = [len(np.unique(pg.depths[t.records])) for t in schema.tables]
+    if any(levels[c] > 1 for c in schema.tables[ti].children if c is not None):
+        return "lexsort"
+    return "witness" if levels[ti] > 1 else "none"
+
+
+def test_match_proc_repeats_the_frozen_fan_out():
+    cases = Counter()
+    for pg, q, schema in random_plans(37, docs=50, per_doc=40):
+        cases.update(sort_case(schema, pg, ti) for ti in range(len(schema.tables)))
+        got, want = (outcome(proc, schema, pg, 100_000)
+                     for proc in (match_proc, frozen_match.match_proc))
+        assert got == want, q
+    assert min(cases[c] for c in ("none", "witness", "lexsort")) >= 20, cases
+
+
+def owns_several_entries(rs: ResultSet, schema) -> bool:
+    """Whether a nested slot's witness owns two or more of the answers'
+    assignments to its child's leaves."""
+    for t in schema.tables:
+        for c in (c for c in t.children if c is not None):
+            cols = sorted(schema.tables[c].jp.leaf_ids)
+            pairs = np.unique(np.column_stack([rs.jps[:, c], rs.leaves[:, cols]]), axis=0)
+            if len(np.unique(pairs[:, 0])) < len(pairs):
+                return True
+    return False
+
+
+def test_result_bound_counts_entries_as_the_frozen_fan_out_did():
+    checked = 0
+    for pg, q, schema in random_plans(41, docs=40, per_doc=30):
+        full = outcome(match_proc, schema, pg)
+        if not owns_several_entries(match_proc(schema, pg), schema):
+            continue
+        checked += 1
+        # climb max_results through every bound the query is refused at
+        n = 0
+        while isinstance(got := outcome(match_proc, schema, pg, n), int):
+            assert got == outcome(frozen_match.match_proc, schema, pg, n), (q, n)
+            n = got
+        assert got == full, q
+        if n:  # n is the largest table's entry count, so n - 1 is refused at n
+            assert outcome(match_proc, schema, pg, n - 1) == n, q
+            assert outcome(frozen_match.match_proc, schema, pg, n - 1) == n, q
+    assert checked >= 20
+
+
 def test_match_proc_empty_schema(small_corpus):
     xml, pg, doc = small_corpus[0]
     schema = build_dt_schema(pg, split(parse("//Z[./B]/C")))
@@ -616,6 +696,21 @@ def test_nested_slots_fan_out_to_the_cross_product():
         mt((c, "1.3", "2.1", g), ("1", "2", "")) for c in ("1.1", "1.2") for g in ("2.2", "2.3")
     ]
     assert rs.top_jp_labels == [L("")]
+
+
+def test_multi_entry_slot_before_a_multi_row_slot_fans_out_in_leaf_order():
+    # in the one R run, slot 0's B rows own 2 and 1 entries and slot 1
+    # holds two E rows; the answers come out sorted with no sort after
+    xml = b"<R><B><C/><C/><D/></B><B><C/><D/></B><E/><E/></R>"
+    q = "//R[./B[./C][./D]]/E"
+    rs = check_against_naive(xml, q)
+    want = [(c, d, e) for c, d in (("1.1", "1.3"), ("1.2", "1.3"), ("2.1", "2.2"))
+            for e in ("3", "4")]
+    assert [m.leaf_labels for m in rs.matches] == [tuple(labs(*t)) for t in want]
+    pg = PathGuide.build_from_xml(xml)
+    ref, _ = leaf_scan_match(pg, parse(q))
+    assert [m.leaf_labels for m in rs.matches] == [m.leaf_labels for m in ref]
+    assert rs.lines() == ["\t".join(t) for t in want]
 
 
 def test_assignment_under_two_witnesses_keeps_the_shallowest():
