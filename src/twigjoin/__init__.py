@@ -44,7 +44,6 @@ from .twig import (
     QuerySyntaxError,
     SingleBranchQuery,
     TwigPattern,
-    jp_order,
     parse,
     print_query,
     split,
@@ -77,7 +76,6 @@ __all__ = [
     "parse",
     "print_query",
     "split",
-    "jp_order",
     "DataTable",
     "DTSchema",
     "build_dt",

@@ -6,7 +6,9 @@ slot (branch end or nested child JP), the record lists every guide node
 that fits under g; at evaluation time any choice of one end per slot
 means "merge these extent lists on equality of their prefixes at g's
 depth", the record's level.  Both are arrays (DataTable); record_view
-gives them as tuples.  A DTSchema chains the tables deepest-JP-first.
+gives them as tuples.  A DTSchema holds one table per JP, in the order
+of Decomposition.jps (deepest JP first), so a nested group's child
+index is its child table's index too.
 
 An end e sits in slot i of the record for g only when all three hold:
 
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .path_guide import PathGuide
-from .twig import Decomposition, JPDescriptor, jp_order, steps_to_str
+from .twig import Decomposition, JPDescriptor, steps_to_str
 
 
 @dataclass
@@ -46,7 +48,6 @@ class DataTable:
     distinct, so a record's ends are one run of rows, slot by slot."""
 
     jp: JPDescriptor  # slot i is jp.groups[i]
-    children: tuple[int | None, ...]  # per slot, its child JP's table; None for a leaf
     records: np.ndarray  # (records,) int64
     ends: np.ndarray  # (ends, 3) int64
 
@@ -64,16 +65,14 @@ def build_dt(
     pg: PathGuide,
     branch_results: Sequence[Sequence[int]],
     jp: JPDescriptor,
-    children: Sequence[int | None],
 ) -> DataTable:
     """Group branch end candidates under every matching JP guide node.
 
     branch_results[i] holds the candidate GuideIds for slot i, in the
-    order of jp.groups, and children[i] the table index of a JP group's
-    child table (None for a leaf group).  One record per JP guide node
-    under which every slot keeps at least one candidate.
+    order of jp.groups.  One record per JP guide node under which every
+    slot keeps at least one candidate.
     """
-    if not len(branch_results) == len(children) == len(jp.groups):
+    if len(branch_results) != len(jp.groups):
         raise ValueError("one candidate list per JP child group required")
     m = len(jp.groups)
     jp_mask = pg.branch_mask(jp.trunk_steps)
@@ -96,7 +95,7 @@ def build_dt(
     new_run[1:] = (g[1:] != g[:-1]) | (slot[1:] != slot[:-1])
     jps, n_slots = np.unique(g[new_run], return_counts=True)
     full = n_slots == m
-    return DataTable(jp, tuple(children), jps[full], rows[full[np.searchsorted(jps, g)]])
+    return DataTable(jp, jps[full], rows[full[np.searchsorted(jps, g)]])
 
 
 def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
@@ -104,12 +103,12 @@ def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
     its JP guide node) and its JP guide node, all as ints."""
     ends: dict[int, list[list[int]]] = {}
     for g, slot, end in table.ends.tolist():
-        ends.setdefault(g, [[] for _ in table.children])[slot].append(end)
+        ends.setdefault(g, [[] for _ in table.jp.groups])[slot].append(end)
     return [(tuple(map(tuple, ends[g])), pg.depths.item(g), g) for g in table.records.tolist()]
 
 
 def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
-    """One DataTable per JP, deepest first, nested slots linked.
+    """One DataTable per JP, in the order of d.jps (deepest first).
 
     A nested slot's candidates are the records (JP guide nodes) of the
     child JP's table, which is always built first because a child JP
@@ -118,19 +117,13 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
     if not d.jps:
         raise ValueError("zero-JP query: no DT required")
     tables: list[DataTable] = []
-    table_of: dict[int, int] = {}  # id(twig node) -> table index
-    for jp in jp_order(d):
-        results: list[Sequence[int]] = []
-        children: list[int | None] = []
-        for group in jp.groups:
-            if group.kind == "leaf":
-                results.append(pg.eval_single_branch(d.branches[group.leaf_id]))
-                children.append(None)
-            else:
-                children.append(table_of[id(group.jp_node)])
-                results.append(tables[children[-1]].records)
-        table_of[id(jp.node)] = len(tables)
-        tables.append(build_dt(pg, results, jp, children))
+    for jp in d.jps:
+        results = [
+            pg.eval_single_branch(d.branches[g.leaf_id]) if g.child is None
+            else tables[g.child].records
+            for g in jp.groups
+        ]
+        tables.append(build_dt(pg, results, jp))
     return DTSchema(tables)
 
 
@@ -147,11 +140,11 @@ def explain(schema: DTSchema, pg: PathGuide, max_records: int = 50) -> str:
             f"DT {ti + 1} @ {jp.node.test} "
             f"(twig depth {jp.depth}, pattern {steps_to_str(jp.trunk_steps)})"
         )
-        for si, (group, child) in enumerate(zip(jp.groups, table.children)):
-            if child is None:
+        for si, group in enumerate(jp.groups):
+            if group.child is None:
                 target = f"leaf -> branch {group.leaf_id}"
             else:
-                target = f"nested -> DT {child + 1}"
+                target = f"nested -> DT {group.child + 1}"
             lines.append(f"  slot {si}: {target}, tail {steps_to_str(group.steps)}")
         lines.append(f"  records: {len(table.records)}")
         for ends, level, jp_guide in record_view(table, pg)[:max_records]:

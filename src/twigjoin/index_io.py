@@ -49,6 +49,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .dewey import decode_array, encode_array
+from .kernels import ranges
 from .path_guide import GuideError, PathGuide
 
 MAGIC = b"TWIGIDX1"
@@ -112,9 +113,8 @@ def to_bytes(index: Index) -> bytes:
     table[(at[:, None] + np.arange(_NODE.itemsize)).ravel()] = nodes.view(np.uint8)
     # each tag's bytes, gathered from the distinct names
     name_at = (np.cumsum(name_lens) - name_lens)[pg.tags]
-    src = np.arange(lens.sum()) + np.repeat(name_at - np.cumsum(lens) + lens, lens)
-    table[src + np.repeat(at + _NODE.itemsize - name_at, lens)] = \
-        np.frombuffer(b"".join(names), np.uint8)[src]
+    table[ranges(at + _NODE.itemsize, at + size)] = \
+        np.frombuffer(b"".join(names), np.uint8)[ranges(name_at, name_at + lens)]
     head += table.tobytes()
     counts = np.diff(pg.start)
     blob_lens = np.diff(np.concatenate([[0], np.cumsum(pg.byte_lens)])[pg.start])

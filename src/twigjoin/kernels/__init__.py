@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import _impl, _vector
+from ._vector import ranges  # shared with the matcher and the index codec
 
 ENV_VAR = "TWIGJOIN_KERNELS"
 BACKEND_NAMES = ("numba", "numpy")

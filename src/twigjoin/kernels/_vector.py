@@ -53,8 +53,9 @@ def _gallop_probes(r: np.ndarray, t: np.ndarray, end: np.ndarray) -> list[np.nda
     return probes
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Every position of the ranges [lo, hi), back to back."""
+def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every position of the ranges [lo, hi), back to back; lo may be one
+    number for all of them."""
     n = hi - lo
     return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
@@ -102,7 +103,7 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     lags = orbit[~is_run[orbit]]
     first = succ[:, runs].T
     stop = succ[:, top[runs] + 1].T
-    probes = [_ranges((first + 1).ravel(), np.minimum(stop + 1, ends).ravel())]
+    probes = [ranges((first + 1).ravel(), np.minimum(stop + 1, ends).ravel())]
     lagging = under[:, lags] < top[lags]
     r = succ[:, lags][lagging]
     t = succ[:, top[lags]][lagging]
@@ -111,7 +112,7 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
         probes += _gallop_probes(r, t, end)
         jumps = len(r)
     else:
-        probes.append(_ranges(r + 1, np.minimum(t + 1, end)))
+        probes.append(ranges(r + 1, np.minimum(t + 1, end)))
         jumps = 0
     probes = np.concatenate(probes)
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .dewey import DeweyLabel
 from .dt import DataTable, DTSchema, build_dt_schema
-from .kernels import Backend, get_backend, jump_scan, lexsort, runs
+from .kernels import Backend, get_backend, jump_scan, lexsort, ranges, runs
 from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
@@ -240,7 +240,7 @@ def _cross(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns j, last column fastest: its owner row and its digits."""
     per = sizes.prod(axis=1)
     owner = np.repeat(np.arange(len(sizes)), per)
-    rest = np.arange(len(owner)) - np.repeat(np.cumsum(per) - per, per)
+    rest = ranges(0, per)
     digits = np.empty((len(owner), sizes.shape[1]), dtype=np.int64)
     for j in range(sizes.shape[1] - 1, 0, -1):
         radix = sizes[owner, j]
@@ -273,7 +273,7 @@ def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, np.nd
     guide node; no label sits in two extents."""
     sizes = np.array([len(e) for e in exts], dtype=np.int64)
     firsts = np.array([e.first for e in exts], dtype=np.int64)
-    ids = np.arange(sizes.sum()) + np.repeat(firsts - np.cumsum(sizes) + sizes, sizes)
+    ids = ranges(firsts, firsts + sizes)
     gids = np.repeat(np.array([e.gid for e in exts], dtype=np.int64), sizes)
     if len(exts) > 1:  # each extent is in document order already
         order = np.argsort(pg.pos[ids], kind="stable")
@@ -326,7 +326,7 @@ def match_proc(
     """
     be = get_backend(backend)
     # an entry holds a row id per leaf, then per table its witness
-    n_leaves = sum(c is None for t in schema.tables for c in t.children)
+    n_leaves = sum(g.child is None for t in schema.tables for g in t.jp.groups)
     n_tables = len(schema.tables)
     if schema.is_empty:
         return ResultSet(pg, np.zeros((0, n_leaves), np.int64),
@@ -345,14 +345,14 @@ def match_proc(
         for level in levels[ti]:
             here = table.ends[ends_level == level]
             inputs = []
-            for si, (group, child) in enumerate(zip(table.jp.groups, table.children)):
+            for si, group in enumerate(table.jp.groups):
                 named = here[here[:, 1] == si, 2]  # distinct: an end fits one node per level
-                if child is None:
+                if group.child is None:
                     ids, gids = _union(pg, [pg.read_extent(g) for g in named.tolist()])
                     inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
                                          np.ones(len(ids), np.int64), group.leaf_id, True))
                 else:  # the child table's witnesses under the named JP guide nodes
-                    c = done[child]
+                    c = done[group.child]
                     k = np.isin(c.gids, named)
                     inputs.append(_Input(c.ids[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
             # a row's key is the document position of its ancestor at level
@@ -395,7 +395,7 @@ def match_proc(
             out[:, wcol] = ancs[0][first[run, 0]]
             blocks.append(out)
         block = np.concatenate(blocks)
-        if any(len(levels[c]) > 1 for c in table.children if c is not None):
+        if any(len(levels[g.child]) > 1 for g in table.jp.groups if g.child is not None):
             # a child's witnesses can nest, so its entries can repeat
             block = block[_first_of_runs(pg.pos, block[:, [wcol, *range(n_leaves)]])]
         elif len(blocks) > 1:  # each level's block is sorted and distinct already

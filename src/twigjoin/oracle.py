@@ -35,7 +35,6 @@ from .twig import (
     WILDCARD,
     Step,
     TwigPattern,
-    jp_order,
     split,
     steps_match,
     test_matches,
@@ -203,18 +202,17 @@ def leaf_scan_match(
             labels = sorted({comps for comps, _ in cand[0]})
             return [MatchTuple((DeweyLabel(c),)) for c in labels], metrics
 
-        streams: dict[int, list[_Item]] = {}
-        order = jp_order(d)
-        for jp in order:
+        streams: list[list[_Item]] = []  # per JP of d.jps, in that order
+        for jp in d.jps:
             group_items: list[list[_Item]] = []
             for group in jp.groups:
-                if group.kind == "leaf":
+                if group.child is None:
                     git: list[_Item] = [
                         (comps, g, {group.leaf_id: comps})
                         for comps, g in cand[group.leaf_id]
                     ]
                 else:
-                    git = streams[id(group.jp_node)]
+                    git = streams[group.child]
                 group_items.append(git)
             buckets: dict[tuple[int, tuple[int, ...], int], list[list[_Item]]] = {}
             m = len(jp.groups)
@@ -252,9 +250,9 @@ def leaf_scan_match(
                         dedup[key] = (prefix, witness_gid, leaves)
                 out_items.extend(dedup.values())
             out_items.sort(key=lambda it: it[0])
-            streams[id(jp.node)] = out_items
+            streams.append(out_items)
 
-        top = streams[id(order[-1].node)]
+        top = streams[-1]
         final: dict[tuple[tuple[int, ...], ...], MatchTuple] = {}
         for _, _, leaves in top:
             key = tuple(leaves[i] for i in range(len(d.branches)))

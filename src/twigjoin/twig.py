@@ -11,7 +11,10 @@ Grammar::
 Predicates become twig children; the step after a step's last predicate
 continues the trunk.  A node with two or more children is a Join Point
 (JP).  Splitting yields one single-branch query per leaf plus a
-descriptor for every JP.
+descriptor for every JP, in one walk.  The descriptors come in
+evaluation order, deepest JP first (ties by leftmost leaf), and a JP's
+child group ends at a leaf, named by its branch's leaf id, or at a
+nested JP, named by its index in that order.
 """
 
 from __future__ import annotations
@@ -78,13 +81,13 @@ class SingleBranchQuery:
 @dataclass(frozen=True)
 class ChildGroup:
     """One child subtree of a JP: a pure step path down to either a
-    leaf or the topmost JP inside that subtree."""
+    leaf or the topmost JP inside that subtree.  Exactly one of leaf_id
+    (the leaf's branch) and child (the JP's index in Decomposition.jps,
+    which is its table's index too) is set."""
 
-    kind: str  # "leaf" | "jp"
     steps: tuple[Step, ...]
-    leaf_ids: frozenset[int]
     leaf_id: int | None = None
-    jp_node: TwigNode | None = None
+    child: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,6 @@ class JPDescriptor:
     depth: int  # twig depth of the JP node, root = 0
     trunk_steps: tuple[Step, ...]  # root .. JP inclusive
     groups: tuple[ChildGroup, ...]
-    leaf_ids: frozenset[int]
-
-    @property
-    def min_leaf(self) -> int:
-        return min(self.leaf_ids)
 
 
 @dataclass(frozen=True)
@@ -137,35 +135,33 @@ def _parse_test(s: str, i: int) -> tuple[str, int]:
     return s[i:j], j
 
 
-def _parse_step(s: str, i: int, axis: str, depth: int) -> tuple[TwigNode, int]:
-    """The step at twig depth `depth` (the query's first step is 1)."""
-    if depth > MAX_PATH_STEPS:
-        raise QuerySyntaxError(f"a path of the query is longer than {MAX_PATH_STEPS} steps", i)
-    test, i = _parse_test(s, i)
-    node = TwigNode(axis, test)
-    while i < len(s) and s[i] == "[":
-        start = i
-        child, i = _parse_relpath(s, i + 1, depth + 1)
-        if i >= len(s) or s[i] != "]":
-            raise QuerySyntaxError("unterminated predicate", start)
-        i += 1
-        node.children.append(child)
-    return node, i
-
-
-def _parse_relpath(s: str, i: int, depth: int) -> tuple[TwigNode, int]:
-    if i >= len(s) or s[i] != ".":
-        raise QuerySyntaxError("predicate must start with './' or './/'", i)
-    axis, i = _parse_axis(s, i + 1)
-    root, i = _parse_step(s, i, axis, depth)
-    tail = root
-    while i < len(s) and s[i] == "/":
+def _parse_chain(s: str, i: int, axis: str, depth: int) -> tuple[TwigNode, int]:
+    """Steps from twig depth `depth` on (the query's first step is 1),
+    each with its predicates and each the previous one's child, while a
+    '/' or '//' follows; stops at the first other character."""
+    chain: list[TwigNode] = []
+    while True:
+        if depth > MAX_PATH_STEPS:
+            raise QuerySyntaxError(f"a path of the query is longer than {MAX_PATH_STEPS} steps", i)
+        test, i = _parse_test(s, i)
+        node = TwigNode(axis, test)
+        while i < len(s) and s[i] == "[":
+            i += 1
+            if i >= len(s) or s[i] != ".":
+                raise QuerySyntaxError("predicate must start with './' or './/'", i)
+            axis, i = _parse_axis(s, i + 1)
+            child, i = _parse_chain(s, i, axis, depth + 1)
+            if i >= len(s) or s[i] != "]":
+                raise QuerySyntaxError("unterminated predicate: expected ']'", i)
+            i += 1
+            node.children.append(child)
+        if chain:
+            chain[-1].children.append(node)
+        chain.append(node)
+        if i >= len(s) or s[i] != "/":
+            return chain[0], i
         axis, i = _parse_axis(s, i)
         depth += 1
-        node, i = _parse_step(s, i, axis, depth)
-        tail.children.append(node)
-        tail = node
-    return root, i
 
 
 def _merge_siblings(children: list[TwigNode]) -> list[TwigNode]:
@@ -200,24 +196,20 @@ def parse(text: str) -> TwigPattern:
     """Parse query text into a twig pattern.
 
     Raises QuerySyntaxError, whose .position is the index of the
-    offending character in text, on malformed input, including a
-    missing slash between a predicate and the next trunk step, and at
-    the first step past MAX_PATH_STEPS on any root-to-leaf path.
+    offending character in text (the first one no query goes on with,
+    or the end of the text, its trailing blanks trimmed, when it ends
+    too soon), on malformed input, including a missing slash between a
+    predicate and the next trunk step and a predicate whose ']' is
+    missing, and at the first step past MAX_PATH_STEPS on any
+    root-to-leaf path.
     """
     s = text.rstrip()  # positions index text itself: the leading blanks stay
     if not s:
         raise QuerySyntaxError("empty query", 0)
     axis, i = _parse_axis(s, len(s) - len(s.lstrip()))
-    root, i = _parse_step(s, i, axis, 1)
-    tail, depth = root, 1
-    while i < len(s):
-        if s[i] != "/":
-            raise QuerySyntaxError("expected '/' or '//'", i)
-        axis, i = _parse_axis(s, i)
-        depth += 1
-        node, i = _parse_step(s, i, axis, depth)
-        tail.children.append(node)
-        tail = node
+    root, i = _parse_chain(s, i, axis, 1)
+    if i < len(s):
+        raise QuerySyntaxError("expected '/' or '//'", i)
     root.children = _merge_siblings(root.children)
     return TwigPattern(root)
 
@@ -289,69 +281,39 @@ def steps_match(steps: tuple[Step, ...], tags: tuple[str, ...]) -> bool:
 
 
 def split(t: TwigPattern) -> Decomposition:
-    """One SingleBranchQuery per leaf plus a descriptor per JP."""
+    """One SingleBranchQuery per leaf, in preorder, plus a descriptor per
+    JP in evaluation order: deepest first, ties broken by leftmost leaf.
+
+    One walk down the twig: a group is a chain of one-child steps, and
+    the JP that ends one is walked on the spot, so it is found after
+    every JP beneath it.  A nested group names its JP by finding order
+    until the JPs are sorted, then by the JP's place in jps.
+    """
     branches: list[SingleBranchQuery] = []
-    leaf_id_of: dict[int, int] = {}
-    leaves_under: dict[int, frozenset[int]] = {}
+    found: list[tuple] = []  # per JP as found: its sort key, node, depth, trunk, groups
 
-    def collect(node: TwigNode, steps: tuple[Step, ...]) -> frozenset[int]:
-        steps = steps + (Step(node.axis, node.test),)
-        if node.is_leaf():
-            leaf_id = len(branches)
-            branches.append(SingleBranchQuery(steps, leaf_id))
-            leaf_id_of[id(node)] = leaf_id
-            ids = frozenset([leaf_id])
-        else:
-            acc: set[int] = set()
-            for c in node.children:
-                acc |= collect(c, steps)
-            ids = frozenset(acc)
-        leaves_under[id(node)] = ids
-        return ids
-
-    collect(t.root, ())
-
-    def group_of(child: TwigNode) -> ChildGroup:
-        steps = [Step(child.axis, child.test)]
-        node = child
+    def group(node: TwigNode, trunk: tuple[Step, ...], depth: int) -> tuple:
+        """(steps, leaf_id, found index) of the group that starts at node."""
+        steps = [Step(node.axis, node.test)]
         while len(node.children) == 1:
-            node = node.children[0]
+            node, depth = node.children[0], depth + 1
             steps.append(Step(node.axis, node.test))
-        if node.children:
-            return ChildGroup(
-                kind="jp",
-                steps=tuple(steps),
-                leaf_ids=leaves_under[id(child)],
-                jp_node=node,
-            )
-        return ChildGroup(
-            kind="leaf",
-            steps=tuple(steps),
-            leaf_ids=leaves_under[id(child)],
-            leaf_id=leaf_id_of[id(node)],
-        )
+        trunk += tuple(steps)
+        if not node.children:
+            branches.append(SingleBranchQuery(trunk, len(branches)))
+            return tuple(steps), len(branches) - 1, None
+        key = (-depth, len(branches))
+        groups = [group(c, trunk, depth + 1) for c in node.children]
+        found.append((key, node, depth, trunk, groups))
+        return tuple(steps), None, len(found) - 1
 
-    jps: list[JPDescriptor] = []
-
-    def find_jps(node: TwigNode, steps: tuple[Step, ...], depth: int) -> None:
-        steps = steps + (Step(node.axis, node.test),)
-        if node.is_jp():
-            jps.append(
-                JPDescriptor(
-                    node=node,
-                    depth=depth,
-                    trunk_steps=steps,
-                    groups=tuple(group_of(c) for c in node.children),
-                    leaf_ids=leaves_under[id(node)],
-                )
-            )
-        for c in node.children:
-            find_jps(c, steps, depth + 1)
-
-    find_jps(t.root, (), 0)
+    group(t.root, (), 0)
+    order = sorted(range(len(found)), key=lambda f: found[f][0])
+    rank = {f: r for r, f in enumerate(order)}  # finding order -> place in jps
+    jps = []
+    for f in order:
+        _, node, depth, trunk, groups = found[f]
+        links = tuple(ChildGroup(steps, leaf_id, None if c is None else rank[c])
+                      for steps, leaf_id, c in groups)
+        jps.append(JPDescriptor(node, depth, trunk, links))
     return Decomposition(t, tuple(branches), tuple(jps))
-
-
-def jp_order(d: Decomposition) -> list[JPDescriptor]:
-    """Deepest JP first; ties broken by leftmost leaf."""
-    return sorted(d.jps, key=lambda jp: (-jp.depth, jp.min_leaf))

@@ -119,6 +119,19 @@ def random_query(rng: random.Random, max_leaves: int = 5, max_jps: int = 3) -> s
             return text
 
 
+def group_leaves(jps, group) -> frozenset[int]:
+    """The leaf ids under a JP's child group, read down the child links;
+    jps is Decomposition.jps, or the schema tables' JPs in order."""
+    if group.child is None:
+        return frozenset([group.leaf_id])
+    return jp_leaves(jps, jps[group.child])
+
+
+def jp_leaves(jps, jp) -> frozenset[int]:
+    """The leaf ids under a JP, read down the child links."""
+    return frozenset().union(*(group_leaves(jps, g) for g in jp.groups))
+
+
 def children(pg: PathGuide, g: int) -> dict[str, int]:
     """The children of guide node g, by tag, in gid order."""
     kids = np.flatnonzero(pg.parents == g).tolist()

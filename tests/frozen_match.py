@@ -89,7 +89,7 @@ def match_proc(
     """
     be = get_backend(backend)
     # an entry holds a row id per leaf, then per table its witness
-    n_leaves = sum(c is None for t in schema.tables for c in t.children)
+    n_leaves = sum(g.child is None for t in schema.tables for g in t.jp.groups)
     n_tables = len(schema.tables)
     if schema.is_empty:
         return ResultSet(pg, np.zeros((0, n_leaves), np.int64),
@@ -104,7 +104,7 @@ def match_proc(
         for level in np.unique(pg.depths[table.records]).tolist():
             here = table.ends[ends_level == level]
             inputs = []
-            for si, (group, child) in enumerate(zip(table.jp.groups, table.children)):
+            for si, (group, child) in enumerate(zip(table.jp.groups, (g.child for g in table.jp.groups))):
                 named = here[here[:, 1] == si, 2]  # distinct: an end fits one node per level
                 if child is None:
                     ids, gids = _union(pg, [pg.read_extent(g) for g in named.tolist()])

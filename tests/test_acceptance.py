@@ -102,8 +102,8 @@ def sweep():
                         e
                         for t in schema.tables
                         for ends, _, _ in record_view(t, pg)
-                        for i, child in enumerate(t.children)
-                        if child is None
+                        for i, group in enumerate(t.jp.groups)
+                        if group.child is None
                         for e in ends[i]
                     }
                     if not reads <= allowed:

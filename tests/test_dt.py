@@ -6,7 +6,7 @@ import pytest
 
 from twigjoin.dt import build_dt, build_dt_schema, explain, record_view
 from twigjoin.path_guide import PathGuide
-from twigjoin.twig import jp_order, parse, split
+from twigjoin.twig import parse, split
 
 from conftest import DOC_SEEDS, gen_doc, mixed_query, spy_reads, steps_to_regex
 
@@ -33,7 +33,7 @@ def test_single_jp_one_record():
     schema = schema_for(pg, "//A[.//B]//C//D")
     assert len(schema.tables) == 1
     table = schema.tables[0]
-    assert table.children == (None, None)
+    assert [g.child for g in table.jp.groups] == [None, None]
     assert recs(pg, table) == {((1, 3), 0, 0)}
     assert not schema.is_empty
 
@@ -111,9 +111,9 @@ def test_three_branch_two_table_plan():
     deep, top = schema.tables
     assert deep.jp.node.test == "B"
     assert top.jp.node.test == "A"
-    assert deep.children == (None, None)
-    assert top.children == (0, None)
-    assert [g.kind for g in top.jp.groups] == ["jp", "leaf"]
+    assert [g.child for g in deep.jp.groups] == [None, None]
+    assert [g.child for g in top.jp.groups] == [0, None]
+    assert [g.leaf_id for g in top.jp.groups] == [None, 2]
     # nested slot candidates are the deep table's JP guide nodes
     nested_ends = {e for ends, _, _ in record_view(top, pg) for e in ends[0]}
     assert nested_ends <= {jp_guide for _, _, jp_guide in record_view(deep, pg)}
@@ -129,9 +129,9 @@ def test_build_dt_arity_check():
     pg = PathGuide.build_from_xml(b"<A><B/><C/></A>")
     (jp,) = split(parse("//A[./B]/C")).jps
     with pytest.raises(ValueError, match="candidate list"):
-        build_dt(pg, [[1]], jp, [None, None])
+        build_dt(pg, [[1]], jp)
     with pytest.raises(ValueError, match="candidate list"):
-        build_dt(pg, [[1], [2]], jp, [None])
+        build_dt(pg, [[1], [2], [3]], jp)
 
 
 def test_build_reads_no_extents():
@@ -162,18 +162,18 @@ def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
     """Record sets per table, emitted straight from the three conditions
     with regex path matching; quadratic and proud of it."""
     out: list[set[tuple]] = []
-    built: dict[int, set[int]] = {}  # twig-node id -> distinct jp_guide gids
-    for jp in jp_order(d):
+    built: list[set[int]] = []  # per JP of d.jps -> distinct jp_guide gids
+    for jp in d.jps:
         trunk = steps_to_regex(jp.trunk_steps)
         slot_cands: list[list[int]] = []
         for group in jp.groups:
-            if group.kind == "leaf":
+            if group.child is None:
                 pat = steps_to_regex(d.branches[group.leaf_id].steps)
                 slot_cands.append(
                     [g for g in range(len(pg)) if pat.match(_path_str(pg, g))]
                 )
             else:
-                slot_cands.append(sorted(built[id(group.jp_node)]))
+                slot_cands.append(sorted(built[group.child]))
         records: set[tuple] = set()
         for g in range(len(pg)):
             if not trunk.match(_path_str(pg, g)):
@@ -191,7 +191,7 @@ def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
                 filtered.append(keep)
             for combo in product(*filtered):
                 records.add((tuple(combo), depth, g))
-        built[id(jp.node)] = {g for (_, _, g) in records}
+        built.append({g for (_, _, g) in records})
         out.append(records)
     return out
 
@@ -229,16 +229,15 @@ def test_schema_structural_invariants():
             if not d.jps:
                 continue
             schema = build_dt_schema(pg, d)
-            order = jp_order(d)
-            assert [t.jp for t in schema.tables] == order
+            assert [t.jp for t in schema.tables] == list(d.jps)
             for ti, table in enumerate(schema.tables):
-                assert len(table.children) == len(table.jp.groups)
-                for group, child in zip(table.jp.groups, table.children):
+                for group in table.jp.groups:
                     # a JP group's child table is built earlier, for that JP
-                    assert (child is None) == (group.kind == "leaf")
-                    if child is not None:
-                        assert child < ti
-                        assert schema.tables[child].jp.node is group.jp_node
+                    assert (group.child is None) != (group.leaf_id is None)
+                    if group.child is not None:
+                        assert group.child < ti
+                        child = schema.tables[group.child].jp
+                        assert child.trunk_steps == table.jp.trunk_steps + group.steps
                 rows = table.ends
                 assert rows.shape[1] == 3
                 # ends rows are sorted and distinct
@@ -246,13 +245,13 @@ def test_schema_structural_invariants():
                 assert (np.diff(rows, axis=0) != 0).any(axis=1).all()
                 # every record has an end in every slot, and no other row
                 assert np.array_equal(np.unique(rows[:, 0]), table.records)
-                for si in range(len(table.children)):
+                for si in range(len(table.jp.groups)):
                     assert np.array_equal(np.unique(rows[rows[:, 1] == si, 0]), table.records)
                 # every end sits below its JP guide node
                 g = rows[:, 0]
                 assert (pg.anc[rows[:, 2], pg.depths[g]] == g).all()
                 for ends, level, jp_guide in record_view(table, pg):
-                    assert len(ends) == len(table.children)
+                    assert len(ends) == len(table.jp.groups)
                     assert pg.depths[jp_guide] == level
                     for slot_ends in ends:
                         assert slot_ends and list(slot_ends) == sorted(set(slot_ends))

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -31,7 +32,7 @@ from twigjoin.path_guide import PathGuide
 from twigjoin.twig import MAX_PATH_STEPS, QuerySyntaxError, parse, split
 
 from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, children, deep_query, fan_out_doc,
-                      gen_doc, mixed_query, random_query, spy_reads)
+                      gen_doc, jp_leaves, mixed_query, random_query, spy_reads)
 import frozen_match
 from frozen_lines import lines as frozen_lines
 
@@ -353,8 +354,8 @@ def test_jp_query_reads_only_planned_extents(small_corpus):
                 e
                 for table in schema.tables
                 for ends, _, _ in record_view(table, pg)
-                for si, child in enumerate(table.children)
-                if child is None
+                for si, group in enumerate(table.jp.groups)
+                if group.child is None
                 for e in ends[si]
             }
             with spy_reads(pg) as reads:
@@ -517,8 +518,9 @@ def test_random_query_text_prints_or_raises_value_error():
     # seeded query texts, random twigs with up to three characters of the
     # query alphabet inserted, deleted or replaced, through parse, a
     # bounded evaluate and lines(): bad text raises a ValueError, a
-    # syntax error points into the text, and every answer prints as the
-    # frozen formatter and the leaf-scan reference print it
+    # syntax error points at the first character no query goes on with,
+    # and every answer prints as the frozen formatter and the leaf-scan
+    # reference print it
     pg = PathGuide.build_from_xml(gen_doc(DOC_SEEDS[1], target=80))
     rng = random.Random(2023)
     answered = 0
@@ -531,6 +533,12 @@ def test_random_query_text_prints_or_raises_value_error():
             rs, _ = evaluate(pg, text, max_results=100_000)
         except QuerySyntaxError as err:
             assert 0 <= err.position <= len(text), text
+            # at the first character no valid query goes on with: the text
+            # cut just past it fails there too (a blank there is trimmed)
+            if text[err.position : err.position + 1].strip():
+                with pytest.raises(QuerySyntaxError) as cut:
+                    parse(text[: err.position + 1])
+                assert cut.value.position == err.position, text
             continue
         except ValueError:
             continue
@@ -560,6 +568,29 @@ def test_lines_allocate_within_their_bound():
     finally:
         tracemalloc.stop()
     assert peak < limit, (peak, limit)
+
+
+def test_memory_stays_bounded_pass_after_pass():
+    # a long-lived process: the same frag-like pool through evaluate,
+    # lines() and .matches, pass after pass, holds no more memory after
+    # pass 30 than after pass 10, give or take the bound
+    pg = PathGuide.build_from_xml(generate(GeneratorConfig(seed=7, target_node_count=2_000)).xml)
+    pool = ["//A//A", "//A[./B][.//C]/D", "//*[./A][./B]", "//B/C[./D]/E",
+            "//A[./B[./C]/D]/E", "//E//F", "//C/*[./A]/B"]
+    held = {}
+    tracemalloc.start()
+    try:
+        for p in range(1, 31):
+            for q in pool:
+                rs, _ = evaluate(pg, q)
+                rs.lines()
+                rs.matches
+            if p in (10, 30):
+                gc.collect()
+                held[p] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held[30] - held[10] < 16 * 1024, held
 
 
 def test_max_results_fails_before_the_fan_out():
@@ -618,7 +649,7 @@ def sort_case(schema, pg, ti: int) -> str:
     """How table ti's entries get sorted: a nested child of several levels
     can repeat entries; else several levels merge by witness; else none."""
     levels = [len(np.unique(pg.depths[t.records])) for t in schema.tables]
-    if any(levels[c] > 1 for c in schema.tables[ti].children if c is not None):
+    if any(levels[g.child] > 1 for g in schema.tables[ti].jp.groups if g.child is not None):
         return "lexsort"
     return "witness" if levels[ti] > 1 else "none"
 
@@ -636,9 +667,10 @@ def test_match_proc_repeats_the_frozen_fan_out():
 def owns_several_entries(rs: ResultSet, schema) -> bool:
     """Whether a nested slot's witness owns two or more of the answers'
     assignments to its child's leaves."""
+    jps = [t.jp for t in schema.tables]
     for t in schema.tables:
-        for c in (c for c in t.children if c is not None):
-            cols = sorted(schema.tables[c].jp.leaf_ids)
+        for c in (g.child for g in t.jp.groups if g.child is not None):
+            cols = sorted(jp_leaves(jps, jps[c]))
             pairs = np.unique(np.column_stack([rs.jps[:, c], rs.leaves[:, cols]]), axis=0)
             if len(np.unique(pairs[:, 0])) < len(pairs):
                 return True

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from twigjoin.twig import (
     TwigPattern,
     _merge_siblings,
     canonicalize,
-    jp_order,
     parse,
     print_query,
     split,
@@ -21,7 +21,9 @@ from twigjoin.twig import (
     steps_to_str,
 )
 
-from conftest import DEEP_SHAPES, deep_query, random_query, random_steps, steps_to_regex
+from conftest import (DEEP_SHAPES, deep_query, group_leaves, jp_leaves, random_query, random_steps,
+                      steps_to_regex)
+import frozen_split
 
 
 def branch_strs(q: str) -> list[str]:
@@ -115,7 +117,8 @@ def test_merge_is_recursive():
         ("A/B", "A"),
         ("//", None),
         ("//A//", None),
-        ("//A[./B", "["),
+        ("//A[./B", 7),  # the end of the text, where ']' was expected
+        ("//A[./B x]", " x"),
         ("//A[]", "]"),
         ("//A[/B]", "/B"),
         ("//A[.B]", "B"),
@@ -131,7 +134,9 @@ def test_syntax_errors_carry_position(text, pos_of):
     with pytest.raises(QuerySyntaxError) as exc:
         parse(text)
     assert "position" in str(exc.value)
-    if pos_of:
+    if isinstance(pos_of, int):
+        assert exc.value.position == pos_of
+    elif pos_of:
         assert exc.value.position == text.index(pos_of)
     else:
         assert 0 <= exc.value.position <= len(text)
@@ -231,28 +236,26 @@ def test_split_jp_structure():
     a, b = by_depth[0], by_depth[1]
     assert steps_to_str(a.trunk_steps) == "//A"
     assert steps_to_str(b.trunk_steps) == "//A//B"
-    assert a.leaf_ids == frozenset({0, 1, 2})
-    assert b.leaf_ids == frozenset({0, 1})
+    assert jp_leaves(d.jps, a) == frozenset({0, 1, 2})
+    assert jp_leaves(d.jps, b) == frozenset({0, 1})
 
-    kinds = {g.kind for g in b.groups}
-    assert kinds == {"leaf"}
-    a_kinds = sorted((g.kind, steps_to_str(g.steps)) for g in a.groups)
-    assert a_kinds == [("jp", "//B"), ("leaf", "//E")]
-    (jp_group,) = [g for g in a.groups if g.kind == "jp"]
-    assert jp_group.jp_node is b.node
-    assert jp_group.leaf_ids == frozenset({0, 1})
+    kinds = {g.child is None for g in b.groups}
+    assert kinds == {True}
+    a_kinds = sorted((g.child is None, steps_to_str(g.steps)) for g in a.groups)
+    assert a_kinds == [(False, "//B"), (True, "//E")]
+    (jp_group,) = [g for g in a.groups if g.child is not None]
+    assert d.jps[jp_group.child] is b
+    assert group_leaves(d.jps, jp_group) == frozenset({0, 1})
 
 
 def test_jp_order_deepest_first():
     d = split(parse("//A[.//B/C][.//B/D]//E"))
-    order = jp_order(d)
-    assert [jp.depth for jp in order] == [1, 0]
+    assert [jp.depth for jp in d.jps] == [1, 0]
 
     d2 = split(parse("//A[./B[./X][./Y]][./C[./P][./Q]]"))
-    order2 = jp_order(d2)
-    assert [jp.depth for jp in order2] == [1, 1, 0]
+    assert [jp.depth for jp in d2.jps] == [1, 1, 0]
     # equal depth ties break on the smallest contained leaf id
-    assert [min(jp.leaf_ids) for jp in order2] == [0, 2, 0]
+    assert [min(jp_leaves(d2.jps, jp)) for jp in d2.jps] == [0, 2, 0]
 
 
 def test_split_properties_random():
@@ -265,21 +268,48 @@ def test_split_properties_random():
         for jp in d.jps:
             assert jp.node.is_jp()
             assert len(jp.groups) == len(jp.node.children)
-            group_leafs = [g.leaf_ids for g in jp.groups]
+            group_leafs = [group_leaves(d.jps, g) for g in jp.groups]
             seen: set[int] = set()
             for ids in group_leafs:
                 assert not (ids & seen)
                 seen |= ids
-            assert frozenset(seen) == jp.leaf_ids
+            assert frozenset(seen) == jp_leaves(d.jps, jp)
             for g in jp.groups:
                 full = jp.trunk_steps + g.steps
-                for lid in g.leaf_ids:
+                for lid in group_leaves(d.jps, g):
                     bs = d.branches[lid].steps
                     assert bs[: len(full)] == full
-                if g.kind == "leaf":
+                if g.child is None:
                     assert d.branches[g.leaf_id].steps == full
                 else:
-                    assert g.jp_node is not None and g.jp_node.is_jp()
+                    assert d.jps[g.child].node.is_jp()
+                    assert d.jps[g.child].trunk_steps == full
+
+
+def test_split_repeats_the_frozen_split_and_jp_order():
+    # one walk, JPs in evaluation order and nested groups linked by index,
+    # against the two walks, id()-keyed maps and sort it replaced
+    rng = random.Random(29)
+    reached = Counter()
+    for _ in range(5_000):
+        text = random_query(rng, max_leaves=6, max_jps=4)
+        t = parse(text)
+        d, old = split(t), frozen_split.split(t)
+        assert d.branches == old.branches, text
+        order = frozen_split.jp_order(old)
+        assert len(d.jps) == len(order), text
+        for jp, want in zip(d.jps, order):
+            assert jp.node is want.node, text
+            assert (jp.depth, jp.trunk_steps) == (want.depth, want.trunk_steps), text
+            assert [(g.steps, g.leaf_id) for g in jp.groups] == [
+                (g.steps, g.leaf_id) for g in want.groups], text
+            for g, w in zip(jp.groups, want.groups):
+                assert (g.child is None) == (w.kind == "leaf"), text
+                if g.child is not None:
+                    assert d.jps[g.child].node is w.jp_node, text
+                    reached["nested"] += 1
+        reached["3+ JPs"] += len(d.jps) >= 3
+    assert min(reached["nested"], reached["3+ JPs"]) >= 40, reached
 
 
 def test_branches_reassemble_to_pattern():
