@@ -12,6 +12,9 @@ Conventions:
   label's join prefix among all rows of the call: keys compare exactly
   as the prefixes do, so every comparison is one scalar test.  It emits
   the runs of keys that every list holds, never the tuples they join;
+* the lists come in segments of k lists each (k = ``len(reads_out)``),
+  segment-major in ``offsets``; the segment loop runs the merge once per
+  segment, so no cursor, probe or run crosses a segment's end;
 * ``touched`` is a uint8 flag array parallel to the rows; the kernel
   sets an entry to 1 whenever it materializes that row.
 """
@@ -22,116 +25,133 @@ import numpy as np
 
 
 def multiway_merge(keys, offsets, use_jump, touched, reads_out):
-    """Join k sorted key lists on key equality.
+    """Join k sorted key lists on key equality, segment by segment.
 
-    ``keys`` holds the lists back to back; list j occupies positions
-    ``offsets[j]:offsets[j+1]``.  Emits one row per maximal run of a
-    key that every list holds, in key order: column j is the global
-    position of list j's first row of the run, column k + j one past
-    its last.  The joined tuples are the cross product of these
+    ``keys`` holds the lists back to back, segment-major: with k =
+    ``len(reads_out)``, list j of segment s occupies positions
+    ``offsets[s*k + j]:offsets[s*k + j + 1]``, so there are
+    ``(len(offsets) - 1) / k`` segments.  Each segment is merged as a
+    call of its own would merge it: a segment with an empty list is
+    skipped unread, its cursors start at its heads and stop at its ends.
+    Emits, segment by segment, one row per maximal run of a key that
+    every list of the segment holds, in key order: column j is the
+    global position of list j's first row of the run, column k + j one
+    past its last.  The joined tuples are the cross product of these
     ranges, which the kernel never writes.
 
     Returns ``(out, count, comps, jumps)``; per-list read counts are
-    accumulated into ``reads_out``.  ``out`` has capacity >= count and
-    must be sliced by the caller.
+    accumulated into ``reads_out``, per slot j across the segments.
+    ``out`` has capacity >= count and must be sliced by the caller.
     """
-    k = len(offsets) - 1
+    k = len(reads_out)
+    n_seg = (len(offsets) - 1) // k
     comps = 0
     jumps = 0
 
-    # every run holds at least one row of every list
-    out = np.empty((np.diff(offsets).min(), 2 * k), dtype=np.int64)
+    # every run holds at least one row of every list of its segment
+    cap = 0
+    for s in range(n_seg):
+        least = offsets[s * k + 1] - offsets[s * k]
+        for j in range(1, k):
+            least = min(least, offsets[s * k + j + 1] - offsets[s * k + j])
+        cap += least
+    out = np.empty((cap, 2 * k), dtype=np.int64)
     count = 0
 
     cur = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        cur[j] = offsets[j]
-        if cur[j] >= offsets[j + 1]:
-            return out, 0, comps, jumps
-    for j in range(k):
-        reads_out[j] += 1
-        touched[cur[j]] = 1
-
-    while True:
-        # Locate the largest current key.
-        mx = keys[cur[0]]
-        for j in range(1, k):
-            comps += 1
-            if keys[cur[j]] > mx:
-                mx = keys[cur[j]]
-
-        # Advance every list that lags behind it.
-        lagging = False
-        exhausted = False
+    for s in range(n_seg):
+        base = s * k
+        empty = False
         for j in range(k):
-            r = cur[j]
-            comps += 1
-            if keys[r] >= mx:
-                continue
-            lagging = True
-            end = offsets[j + 1]
-            if use_jump:
-                # Galloping lower bound: first key >= max.
-                jumps += 1
-                low = r  # keys[low] < mx holds
-                high = end
-                step = 1
-                while low + step < high:
-                    p = low + step
-                    reads_out[j] += 1
-                    touched[p] = 1
-                    comps += 1
-                    if keys[p] >= mx:
-                        high = p
-                        break
-                    low = p
-                    step <<= 1
-                while low + 1 < high:
-                    mid = (low + high) >> 1
-                    reads_out[j] += 1
-                    touched[mid] = 1
-                    comps += 1
-                    if keys[mid] >= mx:
-                        high = mid
-                    else:
-                        low = mid
-                cur[j] = high
-            else:
-                p = r + 1
-                while p < end:
-                    reads_out[j] += 1
-                    touched[p] = 1
-                    comps += 1
-                    if keys[p] >= mx:
-                        break
-                    p += 1
-                cur[j] = p
-            if cur[j] >= end:
-                exhausted = True
-        if exhausted:
-            break
-        if lagging:
+            cur[j] = offsets[base + j]
+            if cur[j] >= offsets[base + j + 1]:
+                empty = True
+        if empty:
             continue
-
-        # All current keys agree: delimit the run in every list and emit it.
-        done = False
         for j in range(k):
-            end = offsets[j + 1]
-            stop = cur[j] + 1
-            while stop < end:
-                reads_out[j] += 1
-                touched[stop] = 1
+            reads_out[j] += 1
+            touched[cur[j]] = 1
+
+        while True:
+            # Locate the largest current key.
+            mx = keys[cur[0]]
+            for j in range(1, k):
                 comps += 1
-                if keys[stop] != mx:
-                    break
-                stop += 1
-            out[count, j] = cur[j]
-            out[count, k + j] = stop
-            cur[j] = stop
-            if stop >= end:
-                done = True
-        count += 1
-        if done:
-            break
+                if keys[cur[j]] > mx:
+                    mx = keys[cur[j]]
+
+            # Advance every list that lags behind it.
+            lagging = False
+            exhausted = False
+            for j in range(k):
+                r = cur[j]
+                comps += 1
+                if keys[r] >= mx:
+                    continue
+                lagging = True
+                end = offsets[base + j + 1]
+                if use_jump:
+                    # Galloping lower bound: first key >= max.
+                    jumps += 1
+                    low = r  # keys[low] < mx holds
+                    high = end
+                    step = 1
+                    while low + step < high:
+                        p = low + step
+                        reads_out[j] += 1
+                        touched[p] = 1
+                        comps += 1
+                        if keys[p] >= mx:
+                            high = p
+                            break
+                        low = p
+                        step <<= 1
+                    while low + 1 < high:
+                        mid = (low + high) >> 1
+                        reads_out[j] += 1
+                        touched[mid] = 1
+                        comps += 1
+                        if keys[mid] >= mx:
+                            high = mid
+                        else:
+                            low = mid
+                    cur[j] = high
+                else:
+                    p = r + 1
+                    while p < end:
+                        reads_out[j] += 1
+                        touched[p] = 1
+                        comps += 1
+                        if keys[p] >= mx:
+                            break
+                        p += 1
+                    cur[j] = p
+                if cur[j] >= end:
+                    exhausted = True
+            if exhausted:
+                break
+            if lagging:
+                continue
+
+            # All current keys agree: delimit the run in every list and emit it.
+            done = False
+            for j in range(k):
+                end = offsets[base + j + 1]
+                stop = cur[j] + 1
+                while stop < end:
+                    reads_out[j] += 1
+                    touched[stop] = 1
+                    comps += 1
+                    if keys[stop] != mx:
+                        break
+                    stop += 1
+                out[count, j] = cur[j]
+                out[count, k + j] = stop
+                cur[j] = stop
+                if stop >= end:
+                    done = True
+            count += 1
+            if done:
+                break
 
     return out, count, comps, jumps

@@ -13,10 +13,18 @@ the start), so a round is fixed by x alone:
   at its end.
 
 One count of the keys per list gives the successors for every x,
-pointer doubling gives the orbit of rounds from x = 0, and every probe
+pointer doubling gives the orbit of rounds from the first, and every probe
 of a jump or run scan is a closed-form function of its cursor, target
 and list end, which the counters and ``touched`` are built from.  This is the
 max-of-successors walk of leapfrog triejoin (Veldhuizen, ICDT 2014).
+
+Segments (see :mod:`twigjoin.kernels._impl`) hold disjoint, increasing
+key ranges, each followed by one free key at which every cursor of the
+segment sits at its list's end.  So one successor table per list serves
+them all, and the round that would end a segment's merge hops instead to
+the next live segment's first round, as a segmented scan restarts at a
+segment's head (Blelloch, "Prefix sums and their applications", 1990):
+one orbit walks every segment.
 """
 
 from __future__ import annotations
@@ -62,21 +70,38 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     """Drop-in for :func:`twigjoin.kernels._impl.multiway_merge`: the
-    same ``(out, count, comps, jumps)``, ``touched`` and ``reads_out``."""
-    k = len(offsets) - 1
-    heads, ends = offsets[:-1], offsets[1:]
-    if (heads >= ends).any():
-        return np.empty((0, 2 * k), dtype=np.int64), 0, 0, 0
-    n_keys = int(keys.max()) + 1
-    lists = np.repeat(np.arange(k), ends - heads)
+    same ``(out, count, comps, jumps)``, ``touched`` and ``reads_out``.
 
-    # succ[j, x]: list j's first position with key >= x, for x in 0..n_keys,
-    # its head plus the count of its keys below x
+    The keys of each segment must lie below those of the next, as the
+    caller's segment-major keys do."""
+    k = len(reads_out)
+    heads = offsets[:-1].reshape(-1, k)  # [segment, list]
+    ends = offsets[1:].reshape(-1, k)
+    lens = ends - heads
+    live = (lens > 0).all(axis=1)
+    if not live.any():
+        return np.empty((0, 2 * k), dtype=np.int64), 0, 0, 0
+    lists = np.repeat(np.arange(lens.size) % k, lens.ravel())
+    if len(lens) > 1:  # one free key past each segment's keys: the round that ends it
+        keys = keys + np.repeat(np.arange(len(lens)), lens.sum(axis=1))
+    n_keys = int(keys.max()) + 1
+    # a live segment's heads, ends, first key and each list's last key
+    base = heads + lens - np.cumsum(lens, axis=0)  # a head less the slot's rows before it
+    heads, ends, base = heads[live], ends[live], base[live]
+    lo = keys[heads].min(axis=1)
+    last = keys[ends - 1]
+
+    # succ[j, x]: list j's first position with key >= x, for x in 0..n_keys:
+    # in the live segment whose keys x falls on, or whose last key it
+    # follows, its head plus the count of its keys below x.  Counting all
+    # of list j's keys below x, lifted at each segment's first key to its
+    # head, gives that.
     below = np.bincount(lists * (n_keys + 1) + keys + 1, minlength=k * (n_keys + 1))
     below = below.reshape(k, n_keys + 1)
-    below[:, 0] = heads
+    lift = base.copy()
+    lift[1:] -= base[:-1]
+    below[:, lo] += lift.T
     succ = np.cumsum(below, axis=1)
-    at_end = (succ == ends[:, None]).any(axis=0)  # at n_keys always
     # the key under each cursor; any value for a cursor at its list's end,
     # as such a round is never run
     under = np.append(keys, 0)[succ]
@@ -84,13 +109,20 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     is_run = under.min(axis=0) == top
     nxt = top + is_run
 
-    # The orbit from x = 0 by pointer doubling: a round whose successor
-    # ends the merge leads to the sink n_keys, and path holds the first
-    # 2**i rounds after i doublings.  Rounds start at increasing x, so
-    # there are at most n_keys of them.
-    hop = np.where(at_end[nxt], n_keys, nxt)
+    def of_round(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """a's row for each round x's live segment; with one, its row for all."""
+        return a if len(lo) == 1 else a[np.searchsorted(lo, x, "right") - 1]
+
+    # The orbit by pointer doubling: a round whose successor lies past its
+    # segment's least last key leaves a list at its end, so it leads to
+    # the next live segment's first round, the last one to the sink
+    # n_keys; path holds the first 2**i rounds after i doublings.  Rounds
+    # start at increasing x, so there are at most n_keys of them.
+    x = np.arange(n_keys + 1)
+    after = np.append(lo[1:], n_keys)
+    hop = np.where(nxt > of_round(last.min(axis=1), x), of_round(after, x), nxt)
     hop[n_keys] = n_keys
-    path = np.zeros(1, dtype=np.int64)
+    path = lo[:1]
     while path[-1] != n_keys and len(path) <= n_keys:
         path = np.concatenate([path, hop[path]])
         hop = hop[hop]
@@ -98,16 +130,16 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
 
     # A run round scans each list from its cursor to its first key past
     # the run; a lag round jumps each lagging list to its successor of
-    # the round's top key.
+    # the round's top key.  Both stop at the end of the round's segment.
     runs = orbit[is_run[orbit]]
     lags = orbit[~is_run[orbit]]
     first = succ[:, runs].T
     stop = succ[:, top[runs] + 1].T
-    probes = [ranges((first + 1).ravel(), np.minimum(stop + 1, ends).ravel())]
+    probes = [ranges((first + 1).ravel(), np.minimum(stop + 1, of_round(ends, runs)).ravel())]
     lagging = under[:, lags] < top[lags]
     r = succ[:, lags][lagging]
     t = succ[:, top[lags]][lagging]
-    end = np.broadcast_to(ends[:, None], lagging.shape)[lagging]
+    end = np.broadcast_to(of_round(ends, lags).T, lagging.shape)[lagging]
     if use_jump:
         probes += _gallop_probes(r, t, end)
         jumps = len(r)
@@ -118,6 +150,6 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
 
     touched[heads] = 1
     touched[probes] = 1
-    reads_out += 1 + np.bincount(lists[probes], minlength=k)
+    reads_out += len(heads) + np.bincount(lists[probes], minlength=k)
     comps = len(orbit) * (2 * k - 1) + len(probes)
     return np.hstack([first, stop]), len(runs), comps, jumps

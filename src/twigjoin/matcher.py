@@ -1,19 +1,23 @@
 """Execution of the DTSchema: prefix merge joins over extent lists.
 
-Tables run deepest-JP-first, with one multiway merge per JP level of a
-table: a leaf slot contributes the union of the extents its records at
-that level name, a nested slot the witnesses of the child table whose
-JP guide node those records name.  This is exact: rows with equal
-level-prefixes share a data ancestor, hence one JP guide node, so no
-tuple can mix the ends of two records.
+Tables run deepest-JP-first, each with one multiway merge whose segments
+are the table's JP levels: at a level, a leaf slot contributes the union
+of the extents its records at that level name, a nested slot the
+witnesses of the child table whose JP guide node those records name.
+This is exact: rows with equal level-prefixes share a data ancestor,
+hence one JP guide node, so no tuple can mix the ends of two records.
+The kernel merges each segment as a call of its own would, so a table's
+runs, reads and counters are those of one merge per level, in level
+order.
 
 Every label, witnesses included, is a row of the guide's store, so the
 engine carries row ids, in document order (pos).  A row's key at level
 L is the pos of its ancestor at L, which compares exactly as its
-L-prefix does, and the kernel merges one key column into runs of equal
-keys.  A partial match is one row of an int64 entry matrix shared by
-the whole query: per twig leaf a row id, per table its witness's row
-id, and -1 outside the subtree of the slot that made it.  Every input
+L-prefix does, raised past the keys of the table's shallower levels,
+and the kernel merges one key column into runs of equal keys.  A
+partial match is one row of an int64 entry matrix shared by the whole
+query: per twig leaf a row id, per table its witness's row id, and -1
+outside the subtree of the slot that made it.  Every input
 row owns a block of entries (an extent row one, itself; a witness those
 beneath it), and a slot's entries are numbered in the order of its rows.
 A run fans out once, into the cross product of its slots' entries, in
@@ -268,17 +272,24 @@ class _Input:
     metered: bool = False
 
 
-def _union(pg: PathGuide, exts: Sequence[ExtentList]) -> tuple[np.ndarray, np.ndarray]:
+def _union(pg: PathGuide, exts: Sequence[ExtentList], segs: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The row ids of the extents' labels in document order, each with its
-    guide node; no label sits in two extents."""
+    guide node; no label sits in two extents.  Given each extent's
+    segment, the rows go by segment first, each with its segment, and no
+    label sits in two extents of one segment."""
     sizes = np.array([len(e) for e in exts], dtype=np.int64)
     firsts = np.array([e.first for e in exts], dtype=np.int64)
     ids = ranges(firsts, firsts + sizes)
     gids = np.repeat(np.array([e.gid for e in exts], dtype=np.int64), sizes)
+    if segs is not None:
+        segs = np.repeat(segs, sizes)
     if len(exts) > 1:  # each extent is in document order already
-        order = np.argsort(pg.pos[ids], kind="stable")
+        key = pg.pos[ids] if segs is None else segs * len(pg.pos) + pg.pos[ids]
+        order = np.argsort(key, kind="stable")
         ids, gids = ids[order], gids[order]
-    return ids, gids
+        segs = segs if segs is None else segs[order]
+    return ids, gids, segs
 
 
 def _first_of_runs(pos: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -336,69 +347,85 @@ def match_proc(
     levels = [np.unique(pg.depths[t.records]).tolist() for t in schema.tables]
 
     def run_table(ti: int, table: DataTable) -> _Input:
-        """Merge the table level by level; its entries, sorted by witness
-        and leaves, each (witness, leaves) once."""
+        """Merge the table in one kernel call, a segment per level; its
+        entries, sorted by witness and leaves, each (witness, leaves) once."""
         wcol = n_leaves + ti
-        ends_level = pg.depths[table.ends[:, 0]]  # a record's level is its JP's depth
-        blocks = []
-        entries = 0
-        for level in levels[ti]:
-            here = table.ends[ends_level == level]
-            inputs = []
-            for si, group in enumerate(table.jp.groups):
-                named = here[here[:, 1] == si, 2]  # distinct: an end fits one node per level
-                if group.child is None:
-                    ids, gids = _union(pg, [pg.read_extent(g) for g in named.tolist()])
-                    inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
-                                         np.ones(len(ids), np.int64), group.leaf_id, True))
-                else:  # the child table's witnesses under the named JP guide nodes
-                    c = done[group.child]
-                    k = np.isin(c.gids, named)
-                    inputs.append(_Input(c.ids[k], c.gids[k], c.block, c.starts[k], c.counts[k]))
-            # a row's key is the document position of its ancestor at level
-            ancs = [pg.ancestors(inp.ids, inp.gids, level) for inp in inputs]
-            offsets = np.cumsum([0] + [len(a) for a in ancs])
-            keys = pg.pos[np.concatenate(ancs)][:, None]
-            touched = np.zeros(max(len(keys), 1), np.uint8)
-            reads = np.zeros(len(inputs), np.int64)
-            out, count, comps, jumps = be.multiway_merge(keys, offsets, 1, use_jump, touched, reads)
-            # per run of equal keys and per slot, its first and one-past-last row
-            first, stop = np.hsplit(out[:count] - np.tile(offsets[:-1], 2), 2)
-            if metrics is not None:
-                metrics.prefix_comparisons += int(comps)
-                metrics.jumps += int(jumps)
-                for j, inp in enumerate(inputs):
-                    if inp.metered:
-                        metrics.nodes_read += int(reads[j])
-                        ids = inp.ids[touched[offsets[j] : offsets[j + 1]] > 0]
-                        metrics.credit(ids, pg.byte_lens[ids])
-            # a run owns, per slot, the entries of its rows: the ordinals
-            # owned[j][first] up to owned[j][stop]; it yields their product
-            # across slots, counted before any is built
-            owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
-            sizes = np.stack([o[stop[:, j]] - o[first[:, j]] for j, o in enumerate(owned)], axis=1)
-            entries += int(sizes.prod(axis=1).sum())
-            if max_results is not None and entries > max_results:
-                raise ResultLimitError(entries, max_results)
-            # runs fan out into entries in leaf order; slots fill disjoint
-            # columns, -1 elsewhere
-            run, digits = _cross(sizes)
-            out = np.full((len(run), n_leaves + n_tables), -1, dtype=np.int64)
+        lv = np.array(levels[ti])
+        # a record's level is its JP's depth: an end's segment is its index
+        at = np.searchsorted(lv, pg.depths[table.ends[:, 0]])
+        inputs, segs = [], []
+        for si, group in enumerate(table.jp.groups):
+            mine = table.ends[:, 1] == si
+            named, seg = table.ends[mine, 2], at[mine]  # distinct: an end fits one node per level
+            if group.child is None:
+                ids, gids, seg = _union(pg, [pg.read_extent(g) for g in named.tolist()], seg)
+                inputs.append(_Input(ids, gids, ids[:, None], np.arange(len(ids)),
+                                     np.ones(len(ids), np.int64), group.leaf_id, True))
+            else:  # the child table's witnesses, at each level that names their JP guide node
+                c = done[group.child]
+                seg, rows = np.nonzero(np.isin(np.arange(len(lv))[:, None] * len(pg) + c.gids,
+                                               seg * len(pg) + named))
+                inputs.append(_Input(c.ids[rows], c.gids[rows], c.block, c.starts[rows],
+                                     c.counts[rows]))
+            segs.append(seg)
+        # slot by slot, each slot's rows by level; the kernel takes them by
+        # level, then slot: row order[p] of the slots is kernel position p
+        seg = np.concatenate(segs)
+        ids = np.concatenate([inp.ids for inp in inputs])
+        # a row's key is the document position of its ancestor at its level
+        anc = pg.ancestors(ids, np.concatenate([inp.gids for inp in inputs]), lv[seg])
+        order = np.argsort(seg, kind="stable") if len(lv) > 1 else slice(None)
+        lens = np.diff([np.searchsorted(sg, np.arange(len(lv) + 1)) for sg in segs]).T
+        offsets = np.concatenate(([0], np.cumsum(lens)))
+        keys = (seg * len(pg.pos) + pg.pos[anc])[order][:, None]
+        touched = np.zeros(max(len(keys), 1), np.uint8)
+        reads = np.zeros(len(inputs), np.int64)
+        out, count, comps, jumps = be.multiway_merge(keys, offsets, 1, use_jump, touched, reads)
+        # per run of equal keys and per slot, its first and one-past-last row
+        starts = np.cumsum([0] + [len(inp.ids) for inp in inputs[:-1]])
+        out = out[:count]
+        if len(lv) > 1:  # from kernel positions to the slots' rows
+            out = np.hstack([order[out[:, : len(inputs)]], order[out[:, len(inputs) :] - 1] + 1])
+        first, stop = np.hsplit(out - np.tile(starts, 2), 2)
+        if metrics is not None:
+            metrics.prefix_comparisons += int(comps)
+            metrics.jumps += int(jumps)
+            hit = np.zeros(len(ids), bool)
+            hit[order] = touched[: len(ids)] > 0
             for j, inp in enumerate(inputs):
-                e = owned[j][first[run, j]] + digits[:, j]  # for an extent, its block row
-                if not inp.metered:  # a witness's entry: find its row, then its block row
-                    r = np.searchsorted(owned[j], e, "right") - 1
-                    e += inp.starts[r] - owned[j][r]
-                part = inp.block[e]
-                cols = out[:, inp.col : inp.col + part.shape[1]]
-                np.maximum(cols, part, out=cols)
-            out[:, wcol] = ancs[0][first[run, 0]]
-            blocks.append(out)
-        block = np.concatenate(blocks)
+                if inp.metered:
+                    metrics.nodes_read += int(reads[j])
+                    read = inp.ids[hit[starts[j] : starts[j] + len(inp.ids)]]
+                    metrics.credit(read, pg.byte_lens[read])
+        # a run owns, per slot, the entries of its rows: the ordinals
+        # owned[j][first] up to owned[j][stop]; it yields their product
+        # across slots, counted before any is built
+        owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
+        sizes = np.stack([o[stop[:, j]] - o[first[:, j]] for j, o in enumerate(owned)], axis=1)
+        if max_results is not None:
+            entries = np.cumsum(sizes.prod(axis=1))  # runs come level by level
+            over = np.searchsorted(entries, max_results, "right")
+            if over < len(entries):  # named through the level of the first run past it
+                level = segs[0][first[:, 0]]
+                last = np.searchsorted(level, level[over], "right") - 1
+                raise ResultLimitError(int(entries[last]), max_results)
+        # runs fan out into entries in leaf order; slots fill disjoint
+        # columns, -1 elsewhere
+        run, digits = _cross(sizes)
+        block = np.full((len(run), n_leaves + n_tables), -1, dtype=np.int64)
+        for j, inp in enumerate(inputs):
+            e = owned[j][first[run, j]] + digits[:, j]  # for an extent, its block row
+            if not inp.metered:  # a witness's entry: find its row, then its block row
+                r = np.searchsorted(owned[j], e, "right") - 1
+                e += inp.starts[r] - owned[j][r]
+            part = inp.block[e]
+            cols = block[:, inp.col : inp.col + part.shape[1]]
+            np.maximum(cols, part, out=cols)
+        block[:, wcol] = anc[first[run, 0]]
         if any(len(levels[g.child]) > 1 for g in table.jp.groups if g.child is not None):
             # a child's witnesses can nest, so its entries can repeat
             block = block[_first_of_runs(pg.pos, block[:, [wcol, *range(n_leaves)]])]
-        elif len(blocks) > 1:  # each level's block is sorted and distinct already
+        elif len(lv) > 1:  # each level's entries are sorted and distinct already
             block = block[np.argsort(pg.pos[block[:, wcol]], kind="stable")]
         first, counts = runs(block[:, wcol : wcol + 1])
         wids = block[first, wcol]  # a witness's guide node is the extent it lies in
@@ -442,7 +469,7 @@ def evaluate(
             n = sum(len(ext) for ext in exts)
             if max_results is not None and n > max_results:
                 raise ResultLimitError(n, max_results)
-            ids, _ = _union(pg, exts)
+            ids, _, _ = _union(pg, exts)
             metrics.nodes_read += n
             metrics.credit(ids, pg.byte_lens[ids])
             no_tables = np.zeros((n, 0), np.int64)

@@ -437,10 +437,11 @@ class PathGuide:
         rows, at = np.unique(ids, return_inverse=True)
         return *self.label_rows(rows), at
 
-    def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int) -> np.ndarray:
-        """Row id of each row's ancestor-or-self label at depth level, for
-        rows ids[i] of guide nodes gids[i] at least that deep.  pos of the
-        result ranks the rows' level-prefixes exactly as the prefixes do."""
+    def ancestors(self, ids: np.ndarray, gids: np.ndarray, level: int | np.ndarray) -> np.ndarray:
+        """Row id of each row's ancestor-or-self label at depth level (one
+        for all rows, or level[i] for row i), for rows ids[i] of guide
+        nodes gids[i] at least that deep.  pos of the result ranks the
+        rows' level-prefixes exactly as the prefixes do."""
         steps = self.depths[gids] - level
         for s in range(steps.max(initial=0)):
             ids = np.where(steps > s, self.up[ids], ids)

@@ -45,9 +45,6 @@ class TwigNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def is_jp(self) -> bool:
-        return len(self.children) >= 2
-
 
 @dataclass
 class TwigPattern:

@@ -92,7 +92,7 @@ def split(t: TwigPattern) -> Decomposition:
 
     def find_jps(node: TwigNode, steps: tuple[Step, ...], depth: int) -> None:
         steps = steps + (Step(node.axis, node.test),)
-        if node.is_jp():
+        if len(node.children) >= 2:
             jps.append(
                 JPDescriptor(
                     node=node,

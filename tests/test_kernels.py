@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from twigjoin.kernels import (
     _impl,
     _numba_backend,
     _on_ranks,
+    _vector,
     default_backend_name,
     get_backend,
     jump_scan,
@@ -254,6 +256,77 @@ def test_merge_emits_maximal_runs_in_key_order(backend_name, use_jump):
                 assert (keys[lo:hi] == key).all(), (trial, run, j)
                 assert lo == offsets[j] or keys[lo - 1] != key, (trial, run, j)
                 assert hi == offsets[j + 1] or keys[hi] != key, (trial, run, j)
+
+
+def segment_cases(rng: random.Random, trials: int):
+    """Random segmented merge inputs: k lists per segment, S segments, each
+    list's keys sorted and drawn from a small pool, some lists empty; the
+    keys of a segment lie below the next's, as the matcher's do."""
+    for _ in range(trials):
+        k, n_seg = rng.randint(1, 4), rng.choice((1, 1, 2, 3, 5))
+        segments = []
+        for _ in range(n_seg):
+            pool = rng.randint(1, 12)
+            segments.append([sorted(rng.randint(0, pool) for _ in range(
+                0 if rng.random() < 0.1 else rng.randint(1, 20))) for _ in range(k)])
+        yield k, segments, rng.random() < 0.5
+
+
+def segmented_call(merge, k: int, segments, use_jump: bool):
+    """One call over the segments, keys raised segment by segment:
+    (out rows, count, touched, reads, comps, jumps)."""
+    keys, offsets, floor = [], [0], 0
+    for lists in segments:
+        for keys_j in lists:
+            keys += [x + floor for x in keys_j]
+            offsets.append(offsets[-1] + len(keys_j))
+        floor = max(keys, default=floor - 1) + 1
+    touched = np.zeros(max(len(keys), 1), dtype=np.uint8)
+    reads = np.zeros(k, dtype=np.int64)
+    out, count, comps, jumps = merge(np.array(keys, dtype=np.int64),
+                                     np.array(offsets, dtype=np.int64), use_jump, touched, reads)
+    return out[:count].tolist(), count, touched[: len(keys)].tolist(), reads.tolist(), comps, jumps
+
+
+def on_backend(name: str):
+    """The named backend's merge as a kernel on 1-D keys."""
+    be = get_backend(name)
+
+    def merge(keys, offsets, use_jump, touched, reads):
+        return be.multiway_merge(keys[:, None], offsets, 1, use_jump, touched, reads)
+
+    return merge
+
+
+SEGMENT_KERNELS = {
+    "scalar": _impl.multiway_merge,  # uncompiled: the source numba compiles
+    "vector": _vector.multiway_merge,
+    **{name: on_backend(name) for name in BACKEND_NAMES},
+}
+
+
+@pytest.mark.parametrize("kernel", SEGMENT_KERNELS)
+def test_segmented_call_is_the_per_segment_calls(kernel):
+    # a segment merges as a call of its own would: same runs (rebased),
+    # touches, reads per list and counters, summed over the segments
+    merge = SEGMENT_KERNELS[kernel]
+    rng = random.Random(7 + list(SEGMENT_KERNELS).index(kernel))
+    seen = Counter()
+    for k, segments, use_jump in segment_cases(rng, 600):
+        got = segmented_call(merge, k, segments, use_jump)
+        out, touched, reads, comps, jumps, at = [], [], [0] * k, 0, 0, 0
+        for lists in segments:
+            o, c, t, r, cm, jm = segmented_call(merge, k, [lists], use_jump)
+            out += [[p + at for p in row] for row in o]
+            touched += t
+            reads = [a + b for a, b in zip(reads, r)]
+            comps, jumps, at = comps + cm, jumps + jm, at + len(t)
+            seen["empty"] += not all(lists)
+            seen["mid"] += all(lists) and min(map(max, lists)) < max(map(max, lists))
+        assert got == (out, len(out), touched, reads, comps, jumps), (k, segments, use_jump)
+        seen["single"] += len(segments) == 1
+        seen["several"] += len(segments) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 def long_extent_doc(rng: random.Random, records: int) -> bytes:

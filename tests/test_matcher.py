@@ -696,6 +696,56 @@ def test_result_bound_counts_entries_as_the_frozen_fan_out_did():
     assert checked >= 20
 
 
+def test_result_bound_between_two_levels_of_one_table():
+    # A at depths 1 and 2: the table merges both levels in one call, and
+    # a bound between them names the entries through the level it breaks
+    pg = PathGuide.build_from_xml(b"<R><A><B/><C/><A><B/><B/><C/></A></A></R>")
+    schema = build_dt_schema(pg, split(parse("//A[./B]/C")))
+    assert len(np.unique(pg.depths[schema.tables[0].records])) == 2
+    for bound, rows in ((0, 1), (1, 3), (2, 3)):
+        assert outcome(match_proc, schema, pg, bound) == rows, bound
+        assert outcome(frozen_match.match_proc, schema, pg, bound) == rows, bound
+    assert len(outcome(match_proc, schema, pg, 3)[0]) == 3
+
+
+def recording_backend(calls: list) -> Backend:
+    """The default backend, recording each merge call's keys and offsets."""
+    base = get_backend()
+
+    def multiway_merge(keys, offsets, *args):
+        calls.append((keys.ravel().tolist(), offsets.tolist(), args[:2]))
+        return base.multiway_merge(keys, offsets, *args)
+
+    return Backend(base.name, base.jump_scan, multiway_merge)
+
+
+def test_table_call_is_the_per_level_calls_as_segments():
+    # a one-level table makes exactly the per-level loop's call; a table of
+    # several levels makes one call whose segment s is that loop's call at
+    # its level s, with its keys raised past the segments before it
+    segmented = 0
+    for pg, q, schema in random_plans(43, docs=30, per_doc=30):
+        got, want = [], []
+        for proc, calls in ((match_proc, got), (frozen_match.match_proc, want)):
+            proc(schema, pg, backend=recording_backend(calls), max_results=100_000)
+        levels = [len(np.unique(pg.depths[t.records])) for t in schema.tables]
+        assert len(got) == len(schema.tables), q
+        for (keys, offsets, rest), table, n_levels in zip(got, schema.tables, levels):
+            per_level, want = want[:n_levels], want[n_levels:]
+            if n_levels == 1:
+                assert (keys, offsets, rest) == per_level[0], q
+                continue
+            segmented += 1
+            k = len(table.jp.groups)
+            for s, (level_keys, level_offsets, level_rest) in enumerate(per_level):
+                seg = offsets[s * k : s * k + k + 1]
+                assert [o - seg[0] for o in seg] == level_offsets, q
+                assert [x - s * len(pg.pos) for x in keys[seg[0] : seg[-1]]] == level_keys, q
+                assert rest == level_rest, q
+        assert want == [], q
+    assert segmented >= 20, segmented
+
+
 def test_match_proc_empty_schema(small_corpus):
     xml, pg, doc = small_corpus[0]
     schema = build_dt_schema(pg, split(parse("//Z[./B]/C")))
@@ -762,20 +812,22 @@ def test_root_label_queries():
 
 
 def counting_backend(calls: list[int]) -> Backend:
+    """The default backend, recording each merge call's list count."""
     base = get_backend()
 
-    def multiway_merge(*args):
-        calls.append(1)
-        return base.multiway_merge(*args)
+    def multiway_merge(stacked, offsets, *args):
+        calls.append(len(offsets) - 1)
+        return base.multiway_merge(stacked, offsets, *args)
 
     def jump_scan(*args):
-        calls.append(1)
+        calls.append(0)
         return base.jump_scan(*args)
 
     return Backend(base.name, jump_scan, multiway_merge)
 
 
-def test_one_kernel_call_per_table_level(small_corpus):
+def test_one_kernel_call_per_table(small_corpus):
+    # one merge per table, in table order, with a list per slot and level
     rng = random.Random(23)
     multi_level = 0
     for xml, pg, doc in small_corpus:
@@ -791,13 +843,10 @@ def test_one_kernel_call_per_table_level(small_corpus):
             if schema.is_empty:
                 assert calls == []
                 continue
-            pairs = {
-                (ti, level)
-                for ti, table in enumerate(schema.tables)
-                for _, level, _ in record_view(table, pg)
-            }
-            assert len(calls) == len(pairs), q
-            multi_level += len(pairs) > len(schema.tables)
+            lists = [len(table.jp.groups) * len({level for _, level, _ in record_view(table, pg)})
+                     for table in schema.tables]
+            assert calls == lists, q
+            multi_level += sum(lists) > sum(len(t.jp.groups) for t in schema.tables)
             want = naive_match(doc, parse(q))
             assert [mt.leaf_labels for mt in rs.matches] == [
                 mt.leaf_labels for mt in want
