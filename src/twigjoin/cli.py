@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--max-depth", type=int, default=12)
     p_gen.add_argument("--max-fanout", type=int, default=10)
     p_gen.add_argument("--tags", default="ABCDEF",
-                       help="tag alphabet, one letter per tag")
+                       help="tag alphabet, one letter (or _) per tag")
     p_gen.add_argument("--target-nodes", type=int, default=10_000)
 
     p_bench = sub.add_parser("bench", help="run a workload, print CSV metrics")

@@ -14,6 +14,7 @@ from typing import IO, Iterator, NamedTuple, Sequence, Union
 from xml.parsers import expat
 
 from .dewey import EPSILON, DeweyLabel
+from .twig import is_name
 
 DEFAULT_DEPTH_CAP = 64
 _CHUNK = 1 << 16
@@ -115,7 +116,8 @@ class GeneratorConfig:
 
     Depth counts nodes on the root path, so max_depth=1 yields a lone
     root element.  Child counts are uniform in [0, max_fanout]; tags are
-    uniform over the alphabet, so homonymous siblings are common.
+    uniform over the alphabet, so homonymous siblings are common.  Every
+    tag must be a step name of the query grammar (twig.is_name).
     """
 
     max_depth: int = 12
@@ -131,6 +133,9 @@ class GeneratorConfig:
             raise ValueError("max_fanout must be >= 1")
         if not self.tag_alphabet:
             raise ValueError("tag_alphabet must be non-empty")
+        bad = [tag for tag in self.tag_alphabet if not is_name(tag)]
+        if bad:
+            raise ValueError(f"tag {bad[0]!r} is not a query step name")
         if self.target_node_count < 1:
             raise ValueError("target_node_count must be >= 1")
 

@@ -13,15 +13,16 @@ reads_out)`` takes stacked label rows and a prefix length: it ranks the
 prefixes once in numpy (:func:`prefix_ranks`) and runs the merge on the
 ranks, which returns each run of equal prefixes as row ranges, not the
 joined tuples.  The lists come in segments, each merged as a call of its
-own: with k = ``len(reads_out)``, one counter per list of a segment,
-``offsets`` bounds list j of segment s at ``offsets[s*k + j]``, so a call
-holds ``(len(offsets) - 1) / k`` segments, and ``reads_out[j]`` sums list
-j's reads over them.  A segment's prefixes must all order below the next
-segment's.  The query engine makes one call per table, a segment per
-level, with one key column (plen 1): each row's level, then its
-ancestor's document position.  A one-segment call is a plain k-way
-merge; the kernel tests merge wider prefixes of zero-padded label rows
-that way.
+own, laid out slot-major: with k = ``len(reads_out)`` lists per segment
+and S = ``(len(offsets) - 1) / k`` segments, list j of segment s is
+``stacked[offsets[j*S + s] : offsets[j*S + s + 1]]``.  So list j's
+segments lie back to back, one run of rows cut at the segment bounds, and
+``reads_out[j]`` sums its reads over them.  A segment's prefixes must
+all order below the next segment's.  The query engine makes one call
+per table, each slot's rows by level, a segment per level, with one key
+column (plen 1): each row's level, then its ancestor's document
+position.  A one-segment call is a plain k-way merge; the kernel tests
+merge wider prefixes of zero-padded label rows that way.
 
 :func:`jump_scan` is plain Python on both backends: it compares a few
 rows' prefixes as lists, in the labels' own lexicographic order.

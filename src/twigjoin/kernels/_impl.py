@@ -12,8 +12,8 @@ Conventions:
   label's join prefix among all rows of the call: keys compare exactly
   as the prefixes do, so every comparison is one scalar test.  It emits
   the runs of keys that every list holds, never the tuples they join;
-* the lists come in segments of k lists each (k = ``len(reads_out)``),
-  segment-major in ``offsets``; the segment loop runs the merge once per
+* the lists come in segments, laid out slot-major in ``offsets`` (see
+  :mod:`twigjoin.kernels`); the segment loop runs the merge once per
   segment, so no cursor, probe or run crosses a segment's end;
 * ``touched`` is a uint8 flag array parallel to the rows; the kernel
   sets an entry to 1 whenever it materializes that row.
@@ -27,17 +27,15 @@ import numpy as np
 def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     """Join k sorted key lists on key equality, segment by segment.
 
-    ``keys`` holds the lists back to back, segment-major: with k =
-    ``len(reads_out)``, list j of segment s occupies positions
-    ``offsets[s*k + j]:offsets[s*k + j + 1]``, so there are
-    ``(len(offsets) - 1) / k`` segments.  Each segment is merged as a
-    call of its own would merge it: a segment with an empty list is
-    skipped unread, its cursors start at its heads and stop at its ends.
-    Emits, segment by segment, one row per maximal run of a key that
-    every list of the segment holds, in key order: column j is the
-    global position of list j's first row of the run, column k + j one
-    past its last.  The joined tuples are the cross product of these
-    ranges, which the kernel never writes.
+    ``keys`` holds the lists slot-major, as :mod:`twigjoin.kernels`
+    states: list j's segments back to back, cut at ``offsets``.  Each
+    segment is merged as a call of its own would merge it: a segment
+    with an empty list is skipped unread, its cursors start at its heads
+    and stop at its ends.  Emits, segment by segment, one row per maximal
+    run of a key that every list of the segment holds, in key order:
+    column j is the global position of list j's first row of the run,
+    column k + j one past its last.  The joined tuples are the cross
+    product of these ranges, which the kernel never writes.
 
     Returns ``(out, count, comps, jumps)``; per-list read counts are
     accumulated into ``reads_out``, per slot j across the segments.
@@ -48,23 +46,19 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     comps = 0
     jumps = 0
 
-    # every run holds at least one row of every list of its segment
-    cap = 0
-    for s in range(n_seg):
-        least = offsets[s * k + 1] - offsets[s * k]
-        for j in range(1, k):
-            least = min(least, offsets[s * k + j + 1] - offsets[s * k + j])
-        cap += least
+    # every run holds at least one row of every list
+    cap = offsets[n_seg] - offsets[0]
+    for j in range(1, k):
+        cap = min(cap, offsets[(j + 1) * n_seg] - offsets[j * n_seg])
     out = np.empty((cap, 2 * k), dtype=np.int64)
     count = 0
 
     cur = np.empty(k, dtype=np.int64)
     for s in range(n_seg):
-        base = s * k
         empty = False
         for j in range(k):
-            cur[j] = offsets[base + j]
-            if cur[j] >= offsets[base + j + 1]:
+            cur[j] = offsets[j * n_seg + s]
+            if cur[j] >= offsets[j * n_seg + s + 1]:
                 empty = True
         if empty:
             continue
@@ -89,7 +83,7 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
                 if keys[r] >= mx:
                     continue
                 lagging = True
-                end = offsets[base + j + 1]
+                end = offsets[j * n_seg + s + 1]
                 if use_jump:
                     # Galloping lower bound: first key >= max.
                     jumps += 1
@@ -136,7 +130,7 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
             # All current keys agree: delimit the run in every list and emit it.
             done = False
             for j in range(k):
-                end = offsets[base + j + 1]
+                end = offsets[j * n_seg + s + 1]
                 stop = cur[j] + 1
                 while stop < end:
                     reads_out[j] += 1

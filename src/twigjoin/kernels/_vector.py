@@ -18,13 +18,13 @@ of a jump or run scan is a closed-form function of its cursor, target
 and list end, which the counters and ``touched`` are built from.  This is the
 max-of-successors walk of leapfrog triejoin (Veldhuizen, ICDT 2014).
 
-Segments (see :mod:`twigjoin.kernels._impl`) hold disjoint, increasing
-key ranges, each followed by one free key at which every cursor of the
-segment sits at its list's end.  So one successor table per list serves
-them all, and the round that would end a segment's merge hops instead to
-the next live segment's first round, as a segmented scan restarts at a
-segment's head (Blelloch, "Prefix sums and their applications", 1990):
-one orbit walks every segment.
+Segments (see :mod:`twigjoin.kernels`) hold disjoint, increasing key
+ranges, and a list's segments lie back to back, so each list is one
+sorted run whose successor table serves all its segments.  The round
+that would end a segment's merge hops instead to the next live
+segment's first round, as a segmented scan restarts at a segment's head
+(Blelloch, "Prefix sums and their applications", 1990): one orbit walks
+every segment.
 """
 
 from __future__ import annotations
@@ -72,35 +72,27 @@ def multiway_merge(keys, offsets, use_jump, touched, reads_out):
     """Drop-in for :func:`twigjoin.kernels._impl.multiway_merge`: the
     same ``(out, count, comps, jumps)``, ``touched`` and ``reads_out``.
 
-    The keys of each segment must lie below those of the next, as the
-    caller's segment-major keys do."""
+    ``offsets`` are slot-major (see :mod:`twigjoin.kernels`), and the
+    keys of each segment must lie below those of the next."""
     k = len(reads_out)
-    heads = offsets[:-1].reshape(-1, k)  # [segment, list]
-    ends = offsets[1:].reshape(-1, k)
-    lens = ends - heads
-    live = (lens > 0).all(axis=1)
+    heads = offsets[:-1].reshape(k, -1).T  # [segment, list]
+    ends = offsets[1:].reshape(k, -1).T
+    live = (ends > heads).all(axis=1)
     if not live.any():
         return np.empty((0, 2 * k), dtype=np.int64), 0, 0, 0
-    lists = np.repeat(np.arange(lens.size) % k, lens.ravel())
-    if len(lens) > 1:  # one free key past each segment's keys: the round that ends it
-        keys = keys + np.repeat(np.arange(len(lens)), lens.sum(axis=1))
+    slots = offsets[:: len(live)]  # where each list starts, then where the last one ends
+    lists = np.repeat(np.arange(k), np.diff(slots))
     n_keys = int(keys.max()) + 1
     # a live segment's heads, ends, first key and each list's last key
-    base = heads + lens - np.cumsum(lens, axis=0)  # a head less the slot's rows before it
-    heads, ends, base = heads[live], ends[live], base[live]
+    heads, ends = heads[live], ends[live]
     lo = keys[heads].min(axis=1)
     last = keys[ends - 1]
 
     # succ[j, x]: list j's first position with key >= x, for x in 0..n_keys:
-    # in the live segment whose keys x falls on, or whose last key it
-    # follows, its head plus the count of its keys below x.  Counting all
-    # of list j's keys below x, lifted at each segment's first key to its
-    # head, gives that.
+    # its head plus the count of its keys below x
     below = np.bincount(lists * (n_keys + 1) + keys + 1, minlength=k * (n_keys + 1))
     below = below.reshape(k, n_keys + 1)
-    lift = base.copy()
-    lift[1:] -= base[:-1]
-    below[:, lo] += lift.T
+    below[:, 0] = slots[:-1]
     succ = np.cumsum(below, axis=1)
     # the key under each cursor; any value for a cursor at its list's end,
     # as such a round is never run

@@ -6,7 +6,8 @@ of the extents its records at that level name, a nested slot the
 witnesses of the child table whose JP guide node those records name.
 This is exact: rows with equal level-prefixes share a data ancestor,
 hence one JP guide node, so no tuple can mix the ends of two records.
-The kernel merges each segment as a call of its own would, so a table's
+A slot's rows, by level, are one list of the kernel, cut at the levels;
+the kernel merges each segment as a call of its own would, so a table's
 runs, reads and counters are those of one merge per level, in level
 order.
 
@@ -347,8 +348,9 @@ def match_proc(
     levels = [np.unique(pg.depths[t.records]).tolist() for t in schema.tables]
 
     def run_table(ti: int, table: DataTable) -> _Input:
-        """Merge the table in one kernel call, a segment per level; its
-        entries, sorted by witness and leaves, each (witness, leaves) once."""
+        """Merge the table in one kernel call, a segment per level, each
+        slot's rows one list cut at its levels; its entries, sorted by
+        witness and leaves, each (witness, leaves) once."""
         wcol = n_leaves + ti
         lv = np.array(levels[ti])
         # a record's level is its JP's depth: an end's segment is its index
@@ -368,34 +370,27 @@ def match_proc(
                 inputs.append(_Input(c.ids[rows], c.gids[rows], c.block, c.starts[rows],
                                      c.counts[rows]))
             segs.append(seg)
-        # slot by slot, each slot's rows by level; the kernel takes them by
-        # level, then slot: row order[p] of the slots is kernel position p
+        # slot by slot, each slot's rows by level: the kernel's lists, cut at the levels
+        starts = np.cumsum([0] + [len(inp.ids) for inp in inputs])
+        offsets = np.append(np.concatenate([s + np.searchsorted(sg, np.arange(len(lv)))
+                                            for s, sg in zip(starts, segs)]), starts[-1])
         seg = np.concatenate(segs)
         ids = np.concatenate([inp.ids for inp in inputs])
         # a row's key is the document position of its ancestor at its level
         anc = pg.ancestors(ids, np.concatenate([inp.gids for inp in inputs]), lv[seg])
-        order = np.argsort(seg, kind="stable") if len(lv) > 1 else slice(None)
-        lens = np.diff([np.searchsorted(sg, np.arange(len(lv) + 1)) for sg in segs]).T
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        keys = (seg * len(pg.pos) + pg.pos[anc])[order][:, None]
+        keys = (seg * len(pg.pos) + pg.pos[anc])[:, None]
         touched = np.zeros(max(len(keys), 1), np.uint8)
         reads = np.zeros(len(inputs), np.int64)
         out, count, comps, jumps = be.multiway_merge(keys, offsets, 1, use_jump, touched, reads)
         # per run of equal keys and per slot, its first and one-past-last row
-        starts = np.cumsum([0] + [len(inp.ids) for inp in inputs[:-1]])
-        out = out[:count]
-        if len(lv) > 1:  # from kernel positions to the slots' rows
-            out = np.hstack([order[out[:, : len(inputs)]], order[out[:, len(inputs) :] - 1] + 1])
-        first, stop = np.hsplit(out - np.tile(starts, 2), 2)
+        first, stop = np.hsplit(out[:count] - np.tile(starts[:-1], 2), 2)
         if metrics is not None:
             metrics.prefix_comparisons += int(comps)
             metrics.jumps += int(jumps)
-            hit = np.zeros(len(ids), bool)
-            hit[order] = touched[: len(ids)] > 0
             for j, inp in enumerate(inputs):
                 if inp.metered:
                     metrics.nodes_read += int(reads[j])
-                    read = inp.ids[hit[starts[j] : starts[j] + len(inp.ids)]]
+                    read = inp.ids[touched[starts[j] : starts[j + 1]] > 0]
                     metrics.credit(read, pg.byte_lens[read])
         # a run owns, per slot, the entries of its rows: the ordinals
         # owned[j][first] up to owned[j][stop]; it yields their product

@@ -270,7 +270,7 @@ class PathGuide:
         """Rebuild from flat tables, checking them."""
         pg = cls.from_node_table(tags, parents, [np.shape(rows)[1] for rows in extent_rows])
         comps = [np.asarray(rows, dtype=np.int64).ravel() for rows in extent_rows]
-        pg.adopt_store(np.concatenate(comps or [np.zeros(0, np.int64)]), [*map(len, extent_rows)])
+        pg.adopt_store(np.concatenate(comps), [*map(len, extent_rows)])
         return pg
 
     @classmethod
@@ -278,12 +278,15 @@ class PathGuide:
                         depths: Sequence[int]) -> "PathGuide":
         """A guide with this node table, per node its tag, parent and
         depth, and no store yet: nothing of size nodes x depth is made
-        before the store comes.  Raises GuideError at the first node whose
-        parent is not an earlier node, that is a second root, or whose tag
-        an earlier sibling has; then at the first node whose depth, the
-        width of its extent's labels, is not its parent's plus one (0 for
-        a root): the first whose depth differs from its distance to the root.
+        before the store comes.  Raises GuideError for an empty table (a
+        guide has a root), at the first node whose parent is not an
+        earlier node, that is a second root, or whose tag an earlier
+        sibling has; then at the first node whose depth, the width of its
+        extent's labels, is not its parent's plus one (0 for a root): the
+        first whose depth differs from its distance to the root.
         """
+        if not len(tags):
+            raise GuideError("empty node table: no root")
         pg = cls()
         pg.tag_names = list(dict.fromkeys(tags))  # in order of first use
         pg.tag_id = {tag: i for i, tag in enumerate(pg.tag_names)}

@@ -30,6 +30,12 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789.-")
 
 
+def is_name(text: str) -> bool:
+    """Whether text is a step name: a letter or "_", then letters, digits,
+    "_", "." or "-".  Such a name is an XML name too."""
+    return text[:1] in _NAME_START and set(text[1:]) <= _NAME_CONT
+
+
 class QuerySyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

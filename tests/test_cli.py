@@ -94,6 +94,15 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tags", ["A1", "A<"])
+def test_gen_rejects_a_tag_no_query_can_name(tmp_path, capsys, tags):
+    # each letter of --tags is a tag; "1" or "<" would write malformed XML
+    out = tmp_path / "g.xml"
+    assert main(["gen", "-o", str(out), "--tags", tags]) == 2
+    assert "is not a query step name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- index ---
 
 

@@ -188,6 +188,11 @@ def test_generate_validation():
         generate(GeneratorConfig(tag_alphabet=()))
     with pytest.raises(ValueError):
         generate(GeneratorConfig(target_node_count=0))
+    # a tag must be a query step name, so every generated tag is queryable
+    for alphabet in (("A", "1"), ("A<",), ("",), ("B", "A b"), ("é",)):
+        with pytest.raises(ValueError, match="is not a query step name"):
+            generate(GeneratorConfig(tag_alphabet=alphabet))
+    generate(GeneratorConfig(tag_alphabet=("_x", "A-1.b"), target_node_count=50))
 
 
 def test_generated_labels_parse_back():

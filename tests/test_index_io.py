@@ -191,6 +191,18 @@ def test_inconsistent_tables_detected():
         from_bytes(reseal(bytes(payload)))
 
 
+def test_index_of_no_guide_nodes_is_rejected():
+    # framing, checksum and header stats agree with an empty guide, which
+    # no document builds: a guide has a root
+    payload = MAGIC + struct.pack("<IQI", FORMAT_VERSION, 0, 0) + struct.pack("<I", 0)
+    for load_bytes in (from_bytes, frozen_load.from_bytes):
+        with pytest.raises(IndexFormatError,
+                           match=r"^inconsistent guide tables: empty node table: no root$"):
+            load_bytes(reseal(payload))
+    with pytest.raises(GuideError, match="empty node table"):
+        PathGuide.from_tables([], [], [])
+
+
 def _with_parent(data: bytes, gid: int, parent: int) -> bytes:
     """The index with guide node gid's parent field set, CRC resealed."""
     payload = bytearray(data[:-4])

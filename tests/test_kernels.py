@@ -273,19 +273,24 @@ def segment_cases(rng: random.Random, trials: int):
 
 
 def segmented_call(merge, k: int, segments, use_jump: bool):
-    """One call over the segments, keys raised segment by segment:
-    (out rows, count, touched, reads, comps, jumps)."""
-    keys, offsets, floor = [], [0], 0
+    """One call over the segments, keys raised segment by segment, each
+    list's segments back to back: (out rows, count, touched, reads,
+    comps, jumps, offsets)."""
+    floors, floor = [], 0
     for lists in segments:
-        for keys_j in lists:
-            keys += [x + floor for x in keys_j]
-            offsets.append(offsets[-1] + len(keys_j))
-        floor = max(keys, default=floor - 1) + 1
+        floors.append(floor)
+        floor = max((x + floor for keys_j in lists for x in keys_j), default=floor - 1) + 1
+    keys, offsets = [], [0]
+    for j in range(k):
+        for lists, floor in zip(segments, floors):
+            keys += [x + floor for x in lists[j]]
+            offsets.append(len(keys))
     touched = np.zeros(max(len(keys), 1), dtype=np.uint8)
     reads = np.zeros(k, dtype=np.int64)
     out, count, comps, jumps = merge(np.array(keys, dtype=np.int64),
                                      np.array(offsets, dtype=np.int64), use_jump, touched, reads)
-    return out[:count].tolist(), count, touched[: len(keys)].tolist(), reads.tolist(), comps, jumps
+    return (out[:count].tolist(), count, touched[: len(keys)].tolist(), reads.tolist(),
+            comps, jumps, offsets)
 
 
 def on_backend(name: str):
@@ -307,25 +312,37 @@ SEGMENT_KERNELS = {
 
 @pytest.mark.parametrize("kernel", SEGMENT_KERNELS)
 def test_segmented_call_is_the_per_segment_calls(kernel):
-    # a segment merges as a call of its own would: same runs (rebased),
-    # touches, reads per list and counters, summed over the segments
+    # a segment merges as a call of its own would: same runs, touches,
+    # reads per list and counters, summed over the segments, each of its
+    # positions mapped list by list into the joint call
     merge = SEGMENT_KERNELS[kernel]
     rng = random.Random(7 + list(SEGMENT_KERNELS).index(kernel))
     seen = Counter()
     for k, segments, use_jump in segment_cases(rng, 600):
-        got = segmented_call(merge, k, segments, use_jump)
-        out, touched, reads, comps, jumps, at = [], [], [0] * k, 0, 0, 0
-        for lists in segments:
-            o, c, t, r, cm, jm = segmented_call(merge, k, [lists], use_jump)
-            out += [[p + at for p in row] for row in o]
-            touched += t
+        *got, joint = segmented_call(merge, k, segments, use_jump)
+        n_seg = len(segments)
+        out, touched, reads, comps, jumps = [], [0] * len(got[2]), [0] * k, 0, 0
+        for s, lists in enumerate(segments):
+            o, _, t, r, cm, jm, own = segmented_call(merge, k, [lists], use_jump)
+            # list j's position p of this call is joint[j*n_seg + s] + p - own[j]
+            shift = [joint[j * n_seg + s] - own[j] for j in range(k)]
+            out += [[p + shift[j % k] for j, p in enumerate(row)] for row in o]
+            for j in range(k):
+                for p in range(own[j], own[j + 1]):
+                    touched[p + shift[j]] = t[p]
             reads = [a + b for a, b in zip(reads, r)]
-            comps, jumps, at = comps + cm, jumps + jm, at + len(t)
+            comps, jumps = comps + cm, jumps + jm
             seen["empty"] += not all(lists)
             seen["mid"] += all(lists) and min(map(max, lists)) < max(map(max, lists))
-        assert got == (out, len(out), touched, reads, comps, jumps), (k, segments, use_jump)
-        seen["single"] += len(segments) == 1
-        seen["several"] += len(segments) > 1
+            # a live segment whose first key is the live segment before's
+            # last key + 1 (segmented_call raises a segment's keys to one past
+            # the previous one's): a run at that last key stops at its
+            # segment's end, not at the next key's row
+            live_pair = s > 0 and all(lists) and all(segments[s - 1])
+            seen["adjacent"] += live_pair and min(map(min, lists)) == 0
+        assert got == [out, len(out), touched, reads, comps, jumps], (k, segments, use_jump)
+        seen["single"] += n_seg == 1
+        seen["several"] += n_seg > 1
     assert min(seen.values()) >= 100, seen
 
 

@@ -721,8 +721,9 @@ def recording_backend(calls: list) -> Backend:
 
 def test_table_call_is_the_per_level_calls_as_segments():
     # a one-level table makes exactly the per-level loop's call; a table of
-    # several levels makes one call whose segment s is that loop's call at
-    # its level s, with its keys raised past the segments before it
+    # several levels makes one call whose segment s, the s-th cut of every
+    # slot, is that loop's call at its level s, with its keys raised past
+    # the segments before it
     segmented = 0
     for pg, q, schema in random_plans(43, docs=30, per_doc=30):
         got, want = [], []
@@ -737,10 +738,12 @@ def test_table_call_is_the_per_level_calls_as_segments():
                 continue
             segmented += 1
             k = len(table.jp.groups)
+            assert (len(offsets), offsets[0], offsets[-1]) == (k * n_levels + 1, 0, len(keys)), q
             for s, (level_keys, level_offsets, level_rest) in enumerate(per_level):
-                seg = offsets[s * k : s * k + k + 1]
-                assert [o - seg[0] for o in seg] == level_offsets, q
-                assert [x - s * len(pg.pos) for x in keys[seg[0] : seg[-1]]] == level_keys, q
+                lists = [keys[offsets[j * n_levels + s] : offsets[j * n_levels + s + 1]]
+                         for j in range(k)]
+                assert list(np.cumsum([0] + [len(a) for a in lists])) == level_offsets, q
+                assert [x - s * len(pg.pos) for a in lists for x in a] == level_keys, q
                 assert rest == level_rest, q
         assert want == [], q
     assert segmented >= 20, segmented
