@@ -3,12 +3,14 @@ generation and the benchmark harness.
 
 Exit codes: 0 success, 1 usage or query-syntax errors, 2 runtime and
 IO errors.  Results go to stdout; the metrics line goes to stderr so
-result output stays pipe-friendly.
+result output stays pipe-friendly.  A reader that closes stdout early
+(`twigjoin query ... | head -1`) ends the command quietly with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -234,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return commands[args.command](args)
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers is flushed to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _CliUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

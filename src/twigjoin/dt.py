@@ -24,10 +24,11 @@ JP step could pair with a witness it does not actually sit under,
 producing tuples the twig never matches; prefix merging at the data
 level never re-checks tags, so the plan must be exact here.
 
-(b) and (c) are read off one step-matcher call per slot: column e of
-pg.match_steps(slot steps, ends) has row d + 1 set exactly when the
-steps consume e's path below depth d, and g is then anc[e, d]; (a) is
-a mask over the guide nodes the JP's trunk matches.
+(a) gives the JP guide nodes, pg.eval_single_branch of the trunk; (b)
+and (c), one pg.walk per slot from them down its steps: each (g, e)
+pair reached puts end e in g's slot.  Trunk and slot steps make up a
+leaf's branch, so a leaf's end needs no more; a nested slot keeps the
+ends its child table has records for.
 """
 
 from __future__ import annotations
@@ -63,39 +64,39 @@ class DTSchema:
 
 def build_dt(
     pg: PathGuide,
-    branch_results: Sequence[Sequence[int]],
+    candidates: Sequence[Sequence[int] | None],
     jp: JPDescriptor,
 ) -> DataTable:
-    """Group branch end candidates under every matching JP guide node.
+    """Group the ends each slot's steps reach under every JP guide node.
 
-    branch_results[i] holds the candidate GuideIds for slot i, in the
-    order of jp.groups.  One record per JP guide node under which every
-    slot keeps at least one candidate.
+    candidates[i], in the order of jp.groups, holds the GuideIds slot i
+    may end at (a nested slot's child table records), or is None for no
+    limit.  One record per JP guide node under which every slot has at
+    least one end.
     """
-    if len(branch_results) != len(jp.groups):
+    if len(candidates) != len(jp.groups):
         raise ValueError("one candidate list per JP child group required")
-    m = len(jp.groups)
-    jp_mask = pg.branch_mask(jp.trunk_steps)
-    # one (g, slot, end) triple per end fitting JP guide node g; an end
-    # fits g at exactly one depth, so no triple repeats
-    g, slot, end = [], [], []
-    for i, (group, ends) in enumerate(zip(jp.groups, branch_results)):
-        ends = np.asarray(ends, dtype=np.int64)
-        d, col = np.nonzero(pg.match_steps(group.steps, ends)[1:])
-        at = pg.anc[ends[col], d]
-        fit = jp_mask[at]
-        g.append(at[fit])
-        slot.append(np.full(fit.sum(), i))
-        end.append(ends[col[fit]])
-    g, slot, end = (np.concatenate(a) for a in (g, slot, end))
-    rows = np.column_stack([g, slot, end])[np.lexsort((end, slot, g))]
-    g, slot = rows[:, 0], rows[:, 1]
-    # one run per (g, slot); g has a record when it has a run per slot
-    new_run = np.ones(len(rows), dtype=bool)
-    new_run[1:] = (g[1:] != g[:-1]) | (slot[1:] != slot[:-1])
-    jps, n_slots = np.unique(g[new_run], return_counts=True)
+    m, n = len(jp.groups), len(pg)
+    trunk = pg.eval_single_branch(jp.trunk_steps)
+    trunk = np.fromiter(trunk, np.intp, len(trunk))
+    # one key (g * m + slot) * n + end per end the slot's steps reach from
+    # JP guide node g; the walk gives each pair once, so no key repeats
+    keys = []
+    for i, (group, allowed) in enumerate(zip(jp.groups, candidates)):
+        at, ends = pg.walk(group.steps, trunk)
+        if allowed is not None:
+            fit = np.append(allowed, -1)[np.searchsorted(allowed, ends)] == ends
+            at, ends = at[fit], ends[fit]
+        keys.append((at * m + i) * n + ends)
+    key = np.sort(np.concatenate(keys))
+    # one run of keys per (g, slot); g has a record when it has a run per slot
+    run = key // n
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = run[1:] != run[:-1]
+    jps, n_slots = np.unique(run[new_run] // m, return_counts=True)
     full = n_slots == m
-    return DataTable(jp, jps[full], rows[full[np.searchsorted(jps, g)]])
+    key = key[full[np.searchsorted(jps, run // m)]]
+    return DataTable(jp, jps[full], np.column_stack([key // (m * n), key // n % m, key % n]))
 
 
 def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
@@ -112,18 +113,14 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
 
     A nested slot's candidates are the records (JP guide nodes) of the
     child JP's table, which is always built first because a child JP
-    sits strictly deeper in the twig.
+    sits strictly deeper in the twig; a leaf slot has no candidate list.
     """
     if not d.jps:
         raise ValueError("zero-JP query: no DT required")
     tables: list[DataTable] = []
     for jp in d.jps:
-        results = [
-            pg.eval_single_branch(d.branches[g.leaf_id]) if g.child is None
-            else tables[g.child].records
-            for g in jp.groups
-        ]
-        tables.append(build_dt(pg, results, jp))
+        nested = [None if g.child is None else tables[g.child].records for g in jp.groups]
+        tables.append(build_dt(pg, nested, jp))
     return DTSchema(tables)
 
 

@@ -12,10 +12,10 @@ scans; the joins run on labels already in memory.
 
 Both share no planning or matching code with the DataTable engine:
 paths are tested one tag tuple at a time with twig.steps_match, not
-with the guide's array step matcher, and guide paths and ancestors are
+with the guide's downward step walk, and guide paths and ancestors are
 walked up the node table (parents, tags), not read off the planner's
-matrices (anc, tag_paths), so a fault in either shows up as a
-disagreement.
+arrays (children lists, pre-order intervals), so a fault in either
+shows up as a disagreement.
 """
 
 from __future__ import annotations

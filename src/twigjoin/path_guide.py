@@ -34,13 +34,16 @@ guide node, first row id and length, with views of the store made only
 when read, so tests can spy on it to assert that guide-only phases
 touch no extents.
 
-Two int32 matrices derived from the node table with the store (never
-serialized) serve planning: anc[g, d], the ancestor of g at depth d,
-and tag_paths[d, g], the tag id of anc[g, d] (both -1 below g).
-path_tags reads neither: it walks up the node table.
-match_steps runs a step sequence over many guide nodes' tag paths at
-once; branch evaluation and DataTable fitting both use it, so no query
-phase walks guide nodes in Python.
+Planning walks the guide downward, as on a DataGuide, through int32
+arrays linear in the guide nodes that from_node_table derives after its
+checks (never serialized).  The children of g are kids[kid_start[g + 1]
+: kid_start[g + 2]], ordered by tag; g = -1 is the virtual document
+node, the root's parent.  The pre-order ranks of g's subtree are pre[g]
+: end[g] (XPath Accelerator's intervals; pre[-1] : end[-1] are the
+virtual node's).  by_pre lists the gids in pre-order, and tag_pre[
+tag_start[t] : tag_start[t + 1]] the ranks of tag t's nodes, ascending.
+Branch evaluation and DataTable fitting both use walk, so no query
+phase scans the whole guide.  path_tags walks up the node table.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .document import NodeEvent, ingest
 from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
-_NO_TAG = -2  # a test for a tag the guide lacks: equals no tag id and no padding
 _CHECK_EVENTS = 1 << 12  # events per step of build's label checks: bounds their temporaries
 
 
@@ -188,8 +190,9 @@ class PathGuide:
         self.parents = self.tags = self.depths = np.empty(0, dtype=np.int32)
         self.tag_id: dict[str, int] = {}
         self.tag_names: list[str] = []
-        self.anc = np.empty((0, 1), dtype=np.int32)
-        self.tag_paths = np.empty((1, 0), dtype=np.int32)
+        # the planning arrays, derived by from_node_table
+        self.kids = self.kid_start = self.pre = self.end = np.zeros(0, dtype=np.int32)
+        self.by_pre = self.tag_pre = self.tag_start = np.zeros(0, dtype=np.int32)
         # the extent store, set by _set_store
         self.comps = np.zeros(0, dtype=np.int64)
         self.start = self.comp_start = np.zeros(1, dtype=np.int64)
@@ -295,7 +298,8 @@ class PathGuide:
         late = (parents < _VIRTUAL) | (parents >= np.arange(len(parents)))
         second_root = (parents == _VIRTUAL) & (np.arange(len(parents)) > 0)
         dup = np.ones(len(parents), dtype=bool)  # a (parent, tag) pair seen before
-        dup[np.unique((parents + 1) * len(pg.tag_names) + pg.tags, return_index=True)[1]] = False
+        kids = np.unique((parents + 1) * len(pg.tag_names) + pg.tags, return_index=True)[1]
+        dup[kids] = False
         bad = late | second_root | dup
         if bad.any():
             g = int(np.argmax(bad))
@@ -309,7 +313,35 @@ class PathGuide:
         if len(wrong):
             raise GuideError(f"extent width mismatch for guide node {wrong[0]}")
         pg.parents, pg.depths = parents.astype(np.int32), depths.astype(np.int32)
+        pg._derive_plan_arrays(kids.astype(np.int32))
         return pg
+
+    def _derive_plan_arrays(self, kids: np.ndarray) -> None:
+        """The planning arrays of a checked node table, from kids, all nodes
+        by (parent, tag): subtree sizes summed bottom-up a depth at a time,
+        then ranks top-down, each after its parent's and its earlier
+        siblings' subtrees.  Past the last tag id T, tag_pre has an empty
+        run (T: a tag the guide lacks) and one of all ranks (T + 1: *)."""
+        n, parents = len(self), self.parents
+        offsets = lambda counts: np.append(0, np.cumsum(counts)).astype(np.int32)  # noqa: E731
+        levels = np.split(np.argsort(self.depths, kind="stable"),
+                          np.cumsum(np.bincount(self.depths))[:-1])  # per depth, its nodes
+        size = np.ones(n, dtype=np.int32)
+        for at in levels[:0:-1]:
+            np.add.at(size, parents[at], size[at])
+        self.kids, self.kid_start = kids, offsets(np.bincount(parents + 1, minlength=n + 1))
+        before = np.cumsum(size[kids]) - size[kids]  # the subtrees of the earlier kids
+        skip = np.empty(n, dtype=np.int32)  # a node's rank after its parent's
+        skip[kids] = before - before[self.kid_start[parents[kids] + 1]] + 1
+        pre = np.full(n + 1, -1, dtype=np.int32)  # pre[-1]: the virtual document node
+        for at in levels:
+            pre[at] = pre[parents[at]] + skip[at]
+        self.pre, self.end = pre, np.append(pre[:n] + size, n).astype(np.int32)
+        self.by_pre = np.empty_like(kids)
+        self.by_pre[pre[:n]] = np.arange(n)
+        by_tag = np.argsort(self.tags[self.by_pre], kind="stable")
+        self.tag_pre = np.append(by_tag, np.arange(n)).astype(np.int32)
+        self.tag_start = offsets([*np.bincount(self.tags, minlength=len(self.tag_names) + 1), n])
 
     def adopt_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
         """Take a store filled outside build (from tables or an index file); check it."""
@@ -317,22 +349,12 @@ class PathGuide:
         self._check_store()
 
     def _set_store(self, comps: np.ndarray, counts: Sequence[int]) -> None:
-        """Take the components and each extent's label count, and derive
-        the planning matrices from the node table, checked by now: one
-        pass per depth copies each parent's ancestor row into its
-        children's rows.  tag_paths is stored depth-major, so match_steps
-        works on long contiguous rows."""
+        """Take the components and each extent's label count."""
         counts = np.asarray(counts, dtype=np.int64)
         self.comps, self.start = comps, np.concatenate([[0], np.cumsum(counts)])
         self.comp_start = np.concatenate([[0], np.cumsum(counts * self.depths)])
         self.byte_lens = encoded_lens(comps, np.repeat(self.depths, counts))
         self.comps.flags.writeable = self.byte_lens.flags.writeable = False
-        self.anc = np.full((len(self), self.depths.max(initial=0) + 1), -1, dtype=np.int32)
-        for d in range(self.anc.shape[1]):
-            at = np.flatnonzero(self.depths == d)
-            self.anc[at, :d] = self.anc[self.parents[at], :d]
-            self.anc[at, d] = at
-        self.tag_paths = np.where(self.anc >= 0, self.tags[self.anc], -1).T.copy()
 
     def _check_store(self) -> None:
         """Raise GuideError unless every extent is strictly sorted, no label
@@ -452,49 +474,61 @@ class PathGuide:
 
     # -------------------------------------------------------- evaluation
 
-    def match_steps(self, steps: Sequence[Step], ends: np.ndarray) -> np.ndarray:
-        """M[x, i]: the steps (one or more) consume exactly the tags from
-        depth x down to ends[i] itself; shape (max depth + 2, len(ends)).
-
-        Backward dynamic program over the ends' tag-path columns, one
-        row per depth: a child step is a shift-and, a descendant step
-        adds a reverse cumulative OR (it may skip tags above its own).
-        The -1 padding below each end matches no test, not even a
-        wildcard.  No extent is read.
-        """
-        paths = np.take(self.tag_paths, ends, axis=1)
-        reach = np.zeros((len(paths) + 1, len(ends)), dtype=bool)
-        after = np.arange(len(paths))[:, None] == self.depths[ends]  # no steps left
-        for step in reversed(steps):
-            if step.test == WILDCARD:
-                hit = paths >= 0
-            else:
-                hit = paths == self.tag_id.get(step.test, _NO_TAG)
-            hit &= after
+    def walk(self, steps: Sequence[Step], start) -> tuple[np.ndarray | None, np.ndarray]:
+        """(s, e) pairs, one per guide node e whose tags below start node s
+        (-1: the virtual document node) the steps consume exactly; start
+        is distinct, and so are the pairs, in no set order.  start None
+        walks from the virtual node and gives no origins.  A child step
+        expands the children lists and keeps the tag; a descendant step
+        takes the tag's ranks in the intervals of each origin's topmost
+        nodes (_topmost).  No extent is read."""
+        if start is None:
+            origin, node = None, np.full(1, _VIRTUAL, dtype=np.intp)
+        else:
+            origin = node = np.asarray(start, dtype=np.intp)
+        nested = False  # whether a node may lie below another of its origin
+        for step in steps:
+            t = (len(self.tag_names) + 1 if step.test == WILDCARD
+                 else self.tag_id.get(step.test, len(self.tag_names)))
             if step.axis == DESCENDANT:
-                for x in range(len(hit) - 2, -1, -1):
-                    hit[x] |= hit[x + 1]
-            reach[:-1] = hit
-            after = reach[1:]
-        return reach
-
-    def branch_mask(self, q: SingleBranchQuery | Sequence[Step]) -> np.ndarray:
-        """Per guide node, whether its root path matches the branch; no
-        extent use.
-
-        Candidates pass the last step's test and are deep enough for
-        every step to consume a tag; match_steps keeps those whose
-        whole path, from depth 0, the steps consume.
-        """
-        steps = q.steps if isinstance(q, SingleBranchQuery) else tuple(q)
-        if not steps:
-            return np.zeros(len(self), dtype=bool)
-        keep = self.depths >= len(steps) - 1
-        if steps[-1].test != WILDCARD:
-            keep &= self.tags == self.tag_id.get(steps[-1].test, _NO_TAG)
-        keep[keep] = self.match_steps(steps, np.flatnonzero(keep))[0]
-        return keep
+                if nested:
+                    origin, node = _topmost(self, origin, node)
+                ranks = self.tag_pre[self.tag_start[t] : self.tag_start[t + 1]]
+                lo, hi = ranks.searchsorted(self.pre[node] + 1), ranks.searchsorted(self.end[node])
+                origin, at = _expand(origin, lo, hi)
+                node, nested = self.by_pre[ranks[at]], True
+            else:
+                origin, at = _expand(origin, self.kid_start[node + 1], self.kid_start[node + 2])
+                node = self.kids[at]
+                if step.test != WILDCARD:
+                    keep = self.tags[node] == t
+                    origin, node = None if origin is None else origin[keep], node[keep]
+        return origin, node
 
     def eval_single_branch(self, q: SingleBranchQuery | Sequence[Step]) -> list[int]:
         """Guide nodes whose root path matches the branch, ascending."""
-        return np.flatnonzero(self.branch_mask(q)).tolist()
+        steps = q.steps if isinstance(q, SingleBranchQuery) else tuple(q)
+        return np.sort(self.walk(steps, None)[1]).tolist() if steps else []
+
+
+def _expand(origin: np.ndarray | None, lo: np.ndarray, hi: np.ndarray):
+    """origin[i] once per position of lo[i]:hi[i], and the positions."""
+    n = hi - lo
+    total = np.cumsum(n)
+    at = np.repeat(hi - total, n) + np.arange(total[-1] if len(total) else 0)
+    return None if origin is None else np.repeat(origin, n), at
+
+
+def _topmost(pg: PathGuide, origin: np.ndarray | None, node: np.ndarray):
+    """The (origin, node) pairs whose node lies below no other pair's node
+    of the same origin, by origin, then pre-order: a pair stays when its
+    rank reaches the furthest subtree end before it, each origin's ranks
+    and ends lifted above the last origin's."""
+    lift = 0 if origin is None else origin * (len(pg) + 1)
+    key = lift + pg.pre[node]
+    order = np.argsort(key)
+    key, stop = key[order], (lift + pg.end[node])[order]
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] >= np.maximum.accumulate(stop)[:-1]
+    order = order[keep]
+    return None if origin is None else origin[order], node[order]

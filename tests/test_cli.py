@@ -371,6 +371,21 @@ def test_out_of_memory_exits_2(idx_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def test_closed_stdout_ends_the_query_quietly(tmp_path):
+    # a reader that stops after one line (as `| head -1` does) closes the
+    # pipe while the query still has far more than a pipe buffer to write
+    xml, idx = tmp_path / "big.xml", tmp_path / "big.idx"
+    assert main(["gen", "-o", str(xml), "--seed", "1", "--target-nodes", "20000"]) == 0
+    assert main(["index", str(xml), "-o", str(idx)]) == 0
+    with subprocess.Popen([sys.executable, "-m", "twigjoin", "query", str(idx), "//*"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+    assert first.strip() and err == ""
+
+
 # --- bench ---
 
 

@@ -9,6 +9,7 @@ from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
 from conftest import DOC_SEEDS, gen_doc, mixed_query, spy_reads, steps_to_regex
+from frozen_plan import FrozenPlanner
 
 
 def schema_for(pg: PathGuide, q: str):
@@ -220,6 +221,34 @@ def test_schema_matches_brute_force_oracle():
     assert nonempty >= 30
 
 
+# wildcards, tags the documents lack, and slots of two descendant steps
+FROZEN_PLAN_QUERIES = (
+    "//C[.//B//*][./A]//B", "//*[.//*//*]//*", "//A[.//B//C][.//D//E]/F", "//*[./*][./*]",
+    "//A[./Z]//B", "//Z[./A]/B", "/A[.//*//B]//C", "//B[.//A//A//A][.//C]//*",
+    "//A//B[./C[.//D//E]/F]//*", "/*/*[./*]//*",
+)
+
+
+def test_plan_agrees_with_the_frozen_planner():
+    rng = random.Random(17)
+    checked = nonempty = 0
+    for i, seed in enumerate(DOC_SEEDS):
+        pg = PathGuide.build_from_xml(gen_doc(seed, target=100 + 40 * i))
+        frozen = FrozenPlanner(pg)
+        queries = list(FROZEN_PLAN_QUERIES) + [mixed_query(rng, pg) for _ in range(120)]
+        for q in queries:
+            d = split(parse(q))
+            if not d.jps:
+                continue
+            built, want = build_dt_schema(pg, d), frozen.build_dt_schema(d)
+            for a, b in zip(built.tables, want.tables, strict=True):
+                assert np.array_equal(a.records, b.records), q
+                assert np.array_equal(a.ends, b.ends), q
+            checked += 1
+            nonempty += not want.is_empty
+    assert checked >= 600 and nonempty >= 150
+
+
 def test_schema_structural_invariants():
     rng = random.Random(7)
     for seed in DOC_SEEDS[:4]:
@@ -247,16 +276,16 @@ def test_schema_structural_invariants():
                 assert np.array_equal(np.unique(rows[:, 0]), table.records)
                 for si in range(len(table.jp.groups)):
                     assert np.array_equal(np.unique(rows[rows[:, 1] == si, 0]), table.records)
-                # every end sits below its JP guide node
-                g = rows[:, 0]
-                assert (pg.anc[rows[:, 2], pg.depths[g]] == g).all()
+                # every end sits below its JP guide node: in its interval, not at it
+                g, e = rows[:, 0], rows[:, 2]
+                assert ((pg.pre[g] < pg.pre[e]) & (pg.pre[e] < pg.end[g])).all()
                 for ends, level, jp_guide in record_view(table, pg):
                     assert len(ends) == len(table.jp.groups)
                     assert pg.depths[jp_guide] == level
                     for slot_ends in ends:
                         assert slot_ends and list(slot_ends) == sorted(set(slot_ends))
                         for e in slot_ends:
-                            assert pg.anc[e, pg.depths[jp_guide]] == jp_guide
+                            assert jp_guide in _ancestors(pg, e) and e != jp_guide
 
 
 # ------------------------------------------------------------------ explain

@@ -100,7 +100,8 @@ def test_reloaded_guide_plans_identically(sample):
     xml, pg, idx, data = sample
     clone = from_bytes(data).guide
     assert clone.tag_id == pg.tag_id
-    for name in ("parents", "tags", "depths", "anc", "tag_paths", "pos", "up"):
+    for name in ("parents", "tags", "depths", "kids", "kid_start", "pre", "end", "by_pre",
+                 "tag_pre", "tag_start", "pos", "up"):
         assert np.array_equal(getattr(clone, name), getattr(pg, name)), name
     rng = random.Random(4)
     planned = 0
@@ -670,7 +671,7 @@ def test_load_allocates_no_more_than_the_file_bounds(tmp_path):
         8 * len(data)  # the components, 8 B each, one file byte or more each
         + 3 * 8 * labels  # byte_lens, pos and up: an int64 each per label
         + 16 * 8 * labels  # the check: at most 16 int64 temporaries per label at once
-        + 2 * 4 * len(pg) * (depth + 1)  # anc and tag_paths: int32, node by depth
+        + 16 * 4 * len(pg)  # the node table and its planning arrays: at most 16 int32 per node
         + 2**20  # the node table's Python objects and the codec's chunk
     )
     tracemalloc.start()
@@ -684,6 +685,44 @@ def test_load_allocates_no_more_than_the_file_bounds(tmp_path):
     path = tmp_path / "deep.idx"
     path.write_bytes(data)
     assert main(["query", str(path), "//C"]) == 0
+
+
+def test_wide_and_deep_guide_loads_and_plans_in_memory_linear_in_the_file():
+    # 10,000 depth-1 guide nodes beside a 600-deep chain of one-label
+    # extents: a guide of 10,602 nodes whose paths padded to the deepest
+    # would take 10,602 x 601 cells per array
+    wide, depth = 10_000, 600
+    tags = ["R"] + [f"T{i}" for i in range(wide)] + ["C"] * depth
+    parents = [-1] + [0] * (wide + 1) + list(range(wide + 1, wide + depth))
+    rows = ([np.zeros((1, 0), np.int64)] + [np.array([[i + 1]]) for i in range(wide)]
+            + [np.array([[wide + 1] + [1] * (d - 1)]) for d in range(1, depth + 1)])
+    data = to_bytes(Index.from_guide(PathGuide.from_tables(tags, parents, rows)))
+    nodes, labels = len(tags), len(rows)  # each node takes 21 file bytes or more
+    load_limit = (
+        8 * len(data)  # the components, 8 B each, one file byte or more each
+        + 3 * 8 * labels  # byte_lens, pos and up: an int64 each per label
+        + 16 * 8 * labels  # the store check: at most 16 int64 temporaries per label at once
+        + 512 * nodes  # per guide node: its records' offsets and gathers, its tag's
+                       # str and dict entry, the node table and the planning arrays
+        + 2**20
+    )
+    plan_limit = 16 * 8 * nodes + 2**20  # at most 16 int64 temporaries per guide node
+    d = split(parse("/R/*[./C/C]/C"))  # child steps only: one pair per node a step reaches
+    tracemalloc.start()
+    try:
+        loaded = from_bytes(data).guide
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        plan = build_dt_schema(loaded, d)
+        plan_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak < load_limit, (load_peak, load_limit)
+    assert plan_peak < plan_limit, (plan_peak, plan_limit)
+    head = wide + 1  # the chain's first node, the one depth-1 node with a child
+    assert plan.tables[0].records.tolist() == [head]
+    assert plan.tables[0].ends.tolist() == [[head, 0, head + 2], [head, 1, head + 1]]
 
 
 def test_loaded_store_is_laid_out_like_a_built_one(sample):

@@ -14,6 +14,7 @@ from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 from conftest import DOC_SEEDS, children, gen_doc, random_steps, spy_reads, steps_to_regex
 import frozen_codec
 from frozen_build import build as frozen_build
+from frozen_plan import FrozenPlanner
 
 
 def ev(label: str, tag: str) -> NodeEvent:
@@ -91,15 +92,25 @@ def parent_chain(pg: PathGuide, gid: int) -> list[int]:
 
 
 def test_ancestor_helpers(guides):
-    _, pg = guides[0]
-    for node in pg.nodes:
-        chain = parent_chain(pg, node.gid)
-        assert len(chain) == node.depth + 1
-        for d, a in enumerate(chain):
-            assert pg.anc[node.gid, d] == a
-            assert pg.anc[node.gid, pg.depths[a]] == a
-        if node.gid:
-            assert pg.anc[node.parent, pg.depths[node.gid]] != node.gid
+    # g lies in e's interval exactly when a walk up parents from e reaches g;
+    # the virtual document node (-1) reaches every node
+    for _, pg in guides[:2]:
+        for e in range(len(pg)):
+            chain = set(parent_chain(pg, e))
+            assert len(chain) == pg.depths[e] + 1
+            for g in range(-1, len(pg)):
+                inside = pg.pre[g] <= pg.pre[e] < pg.end[g]
+                assert inside == (g in chain or g == -1), (g, e)
+
+
+def test_children_lists_restate_parents(guides):
+    for _, pg in guides:
+        for g in range(-1, len(pg)):
+            kids = pg.kids[pg.kid_start[g + 1] : pg.kid_start[g + 2]].tolist()
+            assert sorted(kids) == np.flatnonzero(pg.parents == g).tolist()
+            assert [pg.tags[k] for k in kids] == sorted(pg.tags[k] for k in kids)
+        assert pg.kid_start[0] == 0 and pg.kid_start[-1] == len(pg)
+        assert np.array_equal(np.sort(pg.kids), np.arange(len(pg)))
 
 
 def test_eval_single_branch_matches_regex_oracle(guides):
@@ -141,33 +152,50 @@ def steps_of(q: str) -> tuple[Step, ...]:
     return branch.steps
 
 
-def matrix_oracle(pg: PathGuide, steps, ends) -> np.ndarray:
-    """match_steps cell by cell: steps_match on every suffix of each path."""
-    out = np.zeros((pg.anc.shape[1] + 1, len(ends)), dtype=bool)
-    for i, e in enumerate(ends):
+def walk_oracle(pg: PathGuide, steps, starts) -> set[tuple[int, int]]:
+    """walk pair by pair: steps_match on the path below each start node."""
+    out = set()
+    for e in range(len(pg)):
+        chain = [-1] + parent_chain(pg, e)
         path = pg.path_tags(e)
-        for x in range(len(path) + 1):
-            out[x, i] = steps_match(steps, path[x:])
+        for s in starts:
+            if s in chain[:-1] and steps_match(steps, path[pg.depths[s] + 1 if s >= 0 else 0 :]):
+                out.add((s, e))
     return out
+
+
+def walk_pairs(pg: PathGuide, steps, starts) -> set[tuple[int, int]]:
+    origin, node = pg.walk(steps, starts)
+    pairs = list(zip(origin.tolist(), node.tolist()))
+    assert len(pairs) == len(set(pairs))  # each pair once
+    return set(pairs)
 
 
 def test_derived_arrays_agree_with_nodes(guides):
     for _, pg in guides:
-        width = max(n.depth for n in pg.nodes) + 1
-        assert pg.anc.shape == pg.tag_paths.T.shape == (len(pg), width)
-        for arr in (pg.parents, pg.tags, pg.depths, pg.anc, pg.tag_paths):
+        n = len(pg)
+        for arr in (pg.parents, pg.tags, pg.depths, pg.kids, pg.kid_start, pg.pre, pg.end,
+                    pg.by_pre, pg.tag_pre, pg.tag_start):
             assert arr.dtype == np.int32
-        names = list(pg.tag_id)
-        for n in pg.nodes:
-            pad = [-1] * (width - n.depth - 1)
-            chain = parent_chain(pg, n.gid)
-            assert pg.depths[n.gid] == n.depth
-            assert names[pg.tags[n.gid]] == n.tag
-            assert pg.anc[n.gid].tolist() == chain + pad
-            tag_path = pg.tag_paths[:, n.gid].tolist()
-            assert tag_path[: n.depth + 1] == pg.tags[chain].tolist()
-            assert tag_path[n.depth + 1 :] == pad
-            assert pg.path_tags(n.gid) == tuple(names[t] for t in pg.tags[chain].tolist())
+        assert [len(a) for a in (pg.kids, pg.kid_start, pg.pre, pg.end, pg.by_pre, pg.tag_pre)] \
+            == [n, n + 2, n + 1, n + 1, n, 2 * n]
+        # one run per tag id, then an empty one for a tag the guide lacks
+        # and one of all ranks for the wildcard
+        t = len(pg.tag_names)
+        assert len(pg.tag_start) == t + 3 and pg.tag_start[t] == pg.tag_start[t + 1] == n
+        assert pg.tag_pre[n:].tolist() == list(range(n))
+        # the virtual document node's interval holds every rank
+        assert (pg.pre[-1], pg.end[-1]) == (-1, n)
+        # pre-order: a node after its parent, its subtree a run of end - pre ranks
+        assert pg.pre[0] == 0
+        assert np.array_equal(pg.by_pre[pg.pre[:n]], np.arange(n))
+        for node in pg.nodes:
+            subtree = [g for g in range(n) if node.gid in parent_chain(pg, g)]
+            assert sorted(pg.pre[subtree].tolist()) == list(range(pg.pre[node.gid], pg.end[node.gid]))
+        # per tag, the ranks of its nodes, ascending
+        for t in range(len(pg.tag_names)):
+            ranks = pg.tag_pre[pg.tag_start[t] : pg.tag_start[t + 1]].tolist()
+            assert ranks == sorted(pg.pre[np.flatnonzero(pg.tags == t)].tolist())
 
 
 def test_row_order_and_ancestor_keys(guides):
@@ -197,13 +225,28 @@ def test_row_order_and_ancestor_keys(guides):
                     assert np.array_equal(ranks, prefix_ranks(padded[ids], level))
 
 
-def test_match_steps_agrees_with_steps_match(guides):
+def test_walk_agrees_with_steps_match(guides):
     rng = random.Random(21)
     for _, pg in guides:
-        ends = np.arange(len(pg))
+        starts = list(range(-1, len(pg)))
         for _ in range(20):
             steps = random_steps(rng, rng.randint(1, 5))
-            assert np.array_equal(pg.match_steps(steps, ends), matrix_oracle(pg, steps, ends))
+            assert walk_pairs(pg, steps, starts) == walk_oracle(pg, steps, starts), steps
+
+
+def test_eval_single_branch_agrees_with_the_frozen_planner():
+    rng = random.Random(31)
+    checked = hits = 0
+    for i, seed in enumerate(DOC_SEEDS):
+        pg = PathGuide.build_from_xml(gen_doc(seed, target=80 + 30 * i))
+        frozen = FrozenPlanner(pg)
+        for _ in range(130):
+            steps = random_steps(rng, rng.randint(1, 6))
+            want = frozen.eval_single_branch(steps)
+            assert pg.eval_single_branch(steps) == want, steps
+            checked += 1
+            hits += bool(want)
+    assert checked >= 1500 and hits >= 300
 
 
 @pytest.mark.parametrize(
@@ -223,23 +266,25 @@ def test_match_steps_agrees_with_steps_match(guides):
 def test_step_matcher_edge_cases(xml, expect):
     pg = PathGuide.build_from_xml(xml)
     strings = {g: "".join(pg.path_tags(g)) for g in range(len(pg))}
-    ends = np.arange(len(pg))
-    assert not pg.branch_mask(()).any() and pg.eval_single_branch(()) == []
+    starts = list(range(-1, len(pg)))
+    assert pg.eval_single_branch(()) == []
+    assert walk_pairs(pg, (), starts) == {(s, s) for s in starts}
+    assert walk_pairs(pg, steps_of("//*"), []) == set()
     for q, want in expect.items():
         steps = steps_of(q)
-        mask = pg.branch_mask(steps)
-        assert mask.dtype == bool and mask.shape == (len(pg),)
-        assert np.flatnonzero(mask).tolist() == pg.eval_single_branch(steps) == want, q
+        assert pg.eval_single_branch(steps) == want, q
         assert want == [g for g, s in strings.items() if steps_to_regex(steps).match(s)]
-        assert np.array_equal(pg.match_steps(steps, ends), matrix_oracle(pg, steps, ends)), q
+        assert walk_pairs(pg, steps, starts) == walk_oracle(pg, steps, starts), q
 
 
-def test_match_steps_sees_every_split_depth():
-    # row x: the steps consume A/X/A/A from depth x down
+def test_walk_sees_every_split_depth():
+    # the start nodes from which the steps consume the rest of A/X/A/A:
+    # -1 (the document node) for all of it, 2 for the last A only
     pg = PathGuide.build_from_xml(b"<A><X><A><A/></A></X></A>")
-    for q, cols in {"//A": [0, 1, 2, 3], "/A": [3], "//X//A": [0, 1], "/A//A": [0, 2]}.items():
-        m = pg.match_steps(steps_of(q), np.array([3]))
-        assert np.flatnonzero(m[:, 0]).tolist() == cols, q
+    for q, starts in {"//A": [-1, 0, 1, 2], "/A": [2], "//X//A": [-1, 0],
+                      "/A//A": [-1, 1]}.items():
+        origin, node = pg.walk(steps_of(q), [-1, 0, 1, 2])
+        assert sorted(origin[node == 3].tolist()) == starts, q
 
 
 def test_eval_single_branch_on_a_large_guide():
