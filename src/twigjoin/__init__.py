@@ -22,7 +22,7 @@ from .dewey import (
     parse_label,
 )
 from .document import GeneratorConfig, IngestError, NodeEvent, generate, ingest
-from .dt import DataTable, DTSchema, build_dt, build_dt_schema, explain
+from .dt import DataTable, DTSchema, build_dt_schema, explain
 from .index_io import Index, IndexFormatError
 from .kernels import get_backend
 from .matcher import (
@@ -78,7 +78,6 @@ __all__ = [
     "split",
     "DataTable",
     "DTSchema",
-    "build_dt",
     "build_dt_schema",
     "explain",
     "Cursor",

@@ -26,6 +26,10 @@ from .path_guide import GuideError, PathGuide
 from .twig import QuerySyntaxError, TwigPattern, parse
 
 ENGINES = ("dt", "leafscan", "naive")
+# the rows a dt query may hold, answers or one join point's partial
+# matches, when --max-results is not given: at a few int64 columns a row,
+# hundreds of megabytes, refused with exit 2 before they are allocated
+DEFAULT_MAX_RESULTS = 5_000_000
 
 
 class _CliUsage(Exception):
@@ -66,7 +70,8 @@ def _build_parser() -> _Parser:
                          help="disable jump skipping in the merge")
     p_query.add_argument("--max-results", type=_row_count, metavar="N",
                          help="fail (exit 2) before holding more than N result "
-                              "or partial-match rows (dt engine)")
+                              "or partial-match rows (dt engine; default "
+                              f"{DEFAULT_MAX_RESULTS:,})")
 
     p_gen = sub.add_parser("gen", help="generate a random XML document")
     p_gen.add_argument("-o", "--output", required=True)
@@ -124,7 +129,8 @@ def _cmd_query(args) -> int:
         if given and args.engine != "dt":
             raise _CliUsage(f"{flag} requires --engine dt")
     pg = index_io.load(args.index).guide
-    answers, met = _run(args.engine, pg, parse(args.query), args.no_jump, args.max_results)
+    bound = DEFAULT_MAX_RESULTS if args.max_results is None else args.max_results
+    answers, met = _run(args.engine, pg, parse(args.query), args.no_jump, bound)
     if args.explain:
         print("no DT required" if answers.plan is None else explain(answers.plan, pg))
     # the rows listed, and a function that prints them as lines

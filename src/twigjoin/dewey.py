@@ -71,9 +71,6 @@ class DeweyLabel(tuple):
             raise LabelError(f"prefix level {level} out of range for label of level {len(self)}")
         return _new_label(DeweyLabel, self[:level])
 
-    def is_ancestor_or_self(self, other: "DeweyLabel") -> bool:
-        return other[: len(self)] == self
-
     def __repr__(self) -> str:
         return f"DeweyLabel({format_label(self)})"
 
@@ -95,10 +92,6 @@ def compare(a: DeweyLabel, b: DeweyLabel) -> int:
     For labels of one document this equals document preorder.
     """
     return (a > b) - (a < b)
-
-
-def is_ancestor_or_self(a: DeweyLabel, b: DeweyLabel) -> bool:
-    return a.is_ancestor_or_self(b)
 
 
 def format_label(label: DeweyLabel) -> str:

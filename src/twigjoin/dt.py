@@ -17,24 +17,28 @@ An end e sits in slot i of the record for g only when all three hold:
 (c) the part of e's root path below depth(g) matches slot i's steps
     below the JP.
 
-A record exists only when every slot has at least one end.
-
 Without (c) a branch end reachable through some other embedding of the
 JP step could pair with a witness it does not actually sit under,
 producing tuples the twig never matches; prefix merging at the data
 level never re-checks tags, so the plan must be exact here.
 
-(a) gives the JP guide nodes, pg.eval_single_branch of the trunk; (b)
-and (c), one pg.walk per slot from them down its steps: each (g, e)
-pair reached puts end e in g's slot.  Trunk and slot steps make up a
-leaf's branch, so a leaf's end needs no more; a nested slot keeps the
-ends its child table has records for.
+build_dt_schema makes three passes over the tables, a full reducer
+(Yannakakis, VLDB 1981) run on the guide:
+
+1. Down, top JP first.  The top JP's guide nodes are its trunk's,
+   pg.eval_single_branch; each slot is one pg.walk from its JP's guide
+   nodes, each (g, e) pair reached putting end e in g's slot, which
+   gives (a) to (c).  A nested slot's distinct ends are exactly its
+   child JP's trunk nodes, so no other trunk is walked.
+2. Up, deepest JP first.  A record needs an end in every slot, and a
+   nested slot's ends must be among its child table's records.
+3. Down again.  A child table keeps only the records, and their ends,
+   that its parent's kept records name: no other can join an answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,43 +66,6 @@ class DTSchema:
         return any(len(t.records) == 0 for t in self.tables)
 
 
-def build_dt(
-    pg: PathGuide,
-    candidates: Sequence[Sequence[int] | None],
-    jp: JPDescriptor,
-) -> DataTable:
-    """Group the ends each slot's steps reach under every JP guide node.
-
-    candidates[i], in the order of jp.groups, holds the GuideIds slot i
-    may end at (a nested slot's child table records), or is None for no
-    limit.  One record per JP guide node under which every slot has at
-    least one end.
-    """
-    if len(candidates) != len(jp.groups):
-        raise ValueError("one candidate list per JP child group required")
-    m, n = len(jp.groups), len(pg)
-    trunk = pg.eval_single_branch(jp.trunk_steps)
-    trunk = np.fromiter(trunk, np.intp, len(trunk))
-    # one key (g * m + slot) * n + end per end the slot's steps reach from
-    # JP guide node g; the walk gives each pair once, so no key repeats
-    keys = []
-    for i, (group, allowed) in enumerate(zip(jp.groups, candidates)):
-        at, ends = pg.walk(group.steps, trunk)
-        if allowed is not None:
-            fit = np.append(allowed, -1)[np.searchsorted(allowed, ends)] == ends
-            at, ends = at[fit], ends[fit]
-        keys.append((at * m + i) * n + ends)
-    key = np.sort(np.concatenate(keys))
-    # one run of keys per (g, slot); g has a record when it has a run per slot
-    run = key // n
-    new_run = np.ones(len(key), dtype=bool)
-    new_run[1:] = run[1:] != run[:-1]
-    jps, n_slots = np.unique(run[new_run] // m, return_counts=True)
-    full = n_slots == m
-    key = key[full[np.searchsorted(jps, run // m)]]
-    return DataTable(jp, jps[full], np.column_stack([key // (m * n), key // n % m, key % n]))
-
-
 def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
     """Per record, in order: its ends per slot, its level (the depth of
     its JP guide node) and its JP guide node, all as ints."""
@@ -109,18 +76,44 @@ def record_view(table: DataTable, pg: PathGuide) -> list[tuple]:
 
 
 def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
-    """One DataTable per JP, in the order of d.jps (deepest first).
-
-    A nested slot's candidates are the records (JP guide nodes) of the
-    child JP's table, which is always built first because a child JP
-    sits strictly deeper in the twig; a leaf slot has no candidate list.
-    """
+    """One DataTable per JP, in the order of d.jps (deepest first), fully
+    reduced: see the module docstring for the three passes."""
     if not d.jps:
         raise ValueError("zero-JP query: no DT required")
+    n = len(pg)  # sets of guide nodes are counts per node: np.unique and np.isin would sort
+    nodes = [None] * len(d.jps)  # per JP, its guide nodes, distinct
+    nodes[-1] = np.array(pg.eval_single_branch(d.jps[-1].trunk_steps), dtype=np.intp)
+    walks = [None] * len(d.jps)  # per JP, per slot, its (g, end) pairs
+    for t in reversed(range(len(d.jps))):  # a parent sits after its children
+        walks[t] = [pg.walk(group.steps, nodes[t]) for group in d.jps[t].groups]
+        for group, (_, ends) in zip(d.jps[t].groups, walks[t]):
+            if group.child is not None:
+                nodes[group.child] = np.flatnonzero(np.bincount(ends, minlength=n))
     tables: list[DataTable] = []
-    for jp in d.jps:
-        nested = [None if g.child is None else tables[g.child].records for g in jp.groups]
-        tables.append(build_dt(pg, nested, jp))
+    for jp, slots in zip(d.jps, walks):
+        # one key (g * m + slot) * n + end per pair; the walk gives each once
+        m, keys = len(jp.groups), []
+        for i, (group, (at, ends)) in enumerate(zip(jp.groups, slots)):
+            if group.child is not None:
+                fit = np.bincount(tables[group.child].records, minlength=n)[ends] > 0
+                at, ends = at[fit], ends[fit]
+            keys.append((at * m + i) * n + ends)
+        key = np.sort(np.concatenate(keys))
+        # one run of keys per (g, slot); g has a record when it has a run per slot
+        run = key // n
+        new_run = np.ones(len(key), dtype=bool)
+        new_run[1:] = run[1:] != run[:-1]
+        jps, n_slots = np.unique(run[new_run] // m, return_counts=True)
+        full = n_slots == m
+        key = key[full[np.searchsorted(jps, run // m)]]
+        tables.append(DataTable(jp, jps[full], np.column_stack([key // (m * n), key // n % m, key % n])))
+    for table in reversed(tables):  # parents first, each already reduced
+        for i, group in enumerate(table.jp.groups):
+            if group.child is not None:
+                named = np.bincount(table.ends[table.ends[:, 1] == i, 2], minlength=n) > 0
+                child = tables[group.child]
+                child.records = child.records[named[child.records]]
+                child.ends = child.ends[named[child.ends[:, 0]]]
     return DTSchema(tables)
 
 

@@ -264,19 +264,6 @@ class PathGuide:
         return cls.build(ingest(data))
 
     @classmethod
-    def from_tables(
-        cls,
-        tags: Sequence[str],
-        parents: Sequence[int],
-        extent_rows: Sequence[np.ndarray],
-    ) -> "PathGuide":
-        """Rebuild from flat tables, checking them."""
-        pg = cls.from_node_table(tags, parents, [np.shape(rows)[1] for rows in extent_rows])
-        comps = [np.asarray(rows, dtype=np.int64).ravel() for rows in extent_rows]
-        pg.adopt_store(np.concatenate(comps), [*map(len, extent_rows)])
-        return pg
-
-    @classmethod
     def from_node_table(cls, tags: Sequence[str], parents: Sequence[int],
                         depths: Sequence[int]) -> "PathGuide":
         """A guide with this node table, per node its tag, parent and

@@ -240,17 +240,6 @@ def print_query(t: TwigPattern) -> str:
     return _print_node(t.root, first=False)
 
 
-def _canon_node(node: TwigNode) -> TwigNode:
-    kids = [_canon_node(c) for c in node.children]
-    kids.sort(key=lambda c: _print_node(c, first=False))
-    return TwigNode(node.axis, node.test, kids)
-
-
-def canonicalize(t: TwigPattern) -> TwigPattern:
-    """Same twig with children everywhere in a deterministic order."""
-    return TwigPattern(_canon_node(t.root))
-
-
 # ---------------------------------------------------------------- matching
 
 

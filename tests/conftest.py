@@ -27,6 +27,15 @@ TAGS = "ABCDEF"
 DOC_SEEDS = (0, 1, 12, 3, 4, 5, 13, 7, 8, 9, 14, 11)
 
 
+def from_tables(tags, parents, extent_rows) -> PathGuide:
+    """A guide rebuilt from flat tables, checking them: per node its tag,
+    its parent and its extent's labels as rows of components."""
+    pg = PathGuide.from_node_table(tags, parents, [np.shape(rows)[1] for rows in extent_rows])
+    comps = [np.asarray(rows, dtype=np.int64).ravel() for rows in extent_rows]
+    pg.adopt_store(np.concatenate(comps), [*map(len, extent_rows)])
+    return pg
+
+
 def gen_doc(seed: int, target: int = 120, max_depth: int = 8, max_fanout: int = 5):
     """A generated document of at least half the target size.
 

@@ -1,5 +1,7 @@
 """The planner as it was before planning walked the guide downward, kept
-as an oracle for PathGuide.walk, eval_single_branch and dt.build_dt.
+as an oracle for PathGuide.walk, eval_single_branch and
+dt.build_dt_schema.  It reduces the plan bottom-up only: a child table
+keeps records that no parent record names.
 
 It derives two int32 matrices from the node table: anc[g, d], the
 ancestor of g at depth d, and tag_paths[d, g], the tag id of anc[g, d]

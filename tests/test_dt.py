@@ -4,7 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from twigjoin.dt import build_dt, build_dt_schema, explain, record_view
+from twigjoin.document import GeneratorConfig, generate
+from twigjoin.dt import build_dt_schema, explain, record_view
+from twigjoin.matcher import match_proc
+from twigjoin.metrics import Metrics
 from twigjoin.path_guide import PathGuide
 from twigjoin.twig import parse, split
 
@@ -115,24 +118,15 @@ def test_three_branch_two_table_plan():
     assert [g.child for g in deep.jp.groups] == [None, None]
     assert [g.child for g in top.jp.groups] == [0, None]
     assert [g.leaf_id for g in top.jp.groups] == [None, 2]
-    # nested slot candidates are the deep table's JP guide nodes
+    # the nested slot's ends are exactly the deep table's JP guide nodes
     nested_ends = {e for ends, _, _ in record_view(top, pg) for e in ends[0]}
-    assert nested_ends <= {jp_guide for _, _, jp_guide in record_view(deep, pg)}
+    assert nested_ends == {jp_guide for _, _, jp_guide in record_view(deep, pg)}
 
 
 def test_zero_jp_is_rejected():
     pg = PathGuide.build_from_xml(b"<A><B/></A>")
     with pytest.raises(ValueError, match="no DT"):
         schema_for(pg, "//A/B")
-
-
-def test_build_dt_arity_check():
-    pg = PathGuide.build_from_xml(b"<A><B/><C/></A>")
-    (jp,) = split(parse("//A[./B]/C")).jps
-    with pytest.raises(ValueError, match="candidate list"):
-        build_dt(pg, [[1]], jp)
-    with pytest.raises(ValueError, match="candidate list"):
-        build_dt(pg, [[1], [2], [3]], jp)
 
 
 def test_build_reads_no_extents():
@@ -161,7 +155,9 @@ def _path_str(pg: PathGuide, gid: int) -> str:
 
 def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
     """Record sets per table, emitted straight from the three conditions
-    with regex path matching; quadratic and proud of it."""
+    with regex path matching, then reduced top-down: a child table keeps
+    the records its parent's kept records name.  Quadratic and proud of
+    it."""
     out: list[set[tuple]] = []
     built: list[set[int]] = []  # per JP of d.jps -> distinct jp_guide gids
     for jp in d.jps:
@@ -194,6 +190,11 @@ def oracle_schema_records(pg: PathGuide, d) -> list[set[tuple]]:
                 records.add((tuple(combo), depth, g))
         built.append({g for (_, _, g) in records})
         out.append(records)
+    for jp, records in reversed(list(zip(d.jps, out))):  # parents sit after their children
+        for i, group in enumerate(jp.groups):
+            if group.child is not None:
+                named = {combo[i] for combo, _, _ in records}
+                out[group.child] = {r for r in out[group.child] if r[2] in named}
     return out
 
 
@@ -230,8 +231,10 @@ FROZEN_PLAN_QUERIES = (
 
 
 def test_plan_agrees_with_the_frozen_planner():
+    # the plan is the frozen planner's minus exactly the records, with
+    # their ends rows, that no kept record of the parent table names
     rng = random.Random(17)
-    checked = nonempty = 0
+    checked = nonempty = reduced = 0
     for i, seed in enumerate(DOC_SEEDS):
         pg = PathGuide.build_from_xml(gen_doc(seed, target=100 + 40 * i))
         frozen = FrozenPlanner(pg)
@@ -241,12 +244,60 @@ def test_plan_agrees_with_the_frozen_planner():
             if not d.jps:
                 continue
             built, want = build_dt_schema(pg, d), frozen.build_dt_schema(d)
-            for a, b in zip(built.tables, want.tables, strict=True):
-                assert np.array_equal(a.records, b.records), q
-                assert np.array_equal(a.ends, b.ends), q
+            assert len(built.tables) == len(want.tables)
+            named = {}  # per child table, the ends its parent's kept records name
+            for ti in reversed(range(len(want.tables))):  # parents first
+                a, b = built.tables[ti], want.tables[ti]
+                keep = [g for g in b.records.tolist() if ti not in named or g in named[ti]]
+                assert a.records.tolist() == keep, q
+                assert a.ends.tolist() == [row for row in b.ends.tolist() if row[0] in keep], q
+                for si, group in enumerate(a.jp.groups):
+                    if group.child is not None:
+                        named[group.child] = {e for _, slot, e in a.ends.tolist() if slot == si}
+                reduced += len(keep) < len(b.records) and not want.is_empty
             checked += 1
             nonempty += not want.is_empty
-    assert checked >= 600 and nonempty >= 150
+    assert checked >= 600 and nonempty >= 150 and reduced >= 10, (checked, nonempty, reduced)
+
+
+def outcome(schema, pg, use_jump):
+    """lines(), witness rows and top witnesses, then the four counters."""
+    m = Metrics()
+    rs = match_proc(schema, pg, metrics=m, use_jump=use_jump)
+    return ((rs.lines(), rs.jps.tolist(), rs.tops.tolist()),
+            (m.nodes_read, m.bytes_scanned, m.prefix_comparisons, m.jumps))
+
+
+def test_reduced_plan_answers_as_the_frozen_one_with_no_more_work():
+    # a record no parent record names joins no answer: dropping it changes
+    # no answer or witness, and only takes reads and comparisons away
+    rng = random.Random(29)
+    fewer = 0
+    for i, seed in enumerate(DOC_SEEDS):
+        pg = PathGuide.build_from_xml(gen_doc(seed, target=100 + 20 * i))
+        frozen = FrozenPlanner(pg)
+        for q in [mixed_query(rng, pg) for _ in range(60)]:
+            d = split(parse(q))
+            if not d.jps:
+                continue
+            for use_jump in (True, False):
+                want, before = outcome(frozen.build_dt_schema(d), pg, use_jump)
+                got, after = outcome(build_dt_schema(pg, d), pg, use_jump)
+                assert got == want, q
+                assert all(a <= b for a, b in zip(after, before)), (q, use_jump, after, before)
+                fewer += after[0] < before[0]
+    assert fewer >= 8, fewer
+
+
+def test_a_child_keeps_only_the_records_its_parent_names():
+    pg = PathGuide.build_from_xml(generate(GeneratorConfig(seed=3, target_node_count=2000)).xml)
+    d = split(parse("//*[./A[./B][./C]]/D"))
+    frozen, built = FrozenPlanner(pg).build_dt_schema(d), build_dt_schema(pg, d)
+    assert [len(t.records) for t in frozen.tables] == [20, 13]
+    assert [len(t.records) for t in built.tables] == [13, 13]
+    (want, before), (got, after) = outcome(frozen, pg, True), outcome(built, pg, True)
+    assert got == want and len(got[0]) == 59
+    assert (before[0], after[0]) == (137, 99)
 
 
 def test_schema_structural_invariants():

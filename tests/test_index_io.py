@@ -32,7 +32,7 @@ from twigjoin.twig import parse, split
 
 import frozen_codec
 import frozen_load
-from conftest import children, gen_doc, mixed_query
+from conftest import children, from_tables, gen_doc, mixed_query
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,7 @@ def test_index_of_no_guide_nodes_is_rejected():
                            match=r"^inconsistent guide tables: empty node table: no root$"):
             load_bytes(reseal(payload))
     with pytest.raises(GuideError, match="empty node table"):
-        PathGuide.from_tables([], [], [])
+        from_tables([], [], [])
 
 
 def _with_parent(data: bytes, gid: int, parent: int) -> bytes:
@@ -251,7 +251,7 @@ def test_rewired_parents_are_rejected_in_memory_linear_in_the_file(n, agree, err
     # node by depth matrices derived from those parents would take
     # memory quadratic in the file's size
     tables = [np.zeros((1, 0), np.int64)] + [np.array([[g]]) for g in range(1, n + 1)]
-    pg = PathGuide.from_tables(["R"] + [f"T{g}" for g in range(n)], [-1] + [0] * n, tables)
+    pg = from_tables(["R"] + [f"T{g}" for g in range(n)], [-1] + [0] * n, tables)
     bad = _rewired(to_bytes(Index.from_guide(pg)), agree)
     tracemalloc.start()
     try:
@@ -314,7 +314,7 @@ def _resealed_with_rows(pg: PathGuide, gid: int, rows: np.ndarray) -> bytes:
     tables = [e.rows for e in pg.extents]
     tables[gid] = rows
     with mock.patch.object(PathGuide, "_check_store"):
-        bad = PathGuide.from_tables([n.tag for n in pg.nodes], [n.parent for n in pg.nodes],
+        bad = from_tables([n.tag for n in pg.nodes], [n.parent for n in pg.nodes],
                                     tables)
     return to_bytes(Index.from_guide(bad))
 
@@ -471,7 +471,7 @@ def _per_extent_load(data: bytes) -> PathGuide:
             pos += 12 + blob_len
         if pos != len(data) - 4:
             raise IndexFormatError("trailing bytes")
-        pg = PathGuide.from_tables(tags, parents, tables)
+        pg = from_tables(tags, parents, tables)
     except (struct.error, UnicodeDecodeError, dewey.LabelError, GuideError) as exc:
         raise IndexFormatError(str(exc)) from None
     node_count, max_depth = struct.unpack_from("<QI", data, len(MAGIC) + 4)
@@ -518,7 +518,7 @@ def test_round_trip_at_component_class_boundaries(chunk):
     a = np.array(edges, dtype=np.int64)[:, None]
     b = np.array([[x, y] for x in edges for y in edges], dtype=np.int64)
     c = np.array([[x, y, z] for x, y in b.tolist() for z in edges[::3]], dtype=np.int64)
-    pg = PathGuide.from_tables(["R", "A", "B", "C"], [-1, 0, 1, 2],
+    pg = from_tables(["R", "A", "B", "C"], [-1, 0, 1, 2],
                                [np.zeros((1, 0), np.int64), a, b, c])
     with mock.patch.object(index_io, "CHUNK_BYTES", chunk):
         data = to_bytes(Index.from_guide(pg))
@@ -662,7 +662,7 @@ def test_load_allocates_no_more_than_the_file_bounds(tmp_path):
     depth, wide = 400, 16_000
     tags, parents = ["R", "A"] + ["C"] * depth, [-1, 0, 0] + list(range(2, depth + 1))
     chain = [np.array([[wide + 1] + [1] * (d - 1)]) for d in range(1, depth + 1)]
-    pg = PathGuide.from_tables(tags, parents, [np.zeros((1, 0), np.int64),
+    pg = from_tables(tags, parents, [np.zeros((1, 0), np.int64),
                                                np.arange(1, wide + 1)[:, None], *chain])
     data = to_bytes(Index.from_guide(pg))
     blob = int(pg.byte_lens.sum())  # bytes of the extent blobs
@@ -696,7 +696,7 @@ def test_wide_and_deep_guide_loads_and_plans_in_memory_linear_in_the_file():
     parents = [-1] + [0] * (wide + 1) + list(range(wide + 1, wide + depth))
     rows = ([np.zeros((1, 0), np.int64)] + [np.array([[i + 1]]) for i in range(wide)]
             + [np.array([[wide + 1] + [1] * (d - 1)]) for d in range(1, depth + 1)])
-    data = to_bytes(Index.from_guide(PathGuide.from_tables(tags, parents, rows)))
+    data = to_bytes(Index.from_guide(from_tables(tags, parents, rows)))
     nodes, labels = len(tags), len(rows)  # each node takes 21 file bytes or more
     load_limit = (
         8 * len(data)  # the components, 8 B each, one file byte or more each
@@ -746,7 +746,7 @@ def _fuzz_indexes() -> list[bytes]:
         PathGuide.build_from_xml("<R><é><データ/><B/><データ/></é><ü><データ><C/></データ></ü></R>"
                                  .encode()),
         PathGuide.build_from_xml(b"<R><A><B><C><D/></C></B></A></R>"),
-        PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1], [np.zeros((1, 0), np.int64), edges,
+        from_tables(["R", "A", "B"], [-1, 0, 1], [np.zeros((1, 0), np.int64), edges,
                                                             np.hstack([edges, edges[::-1]])]),
     ]
     return [to_bytes(Index.from_guide(pg)) for pg in guides]

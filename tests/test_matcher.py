@@ -32,7 +32,7 @@ from twigjoin.path_guide import PathGuide
 from twigjoin.twig import MAX_PATH_STEPS, QuerySyntaxError, parse, split
 
 from conftest import (DEEP_SHAPES, DOC_SEEDS, build_all, children, deep_query, fan_out_doc,
-                      gen_doc, jp_leaves, mixed_query, random_query, spy_reads)
+                      from_tables, gen_doc, jp_leaves, mixed_query, random_query, spy_reads)
 import frozen_match
 from frozen_lines import lines as frozen_lines
 
@@ -473,7 +473,7 @@ def test_lines_repeat_the_frozen_formatter():
     comps = sorted({1, 127, 128, 16511, 16512, 10**9 + 1}
                    | {10**i + d for i in range(1, 10) for d in (-1, 0)})
     two = [[a, b] for a in comps for b in comps]
-    guides.append(PathGuide.from_tables(
+    guides.append(from_tables(
         ["R", "A", "B", "C"], [-1, 0, 1, 2],
         [np.zeros((1, 0), np.int64), [[c] for c in comps], two,
          [ab + [c] for ab in two[::5] for c in comps]]))
@@ -498,7 +498,7 @@ def test_lines_at_every_slot_width(widest):
     # but the root's empty label
     comps = sorted(c for c in {1, 2, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000,
                                widest // 2 + 1, widest} if c <= widest)
-    pg = PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1],
+    pg = from_tables(["R", "A", "B"], [-1, 0, 1],
                                [np.zeros((1, 0), np.int64), [[c] for c in comps],
                                 [[a, b] for a in comps for b in comps]])
     assert pg.comps.max() == widest

@@ -11,7 +11,8 @@ from twigjoin.kernels import prefix_ranks
 from twigjoin.path_guide import GuideError, PathGuide
 from twigjoin.twig import CHILD, DESCENDANT, Step, parse, split, steps_match
 
-from conftest import DOC_SEEDS, children, gen_doc, random_steps, spy_reads, steps_to_regex
+from conftest import (DOC_SEEDS, children, from_tables, gen_doc, random_steps, spy_reads,
+                      steps_to_regex)
 import frozen_codec
 from frozen_build import build as frozen_build
 from frozen_plan import FrozenPlanner
@@ -316,7 +317,7 @@ def test_byte_lens_agree_with_label_codec():
     # every length-class boundary, in a store of labels 0, 1 and 2 deep
     edge = [1, 127, 128, 16511, 16512, 2113663, 2113664, 270549119, 270549120]
     rows = np.array(sorted((a, b) for a in edge for b in edge), dtype=np.int64)
-    pg = PathGuide.from_tables(["R", "A", "B"], [-1, 0, 1],
+    pg = from_tables(["R", "A", "B"], [-1, 0, 1],
                                [np.zeros((1, 0), np.int64), np.array(edge)[:, None], rows])
     want = [frozen_codec.encoded_len(DeweyLabel(tuple(map(int, r))))
             for e in pg.extents for r in e.rows]
@@ -464,7 +465,7 @@ def test_build_allocates_within_its_bound():
 
 def test_from_tables_round_trip(guides):
     for _, pg in guides:
-        clone = PathGuide.from_tables(
+        clone = from_tables(
             [n.tag for n in pg.nodes],
             [n.parent for n in pg.nodes],
             [e.rows for e in pg.extents],
@@ -478,33 +479,33 @@ def test_from_tables_round_trip(guides):
 def test_from_tables_rejects_duplicate_child_tag():
     rows = [np.zeros((1, 0)), np.ones((1, 1)), np.ones((1, 1))]
     with pytest.raises(GuideError, match="duplicate child tag"):
-        PathGuide.from_tables(["A", "B", "B"], [-1, 0, 0], rows)
+        from_tables(["A", "B", "B"], [-1, 0, 0], rows)
 
 
 def test_from_tables_rejects_second_root():
     rows = [np.zeros((1, 0)), np.zeros((1, 0))]
     with pytest.raises(GuideError, match="second root"):
-        PathGuide.from_tables(["A", "B"], [-1, -1], rows)
+        from_tables(["A", "B"], [-1, -1], rows)
 
 
 @pytest.mark.parametrize("parents", [[-1, 2, 0], [-1, 1, 0], [-1, 0, -3]])
 def test_from_tables_rejects_parent_that_is_not_earlier(parents):
     rows = [np.zeros((1, 0)), np.ones((1, 1)), np.ones((1, 1))]
     with pytest.raises(GuideError, match="is not an earlier node"):
-        PathGuide.from_tables(["A", "B", "C"], parents, rows)
+        from_tables(["A", "B", "C"], parents, rows)
 
 
 def test_from_tables_rejects_width_mismatch():
     rows = [np.zeros((1, 0)), np.ones((2, 3))]
     with pytest.raises(GuideError, match="width"):
-        PathGuide.from_tables(["A", "B"], [-1, 0], rows)
+        from_tables(["A", "B"], [-1, 0], rows)
 
 
 @pytest.mark.parametrize("rows", [[[2], [1]], [[1], [1]], [[1], [3], [2]]])
 def test_from_tables_rejects_unsorted_or_duplicate_rows(rows):
     tables = [np.zeros((1, 0)), np.array(rows)]
     with pytest.raises(GuideError, match="guide node 1 is not sorted"):
-        PathGuide.from_tables(["A", "B"], [-1, 0], tables)
+        from_tables(["A", "B"], [-1, 0], tables)
 
 
 def test_sorted_check_agrees_with_tuple_order():
@@ -531,16 +532,16 @@ def test_sorted_check_agrees_with_tuple_order():
         if not all(a < b for e in exts for a, b in zip(e, e[1:])):
             rejected += 1
             with pytest.raises(GuideError, match="not sorted"):
-                PathGuide.from_tables(tags, parents, tables)
+                from_tables(tags, parents, tables)
         elif shared:
             with pytest.raises(GuideError, match="shares a label"):
-                PathGuide.from_tables(tags, parents, tables)
+                from_tables(tags, parents, tables)
         elif nested:
             loaded += 1
-            PathGuide.from_tables(tags, parents, tables)
+            from_tables(tags, parents, tables)
         else:
             with pytest.raises(GuideError, match="has no parent label in guide node 1"):
-                PathGuide.from_tables(tags, parents, tables)
+                from_tables(tags, parents, tables)
     assert 50 <= rejected <= 250
     assert 20 <= loaded <= 250
 
@@ -585,12 +586,12 @@ def test_sorted_check_agrees_with_tuple_order():
                     f"in guide node {parents[g]}")
         else:
             seen["loaded"] += 1
-            pg = PathGuide.from_tables(tags, parents, tables)
+            pg = from_tables(tags, parents, tables)
             rows = [lab for e in exts for lab in e]
             assert pg.pos.tolist() == [sorted(rows).index(lab) for lab in rows]
             assert [rows[u] for u in pg.up[1:]] == [lab[:-1] for lab in rows[1:]]
             continue
         with pytest.raises(GuideError) as err:
-            PathGuide.from_tables(tags, parents, tables)
+            from_tables(tags, parents, tables)
         assert str(err.value) == want
     assert min(seen.values()) >= 30, seen

@@ -13,7 +13,6 @@ from twigjoin.twig import (
     TwigNode,
     TwigPattern,
     _merge_siblings,
-    canonicalize,
     parse,
     print_query,
     split,
@@ -24,6 +23,16 @@ from twigjoin.twig import (
 from conftest import (DEEP_SHAPES, deep_query, group_leaves, jp_leaves, random_query, random_steps,
                       steps_to_regex)
 import frozen_split
+
+
+def canonicalize(t: TwigPattern) -> TwigPattern:
+    """Same twig with children everywhere in a deterministic order."""
+
+    def canon(node: TwigNode) -> TwigNode:
+        kids = sorted(map(canon, node.children), key=lambda c: print_query(TwigPattern(c)))
+        return TwigNode(node.axis, node.test, kids)
+
+    return TwigPattern(canon(t.root))
 
 
 def branch_strs(q: str) -> list[str]:
