@@ -1,10 +1,11 @@
 """Command-line surface: index building, query execution, document
 generation and the benchmark harness.
 
-Exit codes: 0 success, 1 usage or query-syntax errors, 2 runtime and
-IO errors.  Results go to stdout; the metrics line goes to stderr so
-result output stays pipe-friendly.  A reader that closes stdout early
-(`twigjoin query ... | head -1`) ends the command quietly with status 0.
+Exit codes: 0 success, 1 usage or query-syntax errors, 2 runtime and IO
+errors, a dt query past its row bound among them (`query --max-results`, else
+matcher.DEFAULT_MAX_RESULTS, as in `bench`).  Results go to stdout, the metrics
+line to stderr, so output stays pipe-friendly.  A reader that closes stdout
+early (`twigjoin query ... | head -1`) ends the command quietly with status 0.
 """
 
 from __future__ import annotations
@@ -16,20 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import index_io
+from . import index_io, matcher
 from .document import GeneratorConfig, IngestError, generate
 from .dt import explain
 from .matcher import MatchTuple, ResultLimitError, ResultSet, evaluate
 from .metrics import Metrics
 from .oracle import MaterializedDoc, leaf_scan_match, naive_match
 from .path_guide import GuideError, PathGuide
-from .twig import QuerySyntaxError, TwigPattern, parse
+from .twig import QuerySyntaxError, TwigPattern, is_name, parse
 
 ENGINES = ("dt", "leafscan", "naive")
-# the rows a dt query may hold, answers or one join point's partial
-# matches, when --max-results is not given: at a few int64 columns a row,
-# hundreds of megabytes, refused with exit 2 before they are allocated
-DEFAULT_MAX_RESULTS = 5_000_000
 
 
 class _CliUsage(Exception):
@@ -71,7 +68,7 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--max-results", type=_row_count, metavar="N",
                          help="fail (exit 2) before holding more than N result "
                               "or partial-match rows (dt engine; default "
-                              f"{DEFAULT_MAX_RESULTS:,})")
+                              f"{matcher.DEFAULT_MAX_RESULTS:,})")
 
     p_gen = sub.add_parser("gen", help="generate a random XML document")
     p_gen.add_argument("-o", "--output", required=True)
@@ -108,10 +105,10 @@ def _cmd_index(args) -> int:
 
 
 def _run(engine: str, pg: PathGuide, twig: TwigPattern, no_jump: bool,
-         max_results: int | None) -> tuple[ResultSet | list[MatchTuple], Metrics]:
+         max_results: int | None = None) -> tuple[ResultSet | list[MatchTuple], Metrics]:
     """One query on one engine: its answers and Metrics.  Only dt reads
-    no_jump and max_results; naive rebuilds the document first, charged
-    as the full scan it is."""
+    no_jump and max_results (None: the engine's default); naive rebuilds
+    the document first, charged as the full scan it is."""
     if engine == "dt":
         return evaluate(pg, twig, use_jump=not no_jump, max_results=max_results)
     if engine == "leafscan":
@@ -125,12 +122,11 @@ def _run(engine: str, pg: PathGuide, twig: TwigPattern, no_jump: bool,
 
 def _cmd_query(args) -> int:
     for flag, given in (("--explain", args.explain), ("--project jp", args.project),
-                        ("--max-results", args.max_results is not None)):
+                        ("--max-results", isinstance(args.max_results, int))):
         if given and args.engine != "dt":
             raise _CliUsage(f"{flag} requires --engine dt")
     pg = index_io.load(args.index).guide
-    bound = DEFAULT_MAX_RESULTS if args.max_results is None else args.max_results
-    answers, met = _run(args.engine, pg, parse(args.query), args.no_jump, bound)
+    answers, met = _run(args.engine, pg, parse(args.query), args.no_jump, args.max_results)
     if args.explain:
         print("no DT required" if answers.plan is None else explain(answers.plan, pg))
     # the rows listed, and a function that prints them as lines
@@ -162,6 +158,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _nameable(tags: tuple[str, ...]) -> tuple[str, ...]:
+    """The tags of a sweep, refused if a query step cannot name one."""
+    for tag in tags:
+        if not is_name(tag):
+            raise ValueError(f"the sweep's path has tag {tag!r}, which no query step can name")
+    return tags
+
+
 def synth_single_branch(pg: PathGuide) -> list[tuple[str, str]]:
     """Suffix chains of the deepest guide path, lengths 2 through 9.
 
@@ -169,11 +173,10 @@ def synth_single_branch(pg: PathGuide) -> list[tuple[str, str]]:
     the dt engine's reads can only shrink as the chain grows, while
     the leaf tag (and with it the name-scan cost) stays fixed.
     """
-    tags = pg.path_tags(int(np.argmax(pg.depths)))  # the first deepest node
-    out = [(f"sb{k}", "//" + "//".join(tags[-k:])) for k in range(2, min(9, len(tags)) + 1)]
-    if not out:
+    tags = _nameable(pg.path_tags(int(np.argmax(pg.depths)))[-9:])  # the first deepest node's
+    if len(tags) < 2:
         raise ValueError("index too shallow for the single-branch sweep")
-    return out
+    return [(f"sb{k}", "//" + "//".join(tags[-k:])) for k in range(2, len(tags) + 1)]
 
 
 def synth_multi_branch(pg: PathGuide) -> list[tuple[str, str]]:
@@ -196,8 +199,8 @@ def synth_multi_branch(pg: PathGuide) -> list[tuple[str, str]]:
     top5 = kids[np.searchsorted(pg.parents[kids], cands)[:, None] + np.arange(5)]
     # the most witnesses, then the largest top five, then the first gid
     best = np.lexsort((-cands, sizes[top5].sum(axis=1), sizes[cands]))[-1]
-    trunk = "/" + "/".join(pg.path_tags(cands[best]))
-    tags = [pg.tag_names[t] for t in pg.tags[top5[best]].tolist()]
+    trunk = "/" + "/".join(_nameable(pg.path_tags(cands[best])))
+    tags = _nameable(tuple(pg.tag_names[t] for t in pg.tags[top5[best]].tolist()))
     return [(f"mb{b}", trunk + "".join(f"[./{t}]" for t in tags[:b])) for b in range(2, 6)]
 
 
@@ -215,12 +218,8 @@ def _cmd_bench(args) -> int:
     elif args.auto == "multi-branch":
         workload = synth_multi_branch(pg)
     else:
-        lines = Path(args.workload).read_text().splitlines()
-        workload = [
-            (f"q{i}", line.strip())
-            for i, line in enumerate(lines, 1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        lines = [line.strip() for line in Path(args.workload).read_text().splitlines()]
+        workload = [(f"q{i}", q) for i, q in enumerate(lines, 1) if q and not q.startswith("#")]
         if not workload:
             raise ValueError(f"workload file {args.workload} has no queries")
 
@@ -228,8 +227,8 @@ def _cmd_bench(args) -> int:
     for name, text in workload:
         twig = parse(text)
         for engine in engines:
-            _run(engine, pg, twig, args.no_jump, None)  # warm-up, excluded from timing
-            _, met = _run(engine, pg, twig, args.no_jump, None)
+            _run(engine, pg, twig, args.no_jump)  # warm-up, excluded from timing
+            _, met = _run(engine, pg, twig, args.no_jump)
             print(
                 f"{name},{text},{engine},"
                 f"{met.nodes_read},{met.bytes_scanned},{met.micros}"

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import runs
 from .path_guide import PathGuide
 from .twig import Decomposition, JPDescriptor, steps_to_str
 
@@ -101,9 +102,7 @@ def build_dt_schema(pg: PathGuide, d: Decomposition) -> DTSchema:
         key = np.sort(np.concatenate(keys))
         # one run of keys per (g, slot); g has a record when it has a run per slot
         run = key // n
-        new_run = np.ones(len(key), dtype=bool)
-        new_run[1:] = run[1:] != run[:-1]
-        jps, n_slots = np.unique(run[new_run] // m, return_counts=True)
+        jps, n_slots = np.unique(run[runs(run[:, None])[0]] // m, return_counts=True)
         full = n_slots == m
         key = key[full[np.searchsorted(jps, run // m)]]
         tables.append(DataTable(jp, jps[full], np.column_stack([key // (m * n), key // n % m, key % n])))

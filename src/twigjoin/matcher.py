@@ -44,7 +44,7 @@ DeweyLabel/MatchTuple objects, once per distinct row.  Printing makes
 no object but the lines: a slice of answers reads its components from
 the store in place, writes each three-digit group with one lookup in a
 small digit table, and is decoded and split once.
-A fan-out that would exceed ``max_results`` rows raises
+A query past ``max_results`` rows (None: DEFAULT_MAX_RESULTS) raises
 ResultLimitError, counted from the runs before any tuple is built.
 
 The one label-list API is `jump`: a galloping search over a NodeList,
@@ -68,6 +68,8 @@ from .metrics import Metrics
 from .path_guide import ExtentList, PathGuide
 from .twig import TwigPattern, parse, split
 
+# max_results when None, read at call time: rows of a few int64 columns, hundreds of MB
+DEFAULT_MAX_RESULTS = 5_000_000
 _PRINT_SLICE = 2048  # answers lines() prints at once: bounds its byte matrices
 _GROUP = 1000  # lines() writes a component as groups of three digits
 
@@ -99,7 +101,7 @@ class MatchTuple:
 
 
 class ResultLimitError(Exception):
-    """Evaluation would hold more rows than the caller's max_results."""
+    """Evaluation would hold more rows than max_results allows."""
 
     def __init__(self, rows: int, limit: int):
         super().__init__(f"query needs {rows} result rows, over the limit of {limit}")
@@ -314,7 +316,7 @@ def match_proc(
     Answers are deduplicated by leaf assignment and sorted; witnesses
     are the distinct JP prefixes of the top table that joined at least
     one answer.  Raises ResultLimitError before a table's entries would
-    exceed max_results rows; the answers are at most the top table's.
+    exceed max_results (None: DEFAULT_MAX_RESULTS), which bounds the answers.
 
     Which sorts are needed follows from the plan.  A table's levels are
     its records' depths, and its witnesses at a level are the data nodes
@@ -337,6 +339,7 @@ def match_proc(
     block is already sorted by leaves and distinct.
     """
     be = get_backend(backend)
+    limit = DEFAULT_MAX_RESULTS if max_results is None else max_results
     # an entry holds a row id per leaf, then per table its witness
     n_leaves = sum(g.child is None for t in schema.tables for g in t.jp.groups)
     n_tables = len(schema.tables)
@@ -397,13 +400,12 @@ def match_proc(
         # across slots, counted before any is built
         owned = [np.concatenate(([0], np.cumsum(inp.counts))) for inp in inputs]
         sizes = np.stack([o[stop[:, j]] - o[first[:, j]] for j, o in enumerate(owned)], axis=1)
-        if max_results is not None:
-            entries = np.cumsum(sizes.prod(axis=1))  # runs come level by level
-            over = np.searchsorted(entries, max_results, "right")
-            if over < len(entries):  # named through the level of the first run past it
-                level = segs[0][first[:, 0]]
-                last = np.searchsorted(level, level[over], "right") - 1
-                raise ResultLimitError(int(entries[last]), max_results)
+        entries = np.cumsum(sizes.prod(axis=1))  # runs come level by level
+        over = np.searchsorted(entries, limit, "right")
+        if over < len(entries):  # named through the level of the first run past it
+            level = segs[0][first[:, 0]]
+            last = np.searchsorted(level, level[over], "right") - 1
+            raise ResultLimitError(int(entries[last]), limit)
         # runs fan out into entries in leaf order; slots fill disjoint
         # columns, -1 elsewhere
         run, digits = _cross(sizes)
@@ -450,9 +452,9 @@ def evaluate(
 
     Zero-JP queries skip planning entirely and sort the union of the
     matched extents; an empty plan short-circuits before any extent is
-    touched.  With max_results set, a query whose answers or partial
-    matches would exceed that many rows raises ResultLimitError before
-    they are allocated.
+    touched.  A query whose answers or partial matches would exceed
+    max_results rows (None: DEFAULT_MAX_RESULTS) raises ResultLimitError
+    before they are allocated.
     """
     if metrics is None:
         metrics = Metrics()
@@ -462,8 +464,9 @@ def evaluate(
         if not d.jps:
             exts = [pg.read_extent(g) for g in pg.eval_single_branch(d.branches[0])]
             n = sum(len(ext) for ext in exts)
-            if max_results is not None and n > max_results:
-                raise ResultLimitError(n, max_results)
+            limit = DEFAULT_MAX_RESULTS if max_results is None else max_results
+            if n > limit:
+                raise ResultLimitError(n, limit)
             ids, _, _ = _union(pg, exts)
             metrics.nodes_read += n
             metrics.credit(ids, pg.byte_lens[ids])

@@ -56,6 +56,7 @@ import numpy as np
 
 from .dewey import DeweyLabel, encoded_lens
 from .document import NodeEvent, ingest
+from .kernels import ranges
 from .twig import DESCENDANT, WILDCARD, SingleBranchQuery, Step
 
 _VIRTUAL = -1
@@ -500,10 +501,7 @@ class PathGuide:
 
 def _expand(origin: np.ndarray | None, lo: np.ndarray, hi: np.ndarray):
     """origin[i] once per position of lo[i]:hi[i], and the positions."""
-    n = hi - lo
-    total = np.cumsum(n)
-    at = np.repeat(hi - total, n) + np.arange(total[-1] if len(total) else 0)
-    return None if origin is None else np.repeat(origin, n), at
+    return None if origin is None else np.repeat(origin, hi - lo), ranges(lo, hi)
 
 
 def _topmost(pg: PathGuide, origin: np.ndarray | None, node: np.ndarray):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from twigjoin import cli, index_io
+from twigjoin import cli, index_io, matcher
 from twigjoin.cli import main, synth_multi_branch, synth_single_branch
 from twigjoin.dewey import DeweyLabel
 from twigjoin.kernels import ENV_VAR
@@ -248,14 +248,15 @@ def test_max_results_exits_2_before_the_fan_out(tmp_path, capsys):
 
 
 def test_a_query_past_the_default_bound_exits_2(tmp_path, capsys, monkeypatch):
-    # without --max-results the CLI still refuses, at DEFAULT_MAX_RESULTS
-    # rows, lowered here so that nothing large is built
+    # without --max-results the CLI still refuses, at the engine's
+    # DEFAULT_MAX_RESULTS rows, lowered here so that nothing large is built
     n = 60
     xml, idx = tmp_path / "fan.xml", str(tmp_path / "fan.idx")
     xml.write_bytes(fan_out_doc(n))
     assert main(["index", str(xml), "-o", idx]) == 0
-    assert cli.DEFAULT_MAX_RESULTS >= 1_348_409  # frag's //B[.//C]//D stays answerable
-    monkeypatch.setattr(cli, "DEFAULT_MAX_RESULTS", n * n - 1)
+    assert matcher.DEFAULT_MAX_RESULTS >= 1_348_409  # frag's //B[.//C]//D stays answerable
+    assert not hasattr(cli, "DEFAULT_MAX_RESULTS")  # the engine's is the one default
+    monkeypatch.setattr(matcher, "DEFAULT_MAX_RESULTS", n * n - 1)
     capsys.readouterr()
     q = "//B[.//C]//D"
     assert main(["query", idx, q]) == 2
@@ -266,6 +267,24 @@ def test_a_query_past_the_default_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == str(n * n)
     assert main(["query", idx, q, "--engine", "leafscan", "--count"]) == 0
     assert capsys.readouterr().out.strip() == str(n * n)
+
+
+def test_bench_past_the_default_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # bench runs the dt engine under the same default bound as query
+    n = 60
+    xml, idx, wl = tmp_path / "fan.xml", str(tmp_path / "fan.idx"), tmp_path / "wl.txt"
+    xml.write_bytes(fan_out_doc(n))
+    assert main(["index", str(xml), "-o", idx]) == 0
+    wl.write_text("//B[.//C]//D\n")
+    monkeypatch.setattr(matcher, "DEFAULT_MAX_RESULTS", n * n)
+    capsys.readouterr()
+    assert main(["bench", idx, "--workload", str(wl), "--engines", "dt"]) == 0
+    assert len(_rows(capsys.readouterr().out)) == 1
+    monkeypatch.setattr(matcher, "DEFAULT_MAX_RESULTS", n * n - 1)
+    assert main(["bench", idx, "--workload", str(wl), "--engines", "dt"]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: .*limit.*\n", captured.err)
+    assert _rows(captured.out) == []  # the header only
 
 
 # --- query: metrics channel ---
@@ -460,6 +479,19 @@ def test_bench_auto_multi_branch(idx_path, capsys):
     # mbN appends one more predicate each step onto the same trunk
     assert rows[0]["query"].count("[") == 2
     assert rows[3]["query"].count("[") == 5
+
+
+@pytest.mark.parametrize("sweep", ["single-branch", "multi-branch"])
+def test_bench_auto_refuses_a_tag_no_query_can_name(tmp_path, capsys, sweep):
+    # the deepest path is r/a:b/c, and a:b has the five children
+    xml, idx = tmp_path / "colon.xml", str(tmp_path / "colon.idx")
+    xml.write_bytes(b"<r><a:b><c/><d/><e/><f/><g/></a:b><a:b><c/></a:b></r>")
+    assert main(["index", str(xml), "-o", idx]) == 0
+    capsys.readouterr()
+    assert main(["bench", idx, "--auto", sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .*'a:b'.*\n", captured.err)
 
 
 def _reference_sweeps(pg) -> tuple[list, list]:

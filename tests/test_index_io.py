@@ -24,7 +24,7 @@ from twigjoin.index_io import (
 )
 from twigjoin.cli import main
 from twigjoin.dt import build_dt_schema
-from twigjoin.matcher import evaluate
+from twigjoin.matcher import ResultLimitError, evaluate
 from twigjoin.oracle import leaf_scan_match
 from twigjoin.path_guide import GuideError, PathGuide
 
@@ -877,10 +877,32 @@ def _queries_over(rng: random.Random, pg: PathGuide) -> list[str]:
     return [f"//{a}", twig, f"//*[.//{a}][.//{b}]//{c}"]
 
 
+def _traced(fn, *args):
+    """fn(*args), and the peak of the memory it allocated, traced."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rows_held(pg: PathGuide, q: str) -> int:
+    """The most rows the engine holds for q at once, as it counts them
+    against max_results: the bound raised until the query runs."""
+    bound = 0
+    while True:
+        try:
+            return max(bound, len(evaluate(pg, q, max_results=bound)[0]))
+        except ResultLimitError as err:
+            bound = err.rows
+
+
 def test_loaded_mutants_answer_as_the_leaf_scan_does():
     # the mutants of the test above that load (633 of 8,000, 45 of them
     # distinct): whatever guide they hold, the engine answers on it as the
-    # leaf-scan reference does
+    # leaf-scan reference does, loading it and answering each query in
+    # memory linear in the file, its labels and the rows the query holds
     rng, qrng = random.Random(24), random.Random(25)
     seen: set[bytes] = set()
     loaded = answered = 0
@@ -892,13 +914,30 @@ def test_loaded_mutants_answer_as_the_leaf_scan_does():
                 continue
             seen.add(bad)
             try:
-                pg = from_bytes(bad).guide
+                index, load_peak = _traced(from_bytes, bad)
             except (IndexFormatError, GuideError):
                 continue
+            pg, labels = index.guide, len(index.guide.byte_lens)
+            load_limit = (
+                32 * len(bad)  # 8 B of components per file byte, and 24 B of objects and
+                               # arrays per file byte: 500 B per guide node of 21 bytes or more
+                + 19 * 8 * labels  # byte_lens, pos, up and the store check's 16 temporaries
+                + 2**20
+            )
+            assert load_peak < load_limit, (load_peak, load_limit, bad.hex())
             loaded += 1
             for q in _queries_over(qrng, pg):
                 ref, _ = leaf_scan_match(pg, parse(q))
                 want = ["\t".join(map(str, mt.leaf_labels)) for mt in ref]
                 assert evaluate(pg, q)[0].lines() == want, (q, bad.hex())
                 answered += bool(want)
+                _, query_peak = _traced(evaluate, pg, q)
+                query_limit = (
+                    8 * len(bad)  # the walk's temporaries: 128 B per guide node
+                    + 32 * 8 * labels  # the merge's ids, keys, orders and flags per label read
+                    + 32 * 8 * _rows_held(pg, q)  # an entry (4 columns at most here), its
+                                                  # fan-out indexes and its sorted copy
+                    + 2**20
+                )
+                assert query_peak < query_limit, (q, query_peak, query_limit, bad.hex())
     assert loaded >= 40 and answered >= 60, (loaded, answered)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twigjoin
+from twigjoin import matcher
 from twigjoin.dewey import DeweyLabel, parse_label
 from twigjoin.document import GeneratorConfig, generate, ingest
 from twigjoin.dt import build_dt_schema, record_view
@@ -615,6 +616,23 @@ def test_max_results_fails_before_the_fan_out():
     with pytest.raises(ResultLimitError):
         evaluate(pg, "//C", max_results=n - 1)
     assert len(evaluate(pg, "//C", max_results=n)[0]) == n
+
+
+def test_evaluate_is_bounded_by_default(monkeypatch):
+    # no max_results: the engine's DEFAULT_MAX_RESULTS, read at call
+    # time, bounds a zero-JP query and a twig alike
+    n = 30
+    pg = PathGuide.build_from_xml(fan_out_doc(n))
+    monkeypatch.setattr(matcher, "DEFAULT_MAX_RESULTS", n - 1)
+    for q, rows in (("//C", n), ("//B[.//C]//D", n * n)):
+        with pytest.raises(ResultLimitError) as err:
+            evaluate(pg, q)
+        assert (err.value.rows, err.value.limit) == (rows, n - 1), q
+        assert len(evaluate(pg, q, max_results=rows)[0]) == rows, q
+    with pytest.raises(ResultLimitError):  # match_proc on its own too
+        match_proc(build_dt_schema(pg, split(parse("//B[.//C]//D"))), pg)
+    monkeypatch.setattr(matcher, "DEFAULT_MAX_RESULTS", n * n)
+    assert len(evaluate(pg, "//B[.//C]//D")[0]) == n * n
 
 
 def random_plans(seed: int, docs: int, per_doc: int):
