@@ -131,7 +131,7 @@ def _cmd_query(args) -> int:
         print("no DT required" if answers.plan is None else explain(answers.plan, pg))
     # the rows listed, and a function that prints them as lines
     if args.project == "jp":
-        listed, lines = answers.tops, lambda: [str(lab) for lab in answers.top_jp_labels]
+        listed, lines = answers.tops, answers.top_lines
     elif args.engine == "dt":
         listed, lines = answers, answers.lines
     else:

@@ -39,11 +39,11 @@ show.  Elsewhere the fan-out emits each level sorted and distinct.
 
 The answer stays row ids too (late materialization): a ResultSet holds
 the guide and the row ids of its leaves, witnesses and top witnesses,
-and reads labels from the store only when it prints or builds
-DeweyLabel/MatchTuple objects, once per distinct row.  Printing makes
-no object but the lines: a slice of answers reads its components from
-the store in place, writes each three-digit group with one lookup in a
-small digit table, and is decoded and split once.
+and reads labels from the store only when it builds DeweyLabel/MatchTuple
+objects, once per distinct row, or prints.  Printing reads no label:
+the first print builds every store row's text once and keeps it on the
+guide (row_text), and a slice of answers is then one gather of its
+rows' texts, decoded and split once.
 A query past ``max_results`` rows (None: DEFAULT_MAX_RESULTS) raises
 ResultLimitError, counted from the runs before any tuple is built.
 
@@ -70,21 +70,83 @@ from .twig import TwigPattern, parse, split
 
 # max_results when None, read at call time: rows of a few int64 columns, hundreds of MB
 DEFAULT_MAX_RESULTS = 5_000_000
-_PRINT_SLICE = 2048  # answers lines() prints at once: bounds its byte matrices
-_GROUP = 1000  # lines() writes a component as groups of three digits
+_PRINT_SLICE = 2048  # answers lines() prints at once: bounds its gather's index
+_TEXT_ROWS = 2048  # rows the text build writes at once: bounds its copy's index
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # a component has one digit more per power it reaches
+_ROOT = np.frombuffer("ε\t".encode(), np.uint8)  # the root's empty label
 
 
-def _digit_table(last: bool) -> np.ndarray:
-    """Three-digit group v's 4 bytes as one uint32: at v without its
-    leading zeros (no text for 0), at v + 1000 with them; "." ends a last
-    group, a zero byte starts an upper one."""
-    groups = [str(v).rjust(3, "\0") for v in range(1, _GROUP)]
-    groups += [str(v).zfill(3) for v in range(_GROUP)]
-    texts = ["\0" * 4] + [g + "." if last else "\0" + g for g in groups]
-    return np.frombuffer("".join(texts).encode(), np.uint32)
+def row_text(pg: PathGuide) -> tuple[np.ndarray, np.ndarray]:
+    """Every store row's label text and a tab, in one uint8 buffer with
+    int64 offsets: row i is buf[off[i] : off[i + 1]].  Built from the
+    checked store on the first call and kept on the guide (pg.row_text),
+    so it lives and goes with the guide."""
+    if pg.row_text is None:
+        pg.row_text = _build_text(pg)
+    return pg.row_text
 
 
-_DIGITS = (_digit_table(last=False), _digit_table(last=True))  # 16 KB
+def _depth_rows(pg: PathGuide):
+    """Per depth d from 1, d, the rows of depth d, ascending, and each
+    row's last component."""
+    for d in range(1, int(pg.depths.max(initial=0)) + 1):
+        gs = np.flatnonzero(pg.depths == d)
+        rows = ranges(pg.start[gs], pg.start[gs + 1])
+        # row r of extent g ends at component comp_start[g] + (r - start[g] + 1) * d - 1
+        shift = np.repeat(pg.comp_start[gs] - pg.start[gs] * d + d - 1, np.diff(pg.start)[gs])
+        yield d, rows, pg.comps[rows * d + shift]
+
+
+def _build_text(pg: PathGuide) -> tuple[np.ndarray, np.ndarray]:
+    """row_text's buffer and offsets, one depth at a time: a row's text is
+    its parent's with the tab made a ".", then its last component and a
+    tab; a depth-1 row's is its component and a tab, the root's "ε\t".
+    The lengths come first, into the offsets, then the text straight into
+    the final buffer, _TEXT_ROWS rows a step, the digits last first."""
+    off = np.zeros(pg.start[-1] + 1, dtype=np.int64)  # off[i + 1]: row i's length, for now
+    off[1 : pg.start[1] + 1] = len(_ROOT)
+    for d, rows, last in _depth_rows(pg):
+        off[rows + 1] = np.searchsorted(_POWERS, last, "right") + 2  # its digits and a separator
+        if d > 1:
+            off[rows + 1] += off[pg.up[rows] + 1]
+    np.cumsum(off, out=off)
+    buf = np.empty(off[-1], dtype=np.uint8)
+    buf[: off[pg.start[1]]] = np.tile(_ROOT, pg.start[1])
+    for d, rows, last in _depth_rows(pg):
+        for s in range(0, len(rows), _TEXT_ROWS):
+            r, c = rows[s : s + _TEXT_ROWS], last[s : s + _TEXT_ROWS]
+            if d > 1:  # the parent's text, its tab made a "."
+                p = pg.up[r]
+                n = off[p + 1] - off[p]
+                buf[ranges(off[r], off[r] + n)] = buf[ranges(off[p], off[p + 1])]
+                buf[off[r] + n - 1] = ord(".")
+            at = off[r + 1] - 1
+            buf[at] = ord("\t")
+            while len(c):
+                at -= 1
+                buf[at] = _DIGITS[c % 10]
+                c = c // 10
+                at, c = at[c > 0], c[c > 0]
+    return buf, off
+
+
+def _print(pg: PathGuide, ids: np.ndarray) -> list[str]:
+    """One line per row of ids: the texts of its row ids, tab-separated.
+    A slice of rows is one gather from row_text, each line's last tab
+    made a newline, decoded and split once."""
+    buf, off = row_text(pg)
+    k = ids.shape[1]
+    out: list[str] = []
+    for s in range(0, len(ids), _PRINT_SLICE):
+        rows = ids[s : s + _PRINT_SLICE].ravel()
+        lo = off[rows]
+        n = off[rows + 1] - lo
+        ends = np.cumsum(n)
+        text = buf[np.arange(ends[-1]) + np.repeat(lo - ends + n, n)]  # ranges(lo, lo + n)
+        text[ends[k - 1 :: k] - 1] = ord("\n")
+        out += text.tobytes()[:-1].decode().split("\n")
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,34 +203,13 @@ class ResultSet:
 
     def lines(self) -> list[str]:
         """One tab-separated line of dotted leaf labels per answer; the
-        root's empty label prints as ε.
+        root's empty label prints as ε.  Each label is its row's text,
+        gathered from the guide's row_text, built on the first print."""
+        return _print(self.pg, self.leaves)
 
-        A slice of answers is printed into one matrix, a slot per
-        component of its labels read in place (PathGuide.label_rows); a
-        slot is as many three-digit groups as the slice's widest component
-        needs, each written with one lookup in _DIGITS.  A label's last "."
-        becomes a tab, a line's last tab a newline; the nonzero bytes are
-        the slice's text, decoded and split once.
-        """
-        out: list[str] = []
-        for s in range(0, len(self), _PRINT_SLICE):
-            leaves = self.leaves[s : s + _PRINT_SLICE]
-            comps, depth = self.pg.label_rows(leaves.ravel())
-            labels, d = comps.shape
-            g = (len(str(comps.max(initial=0))) + 2) // 3  # groups per slot
-            text = np.zeros((labels, max(d, 1), g), np.uint32)  # room for "ε\t"
-            for j in range(g - 1, 0, -1):  # the lower groups, last first
-                comps, low = np.divmod(comps, _GROUP)
-                text[:, :d, j] = _DIGITS[j == g - 1][np.where(comps > 0, low + _GROUP, low)]
-            text[:, :d, 0] = _DIGITS[g == 1][comps]
-            raw = text.view(np.uint8).reshape(labels, -1)
-            raw[depth == 0, :2] = tuple("ε".encode())
-            tab = np.where(depth > 0, depth * 4 * g - 1, 2) + np.arange(0, raw.size, raw.shape[1])
-            raw = raw.ravel()
-            raw[tab] = ord("\t")
-            raw[tab[leaves.shape[1] - 1 :: leaves.shape[1]]] = ord("\n")
-            out += raw.tobytes().translate(None, b"\0")[:-1].decode().split("\n")
-        return out
+    def top_lines(self) -> list[str]:
+        """One line per top witness, its label, printed as lines() prints."""
+        return _print(self.pg, self.tops[:, None])
 
     def _labels(self, ids: np.ndarray) -> list[DeweyLabel]:
         """The label of each row id, one label object per distinct row."""

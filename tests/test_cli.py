@@ -183,6 +183,20 @@ def test_query_flag_variants_agree(idx_path, monkeypatch, capsys):
     assert main(["query", idx_path, q, "--format", "count"]) == 1
 
 
+def test_count_never_builds_the_text(idx_path, monkeypatch, capsys):
+    # a count reads the row count: the per-guide text is for printing only
+    def no_build(pg):
+        raise AssertionError("--count built the text")
+
+    monkeypatch.setattr(matcher, "_build_text", no_build)
+    for q in ("//A[./B]/C", "//A//B"):
+        for project in ([], ["--project", "jp"]):
+            assert main(["query", idx_path, q, *project, "--count"]) == 0
+    assert all(n.isdigit() for n in capsys.readouterr().out.split())
+    with pytest.raises(AssertionError, match="built the text"):  # printing does build it
+        main(["query", idx_path, "//A//B"])
+
+
 def test_project_jp_prints_witnesses(idx_path, guide, capsys):
     q = "//B[./C][./A]"
     assert main(["query", idx_path, q, "--project", "jp"]) == 0

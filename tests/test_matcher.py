@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -21,11 +22,13 @@ from twigjoin.matcher import (
     ResultSet,
     _DIGITS,
     _PRINT_SLICE,
+    _TEXT_ROWS,
     _cross,
     as_node_list,
     evaluate,
     jump,
     match_proc,
+    row_text,
 )
 from twigjoin.metrics import Metrics
 from twigjoin.oracle import MaterializedDoc, leaf_scan_match, naive_match
@@ -440,7 +443,7 @@ def test_answers_are_row_ids_of_the_store(small_corpus):
 
 
 def test_lines_agree_with_labels(small_corpus):
-    # the matrix formatter against str() of the label objects, on deep
+    # the printer against str() of the label objects, on deep
     # multi-digit labels and the root's empty label too
     rng = random.Random(8)
     docs = [(xml, pg) for xml, pg, _ in small_corpus[:6]]
@@ -462,6 +465,17 @@ def schema_doc(records: int) -> bytes:
             + item * (records // 2) + b"</items></site>")
 
 
+def digit_boundary_guide() -> PathGuide:
+    """Components on every decimal-digit boundary and on the label
+    codec's byte-class boundaries, at depths 1 to 3."""
+    comps = sorted({1, 127, 128, 16511, 16512, 10**9 + 1}
+                   | {10**i + d for i in range(1, 10) for d in (-1, 0)})
+    two = [[a, b] for a in comps for b in comps]
+    return from_tables(["R", "A", "B", "C"], [-1, 0, 1, 2],
+                       [np.zeros((1, 0), np.int64), [[c] for c in comps], two,
+                        [ab + [c] for ab in two[::5] for c in comps]])
+
+
 def test_lines_repeat_the_frozen_formatter():
     # random answer matrices of 1-5 leaf columns, the root's empty label
     # in the first, a middle and the last column, on generated guides
@@ -471,13 +485,7 @@ def test_lines_repeat_the_frozen_formatter():
     guides = [PathGuide.build_from_xml(gen_doc(seed, target=150 + 60 * i))
               for i, seed in enumerate(DOC_SEEDS[:6])]
     guides += [PathGuide.build_from_xml(schema_doc(n)) for n in (3, 40, 1200)]
-    comps = sorted({1, 127, 128, 16511, 16512, 10**9 + 1}
-                   | {10**i + d for i in range(1, 10) for d in (-1, 0)})
-    two = [[a, b] for a in comps for b in comps]
-    guides.append(from_tables(
-        ["R", "A", "B", "C"], [-1, 0, 1, 2],
-        [np.zeros((1, 0), np.int64), [[c] for c in comps], two,
-         [ab + [c] for ab in two[::5] for c in comps]]))
+    guides.append(digit_boundary_guide())
     rng = np.random.default_rng(23)
     for pg in guides:
         assert pg.depths[0] == 0 and pg.start[1] == 1  # row 0 is the root
@@ -592,6 +600,75 @@ def test_memory_stays_bounded_pass_after_pass():
     finally:
         tracemalloc.stop()
     assert held[30] - held[10] < 16 * 1024, held
+
+
+def test_row_text_is_each_rows_label_and_a_tab():
+    # every store row's text is its label as str() prints it and a tab,
+    # in one buffer of exactly that many bytes: per component its digits
+    # and one separator ("." or the tab), and the root's "ε" and its tab;
+    # the offsets take 8 bytes per row, plus the end
+    guides = [PathGuide.build_from_xml(gen_doc(seed, target=300)) for seed in DOC_SEEDS[:3]]
+    guides += [PathGuide.build_from_xml(schema_doc(40)), digit_boundary_guide(),
+               PathGuide.build_from_xml(b"<R/>")]
+    for pg in guides:
+        buf, off = row_text(pg)
+        rows = pg.start[-1]
+        block, depth, _ = pg.label_block(np.arange(rows))
+        labels = [DeweyLabel(r[:d]) for r, d in zip(block.tolist(), depth.tolist())]
+        assert buf.dtype == np.uint8 and off.dtype == np.int64 and off.nbytes == 8 * (rows + 1)
+        assert off[0] == 0 and off[-1] == buf.nbytes
+        assert [buf[off[i] : off[i + 1]].tobytes().decode() for i in range(rows)] == [f"{lab}\t" for lab in labels]
+        assert buf.nbytes == sum(len(str(c)) + 1 for c in pg.comps.tolist()) + len("ε\t".encode())
+        assert row_text(pg)[0] is buf  # built once, kept on the guide
+
+
+def test_row_text_build_allocates_within_its_bound():
+    # the build writes into its final buffer depth by depth: beside what
+    # it keeps, a depth's rows, their last components and index arrays
+    # (48 bytes a row of the most populous depth), and a step's copy of
+    # its rows' parent texts (48 bytes a byte of _TEXT_ROWS texts as
+    # long as the longest), never a padded matrix of the whole store
+    pg = PathGuide.build_from_xml(generate(GeneratorConfig(seed=7, target_node_count=20_000)).xml)
+    widest = int(np.bincount(pg.depths, weights=np.diff(pg.start)).max())
+    tracemalloc.start()
+    try:
+        buf, off = row_text(pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    longest = int(np.diff(off).max())
+    limit = buf.nbytes + off.nbytes + 48 * widest + 48 * _TEXT_ROWS * longest + 2**16
+    assert peak < limit, (peak, limit)
+
+
+def test_printed_guide_is_collected_after_del():
+    # the text lives on the guide, so nothing keeps a printed guide alive
+    pg = PathGuide.build_from_xml(gen_doc(DOC_SEEDS[0], target=300))
+    rs, _ = evaluate(pg, "//A[./B]//C")
+    assert rs.lines() and rs.top_lines()
+    assert pg.row_text is not None
+    ref = weakref.ref(pg)
+    del pg, rs
+    gc.collect()
+    assert ref() is None
+
+
+def test_only_printing_builds_the_text():
+    pg = PathGuide.build_from_xml(gen_doc(DOC_SEEDS[1], target=300))
+    for q in ("//A[./B]//C", "//B[./C][./A]", "//A//B", "/*"):
+        rs, _ = evaluate(pg, q)
+        len(rs), rs.matches, rs.top_jp_labels
+    assert pg.row_text is None
+    assert rs.lines() == [str(mt.leaf_labels[0]) for mt in rs.matches]
+    assert pg.row_text is not None
+
+
+def test_top_lines_print_the_top_witnesses():
+    for seed in DOC_SEEDS[:4]:
+        pg = PathGuide.build_from_xml(gen_doc(seed, target=300))
+        for q in ("//A[./B]//C", "//*[./A][./B]", "/*[.//A]", "//A//B"):
+            rs, _ = evaluate(pg, q)
+            assert rs.top_lines() == list(map(str, rs.top_jp_labels)), q
 
 
 def test_max_results_fails_before_the_fan_out():
